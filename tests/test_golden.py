@@ -1,0 +1,60 @@
+"""Byte-identical CLI output for fixed inputs and seeds.
+
+Each case pins the sha256 of the ``--json`` stdout of one invocation.
+The digests were taken before the field kernel moved to element
+indices, so any refactor that changes a single output byte fails here.
+A deliberate change of output format must update the digests in the
+same commit and say why.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from rsperm.cli import main
+
+
+def _gf256_points(seed: int, n: int) -> str:
+    """n distinct GF(256) literals; bit b of the index is coefficient b."""
+    rng = random.Random(seed)
+    return ",".join(
+        "[" + ",".join(str((i >> b) & 1) for b in range(8)) + "]"
+        for i in rng.sample(range(256), n)
+    )
+
+
+CASES = {
+    "paper-examples": ["paper-examples", "--json"],
+    "affine-gf13": ["affine", "--field", "13", "--points", "0,1,4,6", "--json"],
+    "group-gf13": [
+        "group", "--field", "13", "--points", "0,1,4,6", "--k", "3", "--json",
+    ],
+    "group-gf9": [
+        "group", "--field", "9", "--modulus", "2,2,1",
+        "--points", "[0,0],[1,0],[2,0],[1,1],[2,2]", "--k", "4", "--json",
+    ],
+    # t is not primitive under the default GF(256) modulus.
+    "verify-gf256": [
+        "verify", "--field", "256", "--points", _gf256_points(256, 7),
+        "--k", "3", "--json",
+    ],
+    "sweep-42-30": ["sweep", "--seed", "42", "--trials", "30", "--json"],
+}
+
+DIGESTS = {
+    "affine-gf13": "3ada8537d205511f1db11e7e50dcb82e344c6879b3bf6c35abc563f86280c114",
+    "group-gf13": "d89f4fd21df2bd1f9f4e865e5964f5774d93d27bdc8adde3f70b4f368a8f818a",
+    "group-gf9": "672c40b921df854f44afd8a70a1a0d88c29ea54d7bb3e1f0ca6f94b2f1a11712",
+    "paper-examples": "5f06041a64d5cccb7bb9295726c8b6374eefda84ade5456605369774f25a9f7f",
+    "sweep-42-30": "4179d3b5b9f3efaf8bbcb458a926c75100186a5a2bfa5f3636cb89702755aca5",
+    "verify-gf256": "bdb606de42bef5a6300fa522829977c24f061d12d7e1e14b5392115225caf005",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_is_unchanged(capsys, name):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
