@@ -197,6 +197,8 @@ def run_sweep(seed: int, trials: int, max_n: int = 10) -> list[SweepTrial]:
     4 <= n <= min(8, q) and a dimension 2 <= k <= n-2, then verifies
     group equality, the degree bound, and Per(C) = Per(dual C).
     """
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     out = []
     for t in range(trials):

@@ -1,9 +1,12 @@
 """Exact arithmetic in finite fields F_p and GF(p^m).
 
-Elements of GF(p^m) are coefficient vectors of length m over the prime
-field, ascending powers of the generator t, reduced modulo a monic
-irreducible polynomial of degree m.  Everything is immutable; fields are
-capped at q = p^m <= 2**16.
+An element of GF(p^m), a polynomial in the generator t reduced modulo a
+monic irreducible polynomial of degree m, is stored as its index
+sum(c_i * p**i) over its ascending coefficients.  Arithmetic runs on
+indices through O(q) tables built on first use: exp and log over a
+primitive element, and for sums mod p (prime fields), XOR (p = 2) or
+Zech logarithms.  Everything is immutable; fields are capped at
+q = p^m <= 2**16.
 """
 
 from __future__ import annotations
@@ -14,26 +17,9 @@ from typing import Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
 
-# q*q lookup tables are built only below this size; larger fields fall
-# back to coefficient arithmetic.
-TABLE_MAX_Q = 512
-
 
 class FieldMismatchError(ValueError):
     """Raised when combining elements of different fields."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -106,82 +92,79 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """An element of GF(p^m), stored as m residues mod p (ascending powers)."""
+    """An element of GF(p^m), stored as its index in the field enumeration."""
 
     field: "Field"
-    coeffs: tuple[int, ...]
+    index: int
 
-    def _check(self, other: "FieldElement") -> None:
+    def _check(self, other: "FieldElement") -> tuple:
+        """The field's tables, once other is known to share the field."""
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"elements of {self.field} and {other.field} cannot be combined"
             )
+        return self.field.tables
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        exp, log, zech, els = self._check(other)
+        field, a, b = self.field, self.index, other.index
+        if field.p == 2:
+            return els[a ^ b]
+        if field.m == 1:
+            return els[(a + b) % field.p]
+        if not a or not b:
+            return els[a or b]
+        # g**i + g**j = g**i * (1 + g**(j-i)); a negative j - i wraps in zech.
+        z = zech[log[b] - log[a]]
+        return els[0 if z is None else exp[log[a] + z]]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + (-other)
 
     def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        exp, log, _, els = self.field.tables
+        # -1 is g**((q-1)/2) for odd q, and -1 = 1 when p = 2.
+        half = (self.field.q - 1) // 2 if self.field.p > 2 else 0
+        return els[exp[log[self.index] + half] if self.index else 0]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field._mul_coeffs(self.coeffs, other.coeffs))
+        exp, log, _, els = self._check(other)
+        a, b = self.index, other.index
+        return els[exp[log[a] + log[b]] if a and b else 0]
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElement":
-        """Square-and-multiply; 0**0 is defined as 1."""
+        """0**0 is defined as 1; a negative power of zero raises."""
+        exp, log, _, els = self.field.tables
+        if self.index:
+            return els[exp[log[self.index] * e % (self.field.q - 1)]]
         if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return els[0 if e else 1]
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via y = x**(q-2); raises on zero."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self ** (self.field.q - 2)
+        """Multiplicative inverse; raises on zero."""
+        return self**-1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.index == 0
 
     @property
-    def index(self) -> int:
-        """Position in the field enumeration: sum(c_i * p**i)."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
+    def coeffs(self) -> tuple[int, ...]:
+        """The m residues mod p, ascending powers of t."""
+        p = self.field.p
+        return tuple(self.index // p**i % p for i in range(self.field.m))
 
     def __str__(self) -> str:
         if self.field.m == 1:
-            return str(self.coeffs[0])
+            return str(self.index)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
     def __repr__(self) -> str:
@@ -197,11 +180,11 @@ class Field:
     """
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
-        p, m = factor_prime_power(q)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if q < 2:
+            raise ValueError(f"field order must be >= 2, got {q}")
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
+        p, m = factor_prime_power(q)
         self.p = p
         self.m = m
         self.q = q
@@ -223,6 +206,8 @@ class Field:
                 self.modulus = mod
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Field):
             return NotImplemented
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
@@ -253,30 +238,26 @@ class Field:
                 raise ValueError(
                     f"{self} elements need {self.m} coefficients, got int {value}"
                 )
-            return FieldElement(self, (value % self.p,))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return FieldElement(self, value % self.p)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.m:
             raise ValueError(
                 f"expected {self.m} coefficients for {self}, got {len(coeffs)}"
             )
-        return FieldElement(self, coeffs)
+        return FieldElement(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
 
     def from_index(self, i: int) -> FieldElement:
         if not 0 <= i < self.q:
             raise ValueError(f"index {i} out of range for {self}")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, i)
 
     @cached_property
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
+        return FieldElement(self, 0)
 
     @cached_property
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
+        return FieldElement(self, 1)
 
     def generator(self) -> FieldElement:
         """The residue class of t (only meaningful for m > 1)."""
@@ -286,10 +267,10 @@ class Field:
 
     def elements(self) -> list[FieldElement]:
         """All q elements, zero first, in base-p order on coefficient vectors."""
-        return [self.from_index(i) for i in range(self.q)]
+        return [FieldElement(self, i) for i in range(self.q)]
 
     def nonzero_elements(self) -> list[FieldElement]:
-        return [self.from_index(i) for i in range(1, self.q)]
+        return [FieldElement(self, i) for i in range(1, self.q)]
 
     def parse(self, literal: str) -> FieldElement:
         """Parse an element literal: decimal for m == 1, [c0,...,c_{m-1}] else."""
@@ -312,53 +293,72 @@ class Field:
         except ValueError:
             raise ValueError(f"bad element literal {literal!r}") from None
 
-    # -- internal coefficient arithmetic --------------------------------
+    # -- arithmetic tables -------------------------------------------------
 
-    def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        if self.m == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        prod = [c % p for c in prod]
-        red = self._reduction_rows
-        out = prod[: self.m]
-        for s, row in enumerate(red):
-            c = prod[self.m + s]
+    @cached_property
+    def tables(self) -> tuple:
+        """(exp, log, zech, elements), built on first use.
+
+        exp[i] is the index of g**i for a primitive g, stored twice over so
+        that a sum of two logarithms needs no reduction; log inverts it on
+        nonzero indices.  zech[d] is the logarithm of 1 + g**d (None if that
+        is zero) for odd p with m > 1, and zech is None otherwise.  The
+        elements, one per index, are what the operators return.
+        """
+        powers = _primitive_powers(self)
+        log: list[int | None] = [None] * self.q
+        for i, x in enumerate(powers):
+            log[x] = i
+        zech = None
+        if self.p > 2 and self.m > 1:
+            # 1 + x only moves the constant coefficient, the lowest base-p digit.
+            zech = [log[x + 1 if (x + 1) % self.p else x + 1 - self.p] for x in powers]
+        return powers + powers, log, zech, self.elements()
+
+
+def _primitive_powers(field: Field) -> list[int]:
+    """Indices of g**0, ..., g**(q-2) for the first primitive g in index order.
+
+    g is primitive when g**d != 1 for every proper divisor d of q - 1.
+    These products of coefficient lists, reduced one power of t at a
+    time, only build the tables.
+    """
+    p, m, q = field.p, field.m, field.q
+    # t**m as a combination of lower powers: minus the modulus below its top.
+    top_power = [(-c) % p for c in field.modulus[:m]] if m > 1 else []
+
+    def times(x: list[int], y: Sequence[int]) -> list[int]:
+        """x * y by Horner's rule in t; y may end at its last nonzero coefficient."""
+        acc = [0] * m
+        for c in reversed(y):
+            lead, acc = acc[-1], [0] + acc[:-1]
+            if lead:
+                acc = [(a + lead * b) % p for a, b in zip(acc, top_power)]
             if c:
-                for i in range(self.m):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(c % p for c in out)
+                acc = [(a + c * b) % p for a, b in zip(acc, x)]
+        return acc
 
-    @cached_property
-    def _reduction_rows(self) -> list[list[int]]:
-        """Row s holds the coefficients of t**(m+s) reduced mod the modulus."""
-        p, m = self.p, self.m
-        rows = []
-        # t**m = -(modulus minus leading term)
-        cur = [(-c) % p for c in self.modulus[:m]]
-        rows.append(list(cur))
-        for _ in range(m - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(m):
-                    nxt[i] = (nxt[i] + top * rows[0][i]) % p
-            cur = nxt
-            rows.append(list(cur))
-        return rows
+    def power(x: list[int], e: int) -> list[int]:
+        result = one
+        while e:
+            if e & 1:
+                result = times(result, x)
+            x = times(x, x)
+            e >>= 1
+        return result
 
-    # -- small lookup tables for exhaustive searches --------------------
-
-    @cached_property
-    def tables(self) -> tuple[list[list[int]], list[list[int]]] | None:
-        """(add, mul) tables indexed by element index, or None when q is large."""
-        if self.q > TABLE_MAX_Q:
-            return None
-        els = self.elements()
-        add = [[(a + b).index for b in els] for a in els]
-        mul = [[(a * b).index for b in els] for a in els]
-        return add, mul
+    one = [1] + [0] * (m - 1)
+    divisors = [d for d in range(1, q - 1) if (q - 1) % d == 0]
+    for cand in range(1, q):
+        g = list(field.from_index(cand).coeffs)
+        if all(power(g, d) != one for d in divisors):
+            break
+    while not g[-1]:
+        g.pop()
+    place = [p**i for i in range(m)]
+    powers = [1]
+    x = times(one, g)
+    while x != one:
+        powers.append(sum(c * w for c, w in zip(x, place)))
+        x = times(x, g)
+    return powers

@@ -2,8 +2,10 @@
 
 The permutation group Per(C) of a length-n code is computed exactly by
 scanning all n! coordinate permutations with a parity-check membership
-test (an optional backtracking mode prunes on prefix-supported dual
-constraints).  Permutations of an evaluation set correspond to the unique
+test.  There is one scan for every field: it computes each parity-check
+product once per code as an int, so testing a permutation only adds
+ints.  An optional backtracking mode prunes on prefix-supported dual
+constraints.  Permutations of an evaluation set correspond to the unique
 degree < n polynomial interpolating a_i -> a_pi(i); the affine ones are
 those of degree exactly 1.  For Reed-Solomon codes RS(A, k) with
 1 < k < n-1 the two notions coincide, and check_theorem verifies that
@@ -195,57 +197,46 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
 # -- exhaustive group computation ------------------------------------------
 
 
-def _scan_tables(code: LinearCode, tables) -> list[tuple[int, ...]]:
-    add, mul = tables
-    n = code.n
-    rows = sorted(
-        (tuple(x.index for x in row) for row in code.rref),
-        key=lambda r: -len(set(r)),
-    )
-    duals = [
-        tuple((i, x.index) for i, x in enumerate(h) if not x.is_zero())
-        for h in code.dual.rref
-    ]
-    members = []
-    for pi in iter_permutations(range(n)):
-        ok = True
-        for r in rows:
-            for supp in duals:
-                s = 0
-                for i, hi in supp:
-                    s = add[s][mul[hi][r[pi[i]]]]
-                if s:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            members.append(pi)
-    return members
+def _scan(code: LinearCode) -> list[tuple[int, ...]]:
+    """Every pi with sum_i h_i * r_pi(i) = 0 for each generator row r and dual row h.
 
-
-def _scan_objects(code: LinearCode) -> list[tuple[int, ...]]:
-    n = code.n
-    zero = code.field.zero
+    Each product h_i * r_j is computed once per code as an int, so the
+    loop over the n! permutations only adds ints.  A field sum is zero
+    when every base-p digit of the index sums to 0 mod p.  For p = 2 all
+    m digits share one int, w bits apart so that n terms cannot carry
+    into the next digit, and the mask reads each digit's low bit; for
+    odd p each digit is a check of its own, tested mod p.
+    """
+    field = code.field
+    p, m, n = field.p, field.m, code.n
+    if p == 2:
+        w = n.bit_length()
+        packs = [lambda x: sum(((x >> b) & 1) << (w * b) for b in range(m))]
+        # The modulus exceeds every sum, so only the mask takes effect.
+        modulus, mask = 1 << (w * m), sum(1 << (w * b) for b in range(m))
+    else:
+        packs = [lambda x, b=b: x // p**b % p for b in range(m)]
+        modulus, mask = p, -1
     rows = sorted(code.rref, key=lambda r: -len(set(r)))
     duals = [
         tuple((i, x) for i, x in enumerate(h) if not x.is_zero())
         for h in code.dual.rref
     ]
+    checks = [
+        tuple((i, tuple(pack((hi * rj).index) for rj in r)) for i, hi in supp)
+        for r in rows
+        for supp in duals
+        for pack in packs
+    ]
     members = []
     for pi in iter_permutations(range(n)):
-        ok = True
-        for r in rows:
-            for supp in duals:
-                s = zero
-                for i, hi in supp:
-                    s = s + hi * r[pi[i]]
-                if not s.is_zero():
-                    ok = False
-                    break
-            if not ok:
+        for check in checks:
+            s = 0
+            for i, terms in check:
+                s += terms[pi[i]]
+            if s % modulus & mask:
                 break
-        if ok:
+        else:
             members.append(pi)
     return members
 
@@ -312,10 +303,7 @@ def exhaustive_permutations(
             f"length {code.n} exceeds the exhaustive-search cap {max_n}"
         )
     if method == "scan":
-        tables = code.field.tables
-        raw = (
-            _scan_tables(code, tables) if tables is not None else _scan_objects(code)
-        )
+        raw = _scan(code)
     elif method == "backtrack":
         raw = _scan_backtrack(code)
     else:

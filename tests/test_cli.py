@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -188,9 +189,27 @@ def test_sweep_deterministic(capsys):
 
 
 def test_sweep_zero_trials(capsys):
-    code, out, _ = run(capsys, "sweep", "--trials", "0")
-    assert code == 0
-    assert "0/0 pass" in out
+    code, out, err = run(capsys, "sweep", "--trials", "0")
+    assert code == 2
+    assert "pass" not in out
+    assert "trials" in err
+
+
+def test_sweep_negative_trials(capsys):
+    code, out, err = run(capsys, "sweep", "--trials", "-5")
+    assert code == 2
+    assert "pass" not in out
+    assert "trials" in err
+
+
+def test_field_order_above_cap_exits_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "affine", "--field", "1000000007", "--points", "0,1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceeds cap" in err
 
 
 def test_sweep_json(capsys):

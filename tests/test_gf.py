@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rsperm import Field, FieldMismatchError
@@ -136,6 +138,14 @@ def test_non_prime_power_rejected():
         Field(6)
 
 
+@pytest.mark.parametrize("q", [1_000_000_007, 1 << 17, 1, 0, -5])
+def test_out_of_range_order_rejected_quickly(q):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        Field(q)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_default_moduli_are_irreducible():
     for q in (4, 8, 9, 16, 25, 27):
         field = Field(q)
@@ -165,10 +175,3 @@ def test_index_round_trip(f9):
     for i in range(9):
         assert f9.from_index(i).index == i
 
-
-def test_tables_match_element_arithmetic(f9):
-    add, mul = f9.tables
-    for x in f9.elements():
-        for y in f9.elements():
-            assert add[x.index][y.index] == (x + y).index
-            assert mul[x.index][y.index] == (x * y).index
