@@ -24,9 +24,25 @@ def _gf256_points(seed: int, n: int) -> str:
     )
 
 
+def _literals(p: int, m: int, indices) -> str:
+    """Element literals for the given indices; digit b of the index is coefficient b."""
+    return ",".join(
+        "[" + ",".join(str(i // p**b % p) for b in range(m)) + "]" for i in indices
+    )
+
+
 CASES = {
     "paper-examples": ["paper-examples", "--json"],
     "affine-gf13": ["affine", "--field", "13", "--points", "0,1,4,6", "--json"],
+    # All 240 maps of GF(16), and the 8 of GF(9)* with the given modulus:
+    # both pin the order in which affine maps are listed.
+    "affine-gf16-full": [
+        "affine", "--field", "16", "--points", _literals(2, 4, range(16)), "--json",
+    ],
+    "affine-gf9-units": [
+        "affine", "--field", "9", "--modulus", "2,2,1",
+        "--points", _literals(3, 2, range(1, 9)), "--json",
+    ],
     "group-gf13": [
         "group", "--field", "13", "--points", "0,1,4,6", "--k", "3", "--json",
     ],
@@ -43,6 +59,8 @@ CASES = {
 }
 
 DIGESTS = {
+    "affine-gf16-full": "00ec55d0c25d1f3652e43ef753cb72f3f8e3952d72e74436d3afcbeb02f6070b",
+    "affine-gf9-units": "ec475f189aa8a212f75e84e946ec075add68df3aafa396c7fa3f1bb720405169",
     "affine-gf13": "3ada8537d205511f1db11e7e50dcb82e344c6879b3bf6c35abc563f86280c114",
     "group-gf13": "d89f4fd21df2bd1f9f4e865e5964f5774d93d27bdc8adde3f70b4f368a8f818a",
     "group-gf9": "672c40b921df854f44afd8a70a1a0d88c29ea54d7bb3e1f0ca6f94b2f1a11712",
