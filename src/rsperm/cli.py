@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: affine, group, verify, sweep, paper-examples.  Exit codes:
-0 success/verified, 1 verification failure, 2 invalid input.
+0 success/verified, 1 verification failure or output that could not be
+written (e.g. the reader of a pipe exited early), 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -372,6 +374,18 @@ def cmd_paper_examples(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _max_n(text: str) -> int:
+    """--max-n value: an evaluation set has at least two points."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+
 def _add_field_flags(sub, with_k: bool) -> None:
     sub.add_argument("--field", type=int, required=True, help="field order q = p^m")
     sub.add_argument(
@@ -387,7 +401,7 @@ def _add_field_flags(sub, with_k: bool) -> None:
     if with_k:
         sub.add_argument("--k", type=int, required=True, help="code dimension")
         sub.add_argument(
-            "--max-n", type=int, default=10, help="exhaustive-search length cap"
+            "--max-n", type=_max_n, default=10, help="exhaustive-search length cap"
         )
 
 
@@ -418,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="seeded randomized verification sweep")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-n", type=_max_n, default=10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -435,10 +449,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Nobody reads stdout any more; point it at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

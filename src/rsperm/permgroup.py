@@ -175,22 +175,32 @@ def permutes(f: Polynomial, points: EvaluationSet) -> bool:
 def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
     """All degree-1 polynomials permuting the point set, with their permutations.
 
-    Candidates a*x + b run over all q*(q-1) pairs in enumeration order, so
-    the identity map x comes first.  The result is closed under
-    composition modulo the point set.
+    A map a*x + b is fixed by the images a_i, a_j of the first two points:
+    a = (a_j - a_i) / (a_1 - a_0) and b = a_i - a*a_0.  So the n(n-1)
+    ordered pairs i != j give every candidate exactly once, whatever q
+    is, and each is checked on the other n - 2 points.  The result is
+    sorted by (a, b) in enumeration order, so the identity map x comes
+    first, and is closed under composition modulo the point set.
     """
-    field = points.field
+    a0, a1 = points[0], points[1]
+    rest = points.points[2:]
+    scale = (a1 - a0).inverse()
     out = []
-    for a in field.nonzero_elements():
-        for b in field.elements():
-            images = []
-            for ai in points:
-                pos = points.position(a * ai + b)
+    for i, ai in enumerate(points):
+        for j, aj in enumerate(points):
+            if i == j:
+                continue
+            a = (aj - ai) * scale
+            b = ai - a * a0
+            images = [i, j]
+            for x in rest:
+                pos = points.position(a * x + b)
                 if pos is None:
                     break
                 images.append(pos)
             else:
                 out.append((AffineMap(a, b), Permutation(images)))
+    out.sort(key=lambda member: (member[0].a.index, member[0].b.index))
     return out
 
 

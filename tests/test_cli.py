@@ -1,9 +1,33 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rsperm
 from rsperm.cli import main, split_top_level
+
+SRC = str(Path(rsperm.__file__).resolve().parent.parent)
+
+
+def run_process(argv, **kwargs):
+    """rsperm in a fresh interpreter, importing the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rsperm.cli", *argv], env=env, **kwargs
+    )
+
+
+def binary_literals(m: int, indices) -> str:
+    """GF(2^m) literals; bit b of the index is coefficient b."""
+    return ",".join(
+        "[" + ",".join(str((i >> b) & 1) for b in range(m)) + "]" for i in indices
+    )
 
 
 def run(capsys, *argv):
@@ -109,6 +133,18 @@ def test_group_respects_max_n(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("command", ["group", "verify", "sweep"])
+@pytest.mark.parametrize("max_n", ["-3", "0", "1"])
+def test_max_n_below_two_exits_2(capsys, command, max_n):
+    argv = [command, "--max-n", max_n]
+    if command != "sweep":
+        argv += ["--field", "13", "--points", "0,1,4,6", "--k", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
 
 
 def test_group_extension_field(capsys):
@@ -244,3 +280,68 @@ def test_invalid_field_exits_2(capsys):
 def test_bad_point_literal_exits_2(capsys):
     code, _, err = run(capsys, "affine", "--field", "13", "--points", "0,zz")
     assert code == 2
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that has gone away (e.g. `| head -1`) is not a crash."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_process(
+            ["affine", "--field", "13", "--points", ",".join(map(str, range(13))),
+             "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b""
+
+
+# Affine enumeration tries n(n-1) two-point candidates, so these finish in
+# about a second whatever q is; the bound includes the O(q) table build.
+LARGE_FIELD_SECONDS = 10.0
+
+
+def _timed(argv):
+    start = time.perf_counter()
+    result = run_process(
+        argv, capture_output=True, text=True, timeout=4 * LARGE_FIELD_SECONDS
+    )
+    return result, time.perf_counter() - start
+
+
+def test_affine_gf4096_six_points_is_fast():
+    # {0, 1, t, t+1, t^2, t^2+1} is a union of cosets of {0, 1}.
+    result, seconds = _timed(
+        ["affine", "--field", "4096", "--points", binary_literals(12, range(6)),
+         "--json"]
+    )
+    assert seconds < LARGE_FIELD_SECONDS
+    assert result.returncode == 0, result.stderr
+    polys = [e["poly"] for e in json.loads(result.stdout)["elements"]]
+    assert polys[0] == "x"
+    assert "x + [" + ",".join(["1"] + ["0"] * 11) + "]" in polys
+
+
+def test_affine_gf65536_seven_points_is_fast():
+    points = binary_literals(16, random.Random(65536).sample(range(1 << 16), 7))
+    result, seconds = _timed(
+        ["affine", "--field", "65536", "--points", points, "--json"]
+    )
+    assert seconds < LARGE_FIELD_SECONDS
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["elements"][0]["poly"] == "x"
+
+
+def test_verify_gf65536_seven_points_is_fast():
+    points = binary_literals(16, random.Random(7).sample(range(1 << 16), 7))
+    result, seconds = _timed(
+        ["verify", "--field", "65536", "--points", points, "--k", "3", "--json"]
+    )
+    assert seconds < LARGE_FIELD_SECONDS
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["equal"] and data["all_degree_one"]

@@ -1,4 +1,7 @@
-"""The index kernel of rsperm.gf against sympy's polynomial arithmetic over F_p.
+"""rsperm.gf against sympy's polynomial arithmetic over F_p.
+
+The index kernel is checked pair by pair, and the modulus search
+(is_irreducible, default_modulus) against sympy's irreducibility test.
 
 sympy shares no code with rsperm and is a test-only dependency.  Its
 galoistools take coefficient lists highest degree first, so every
@@ -14,6 +17,7 @@ from sympy import factorint  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
 from rsperm import Field  # noqa: E402
+from rsperm.gf import default_modulus, is_irreducible  # noqa: E402
 
 
 class Oracle:
@@ -130,3 +134,32 @@ def test_sampled_pairs_match_sympy(q):
 )
 def test_primitive_element_has_order_q_minus_1(field):
     assert_primitive_order(field)
+
+
+MODULUS_DEGREES = [(2, m) for m in range(1, 9)] + [
+    (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3),
+]
+
+
+def monic(p: int, m: int, idx: int) -> list[int]:
+    """The monic degree-m polynomial whose lower coefficients are the base-p digits of idx."""
+    return [idx // p**i % p for i in range(m)] + [1]
+
+
+@pytest.mark.parametrize("p, m", MODULUS_DEGREES)
+def test_is_irreducible_matches_sympy(p, m):
+    for idx in range(p**m):
+        coeffs = monic(p, m, idx)
+        expected = galoistools.gf_irreducible_p(coeffs[::-1], p, ZZ)
+        assert is_irreducible(coeffs, p) == expected, coeffs
+
+
+@pytest.mark.parametrize("p, m", MODULUS_DEGREES)
+def test_default_modulus_is_the_first_irreducible(p, m):
+    """First in the order of the lower coefficients read as base-p digits."""
+    first = next(
+        monic(p, m, idx)
+        for idx in range(p**m)
+        if galoistools.gf_irreducible_p(monic(p, m, idx)[::-1], p, ZZ)
+    )
+    assert default_modulus(p, m) == tuple(first)
