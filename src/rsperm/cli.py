@@ -385,7 +385,6 @@ def _max_n(text: str) -> int:
     return value
 
 
-
 def _add_field_flags(sub, with_k: bool) -> None:
     sub.add_argument("--field", type=int, required=True, help="field order q = p^m")
     sub.add_argument(

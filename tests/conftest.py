@@ -26,6 +26,13 @@ def pts9(f9):
     return EvaluationSet(f9, [[0, 0], [1, 0], [2, 0], [1, 1], [2, 2]])
 
 
+def vector_literals(p: int, m: int, indices) -> str:
+    """Comma-separated GF(p^m) literals; base-p digit b of an index is coefficient b."""
+    return ",".join(
+        "[" + ",".join(str(i // p**b % p) for b in range(m)) + "]" for i in indices
+    )
+
+
 def random_points(rng: random.Random, field: Field, n: int) -> EvaluationSet:
     return EvaluationSet(field, rng.sample(field.elements(), n))
 

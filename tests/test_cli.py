@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rsperm
+from conftest import vector_literals
 from rsperm.cli import main, split_top_level
 
 SRC = str(Path(rsperm.__file__).resolve().parent.parent)
@@ -20,13 +21,6 @@ def run_process(argv, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "rsperm.cli", *argv], env=env, **kwargs
-    )
-
-
-def binary_literals(m: int, indices) -> str:
-    """GF(2^m) literals; bit b of the index is coefficient b."""
-    return ",".join(
-        "[" + ",".join(str((i >> b) & 1) for b in range(m)) + "]" for i in indices
     )
 
 
@@ -316,7 +310,7 @@ def _timed(argv):
 def test_affine_gf4096_six_points_is_fast():
     # {0, 1, t, t+1, t^2, t^2+1} is a union of cosets of {0, 1}.
     result, seconds = _timed(
-        ["affine", "--field", "4096", "--points", binary_literals(12, range(6)),
+        ["affine", "--field", "4096", "--points", vector_literals(2, 12, range(6)),
          "--json"]
     )
     assert seconds < LARGE_FIELD_SECONDS
@@ -327,7 +321,7 @@ def test_affine_gf4096_six_points_is_fast():
 
 
 def test_affine_gf65536_seven_points_is_fast():
-    points = binary_literals(16, random.Random(65536).sample(range(1 << 16), 7))
+    points = vector_literals(2, 16, random.Random(65536).sample(range(1 << 16), 7))
     result, seconds = _timed(
         ["affine", "--field", "65536", "--points", points, "--json"]
     )
@@ -337,7 +331,7 @@ def test_affine_gf65536_seven_points_is_fast():
 
 
 def test_verify_gf65536_seven_points_is_fast():
-    points = binary_literals(16, random.Random(7).sample(range(1 << 16), 7))
+    points = vector_literals(2, 16, random.Random(7).sample(range(1 << 16), 7))
     result, seconds = _timed(
         ["verify", "--field", "65536", "--points", points, "--k", "3", "--json"]
     )

@@ -12,23 +12,13 @@ import random
 
 import pytest
 
+from conftest import vector_literals
 from rsperm.cli import main
 
 
 def _gf256_points(seed: int, n: int) -> str:
-    """n distinct GF(256) literals; bit b of the index is coefficient b."""
-    rng = random.Random(seed)
-    return ",".join(
-        "[" + ",".join(str((i >> b) & 1) for b in range(8)) + "]"
-        for i in rng.sample(range(256), n)
-    )
-
-
-def _literals(p: int, m: int, indices) -> str:
-    """Element literals for the given indices; digit b of the index is coefficient b."""
-    return ",".join(
-        "[" + ",".join(str(i // p**b % p) for b in range(m)) + "]" for i in indices
-    )
+    """n distinct GF(256) literals."""
+    return vector_literals(2, 8, random.Random(seed).sample(range(256), n))
 
 
 CASES = {
@@ -37,11 +27,11 @@ CASES = {
     # All 240 maps of GF(16), and the 8 of GF(9)* with the given modulus:
     # both pin the order in which affine maps are listed.
     "affine-gf16-full": [
-        "affine", "--field", "16", "--points", _literals(2, 4, range(16)), "--json",
+        "affine", "--field", "16", "--points", vector_literals(2, 4, range(16)), "--json",
     ],
     "affine-gf9-units": [
         "affine", "--field", "9", "--modulus", "2,2,1",
-        "--points", _literals(3, 2, range(1, 9)), "--json",
+        "--points", vector_literals(3, 2, range(1, 9)), "--json",
     ],
     "group-gf13": [
         "group", "--field", "13", "--points", "0,1,4,6", "--k", "3", "--json",
