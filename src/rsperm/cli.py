@@ -23,6 +23,7 @@ from .permgroup import (
     brute_force_perm_group,
     check_theorem,
     exhaustive_permutations,
+    search_side,
 )
 from .poly import EvaluationSet, Polynomial, affine_str
 
@@ -213,7 +214,9 @@ def run_sweep(seed: int, trials: int, max_n: int = 10) -> list[SweepTrial]:
         result = check_theorem(points, k, max_n=max_n)
         group_perms = {m.perm for m in result.group.elements}
         code = rs_code(points, k)
-        dual_perms = set(exhaustive_permutations(code.dual, max_n=max_n))
+        # check_theorem searched the smaller of C and its dual; search the other.
+        other = code.dual if search_side(code) is code else code
+        dual_perms = set(exhaustive_permutations(other, max_n=max_n))
         bound = min(k, n - k)
         out.append(
             SweepTrial(
@@ -444,9 +447,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join --points/--modulus with a following value such as -3,1.
+
+    argparse reads a token that starts with '-' and is not a plain
+    number as an option, so `--points -3,1` would lose its value;
+    `--points=-3,1` is read as intended.
+    """
+    out: list[str] = []
+    for token in argv:
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and out and out[-1] in ("--points", "--modulus"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,21 +1,23 @@
 """Permutation groups of linear codes and affine permutations of point sets.
 
-The permutation group Per(C) of a length-n code is computed exactly by
-scanning all n! coordinate permutations with a parity-check membership
-test.  There is one scan for every field: it computes each parity-check
-product once per code as an int, so testing a permutation only adds
-ints.  An optional backtracking mode prunes on prefix-supported dual
-constraints.  Permutations of an evaluation set correspond to the unique
-degree < n polynomial interpolating a_i -> a_pi(i); the affine ones are
-those of degree exactly 1.  For Reed-Solomon codes RS(A, k) with
-1 < k < n-1 the two notions coincide, and check_theorem verifies that
-equality instance by instance.
+The permutation group Per(C) of a length-n code is computed exactly from
+its generator matrix alone, by column matching on an information set:
+a member is fixed, up to exchanging equal columns, by the images of the
+k pivot columns of the rref, and every other column's image is then one
+lookup.  Per(C) = Per(C^perp), so the smaller of the two is searched,
+which tries n!/(n-d)! candidates for d = min(k, n-k).  An optional
+backtracking mode prunes on prefix-supported dual constraints.
+Permutations of an evaluation set correspond to the unique degree < n
+polynomial interpolating a_i -> a_pi(i); the affine ones are those of
+degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
+two notions coincide, and check_theorem verifies that equality instance
+by instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, rref, rs_code
@@ -207,47 +209,102 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
 # -- exhaustive group computation ------------------------------------------
 
 
-def _scan(code: LinearCode) -> list[tuple[int, ...]]:
-    """Every pi with sum_i h_i * r_pi(i) = 0 for each generator row r and dual row h.
+def _match(code: LinearCode) -> list[tuple[int, ...]]:
+    """Every pi whose column permutation G[:, pi] spans the code again.
 
-    Each product h_i * r_j is computed once per code as an int, so the
-    loop over the n! permutations only adds ints.  A field sum is zero
-    when every base-p digit of the index sums to 0 mod p.  For p = 2 all
-    m digits share one int, w bits apart so that n terms cannot carry
-    into the next digit, and the mask reads each digit's low bit; for
-    odd p each digit is a check of its own, tested mod p.
+    With G the k x n rref, pivot columns I and free columns J, such a pi
+    is fixed up to equal columns by the images t = pi(I): G[:, pi] is
+    M * G for M = G[:, t], so each free column j must go to a column
+    equal to sum_i G[i][j] * G[:, t_i].  Only the n!/(n-k)! injective
+    images of I are tried, and each free column's image is found by one
+    lookup from column to positions.  Free columns with equal targets can
+    be exchanged among the positions holding that column, so every
+    bijection between the two is a member.
+
+    Columns are keyed as ints, and each product G[i][j] * G[:, c] is
+    packed once per code, so a candidate only combines ints.  For p = 2
+    a column is its m-bit indices side by side and a sum is their XOR.
+    For odd p each base-p digit has a slot wide enough for k terms; the
+    slots are summed together and each is reduced mod p before the
+    lookup.
     """
-    field = code.field
-    p, m, n = field.p, field.m, code.n
+    field, n, rows = code.field, code.n, code.rref
+    if not rows:
+        return list(iter_permutations(range(n)))
+    p, m, k = field.p, field.m, len(rows)
     if p == 2:
-        w = n.bit_length()
-        packs = [lambda x: sum(((x >> b) & 1) << (w * b) for b in range(m))]
-        # The modulus exceeds every sum, so only the mask takes effect.
-        modulus, mask = 1 << (w * m), sum(1 << (w * b) for b in range(m))
+        def pack(col):
+            return sum(x.index << (m * r) for r, x in enumerate(col))
+
+        def image(t, terms):
+            s = 0
+            for i, prods in terms:
+                s ^= prods[t[i]]
+            return s
     else:
-        packs = [lambda x, b=b: x // p**b % p for b in range(m)]
-        modulus, mask = p, -1
-    rows = sorted(code.rref, key=lambda r: -len(set(r)))
-    duals = [
-        tuple((i, x) for i, x in enumerate(h) if not x.is_zero())
-        for h in code.dual.rref
-    ]
+        w = (k * (p - 1)).bit_length()
+        offsets = range(0, w * m * k, w)
+        slot = (1 << w) - 1
+
+        def pack(col):
+            return sum(
+                x.index // p**b % p << (w * (m * r + b))
+                for r, x in enumerate(col)
+                for b in range(m)
+            )
+
+        def image(t, terms):
+            s = 0
+            for i, prods in terms:
+                s += prods[t[i]]
+            key = 0
+            for off in offsets:
+                key |= (s >> off & slot) % p << off
+            return key
+    cols = list(zip(*rows))
+    where: dict[int, list[int]] = {}
+    for c, col in enumerate(cols):
+        where.setdefault(pack(col), []).append(c)
+    pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
+    free = [j for j in range(n) if j not in pivots]
     checks = [
-        tuple((i, tuple(pack((hi * rj).index) for rj in r)) for i, hi in supp)
-        for r in rows
-        for supp in duals
-        for pack in packs
+        [
+            (i, [pack([g * x for x in col]) for col in cols])
+            for i, g in enumerate(cols[j])
+            if not g.is_zero()
+        ]
+        for j in free
     ]
     members = []
-    for pi in iter_permutations(range(n)):
-        for check in checks:
-            s = 0
-            for i, terms in check:
-                s += terms[pi[i]]
-            if s % modulus & mask:
+    images = [0] * n
+    for t in iter_permutations(range(n), k):
+        targets = []
+        for terms in checks:
+            key = image(t, terms)
+            if key not in where:
                 break
+            targets.append(key)
         else:
-            members.append(pi)
+            classes: dict[int, list[int]] = {}
+            for j, key in zip(free, targets):
+                classes.setdefault(key, []).append(j)
+            # The free columns must fill the n - k positions outside t,
+            # each class exactly the positions holding its target.
+            blocks = []
+            for key, js in classes.items():
+                spare = [c for c in where[key] if c not in t]
+                if len(spare) != len(js):
+                    break
+                blocks.append((js, spare))
+            else:
+                for i, c in zip(pivots, t):
+                    images[i] = c
+                for choice in product(*(iter_permutations(cs) for _, cs in blocks)):
+                    for (js, _), cs in zip(blocks, choice):
+                        for j, c in zip(js, cs):
+                            images[j] = c
+                    members.append(tuple(images))
+    members.sort()
     return members
 
 
@@ -307,13 +364,18 @@ def _scan_backtrack(code: LinearCode) -> list[tuple[int, ...]]:
 def exhaustive_permutations(
     code: LinearCode, max_n: int = DEFAULT_MAX_N, method: str = "scan"
 ) -> list[Permutation]:
-    """All coordinate permutations fixing the code, in lexicographic order."""
+    """All coordinate permutations fixing the code, in lexicographic order.
+
+    The search reads only the given code's generator matrix, so its cost
+    is set by that code's dimension k: n!/(n-k)! candidates.  Use
+    search_side to pick the cheaper of a code and its dual.
+    """
     if code.n > max_n:
         raise ValueError(
             f"length {code.n} exceeds the exhaustive-search cap {max_n}"
         )
     if method == "scan":
-        raw = _scan(code)
+        raw = _match(code)
     elif method == "backtrack":
         raw = _scan_backtrack(code)
     else:
@@ -388,19 +450,28 @@ def _is_abelian(perms: Sequence[Permutation]) -> bool | None:
     return True
 
 
+def search_side(code: LinearCode) -> LinearCode:
+    """The code or its dual, whichever has the smaller dimension (the code on a tie).
+
+    Both have the same permutation group, and the search cost grows with
+    the dimension of the code it is given.
+    """
+    return code if 2 * code.k <= code.n else code.dual
+
+
 def brute_force_perm_group(
     code: LinearCode,
     points: EvaluationSet | None = None,
     max_n: int = DEFAULT_MAX_N,
     method: str = "scan",
 ) -> GroupReport:
-    """Exact Per(C) by exhaustive scan of S_n.
+    """Exact Per(C), by exhaustive search of the smaller of C and its dual.
 
     When an evaluation set is supplied, every member is enriched with its
     interpolating polynomial and degree, and the group is compared
     against the affine permutations of the set.
     """
-    perms = exhaustive_permutations(code, max_n=max_n, method=method)
+    perms = exhaustive_permutations(search_side(code), max_n=max_n, method=method)
     if points is None:
         members = tuple(GroupMember(p, None, None, None) for p in perms)
         affine_order = None

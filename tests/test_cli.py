@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import rsperm
+import rsperm.cli
+import rsperm.permgroup
 from conftest import vector_literals
-from rsperm.cli import main, split_top_level
+from rsperm.cli import main, run_sweep, split_top_level
 
 SRC = str(Path(rsperm.__file__).resolve().parent.parent)
 
@@ -218,6 +220,27 @@ def test_sweep_deterministic(capsys):
     assert "seed=42" in out1
 
 
+def test_sweep_duality_check_searches_the_other_side(monkeypatch):
+    """check_theorem searches the smaller of C and its dual; the duality
+    check must search the other one, or it compares a search with itself."""
+    seen = []
+    search = rsperm.permgroup.exhaustive_permutations
+
+    def spy(code, *args, **kwargs):
+        seen.append(code.rref)
+        return search(code, *args, **kwargs)
+
+    monkeypatch.setattr(rsperm.permgroup, "exhaustive_permutations", spy)
+    monkeypatch.setattr(rsperm.cli, "exhaustive_permutations", spy)
+    [trial] = run_sweep(seed=0, trials=1)
+    n = len(trial.points)
+    assert trial.k != n - trial.k
+    assert trial.duality_ok
+    assert len(seen) == 2
+    assert seen[0] != seen[1]
+    assert sorted(len(rref) for rref in seen) == sorted([trial.k, n - trial.k])
+
+
 def test_sweep_zero_trials(capsys):
     code, out, err = run(capsys, "sweep", "--trials", "0")
     assert code == 2
@@ -269,6 +292,29 @@ def test_paper_examples_json(capsys):
 def test_invalid_field_exits_2(capsys):
     code, _, err = run(capsys, "affine", "--field", "6", "--points", "0,1")
     assert code == 2
+
+
+def test_points_may_start_with_a_negative_literal(capsys):
+    split = run(capsys, "affine", "--field", "13", "--points", "-3,1")
+    joined = run(capsys, "affine", "--field", "13", "--points=-3,1")
+    assert split == joined
+    assert split[0] == 0
+    assert "points (10, 1)" in split[1]
+
+
+def test_modulus_may_start_with_a_negative_literal(capsys):
+    points = ["--points", "[0,1],[1,1]"]
+    split = run(capsys, "affine", "--field", "9", "--modulus", "-1,2,1", *points)
+    joined = run(capsys, "affine", "--field", "9", "--modulus=-1,2,1", *points)
+    assert split == joined
+    assert split[0] == 0
+
+
+def test_bare_trailing_points_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["affine", "--field", "13", "--points"])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
 
 
 def test_bad_point_literal_exits_2(capsys):
@@ -339,3 +385,58 @@ def test_verify_gf65536_seven_points_is_fast():
     assert result.returncode == 0, result.stderr
     data = json.loads(result.stdout)
     assert data["equal"] and data["all_degree_one"]
+
+
+# The paper's corollaries at n = 16: the permutation group of RS(A, k)
+# for A all of GF(q) (or a subfield) is AGL(1, q), of order q(q-1), and
+# for A = GF(q)* it is the q-1 scalings.  The search tries n!/(n-d)!
+# candidates for d = min(k, n-k), so these take about a second each.
+COROLLARY_SECONDS = 10.0
+
+
+def _corollary(command, field, points, k, max_n):
+    start = time.perf_counter()
+    result = run_process(
+        [command, "--field", str(field), "--points", points, "--k", str(k),
+         "--max-n", str(max_n), "--json"],
+        capture_output=True, text=True, timeout=4 * COROLLARY_SECONDS,
+    )
+    assert time.perf_counter() - start < COROLLARY_SECONDS
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def _group_order(field, points, k):
+    data = _corollary("group", field, points, k, 16)
+    assert data["equal"] is True
+    assert all(e["degree"] == 1 for e in data["elements"])
+    return data["order"]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_group_of_all_of_gf16(k):
+    q = 16
+    assert _group_order(q, vector_literals(2, 4, range(q)), k) == q * (q - 1)
+
+
+def test_group_of_the_units_of_gf17():
+    q = 17
+    assert _group_order(q, ",".join(str(a) for a in range(1, q)), 4) == q - 1
+
+
+def test_group_of_gf16_inside_gf256():
+    field = rsperm.Field(256)
+    sub = [str(x) for x in field.elements() if x**16 == x]
+    q = len(sub)
+    assert q == 16
+    # The subfield is closed under every affine map with coefficients in
+    # it, and those are the only affine maps of GF(256) that fix it.
+    assert _group_order(256, ",".join(sub), 3) == q * (q - 1)
+
+
+def test_verify_gf13_less_one_point():
+    """A = GF(13) without 12: the affine maps fixing 12, q - 1 of them."""
+    q = 13
+    data = _corollary("verify", q, ",".join(str(a) for a in range(q - 1)), 6, 12)
+    assert data["equal"] and data["all_degree_one"]
+    assert data["group"]["order"] == data["group"]["affine_order"] == q - 1
