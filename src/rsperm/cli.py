@@ -213,7 +213,7 @@ def run_sweep(seed: int, trials: int, max_n: int = 10) -> list[SweepTrial]:
         points = EvaluationSet(field, pts)
         result = check_theorem(points, k, max_n=max_n)
         group_perms = {m.perm for m in result.group.elements}
-        code = rs_code(points, k)
+        code = result.code
         # check_theorem searched the smaller of C and its dual; search the other.
         other = code.dual if search_side(code) is code else code
         dual_perms = set(exhaustive_permutations(other, max_n=max_n))

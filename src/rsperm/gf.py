@@ -316,6 +316,48 @@ class Field:
         return powers + powers, log, zech, self.elements()
 
 
+# -- packed vectors ----------------------------------------------------------
+#
+# A vector of indices packs into one int with one slot per base-p digit:
+# digit b of entry r sits in slot m*r + b.  For p = 2 a slot is one bit,
+# so an entry is its index shifted by m*r, and vectors add by XOR.  For
+# odd p a slot of slot_width(field, terms) bits holds the plain sum of
+# that many digits without carrying into the next, so vectors add with +
+# and each slot is reduced mod p afterwards.
+
+
+def slot_width(field: Field, terms: int) -> int:
+    """Bits per slot for a sum of `terms` packed vectors (1 for p = 2)."""
+    return 1 if field.p == 2 else (terms * (field.p - 1)).bit_length()
+
+
+def pack(field: Field, indices: Iterable[int], width: int) -> int:
+    """The indices' base-p digits in slots of `width` bits, entry r at slot m*r."""
+    p, m = field.p, field.m
+    if p == 2:
+        return sum(x << (m * r) for r, x in enumerate(indices))
+    return sum(
+        x // p**b % p << (width * (m * r + b))
+        for r, x in enumerate(indices)
+        for b in range(m)
+    )
+
+
+def unpack(field: Field, packed: int, count: int, width: int) -> list[int]:
+    """The `count` indices of a packed sum, each slot reduced mod p."""
+    p, m = field.p, field.m
+    if p == 2:
+        mask = field.q - 1
+        return [packed >> (m * r) & mask for r in range(count)]
+    slot = (1 << width) - 1
+    digits = [(packed >> s & slot) % p for s in range(0, width * m * count, width)]
+    # Entry r is digits[m*r : m*(r+1)] read base p, most significant last.
+    out = digits[m - 1 :: m]
+    for b in range(m - 2, -1, -1):
+        out = [x * p + d for x, d in zip(out, digits[b::m])]
+    return out
+
+
 def _primitive_powers(field: Field) -> list[int]:
     """Indices of g**0, ..., g**(q-2) for the first primitive g in index order.
 

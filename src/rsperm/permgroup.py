@@ -21,7 +21,7 @@ from itertools import permutations as iter_permutations, product
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, rref, rs_code
-from .gf import FieldElement
+from .gf import FieldElement, pack, slot_width
 from .poly import EvaluationSet, Polynomial, affine_str, compose_mod
 
 DEFAULT_MAX_N = 10
@@ -221,37 +221,26 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     be exchanged among the positions holding that column, so every
     bijection between the two is a member.
 
-    Columns are keyed as ints, and each product G[i][j] * G[:, c] is
-    packed once per code, so a candidate only combines ints.  For p = 2
-    a column is its m-bit indices side by side and a sum is their XOR.
-    For odd p each base-p digit has a slot wide enough for k terms; the
-    slots are summed together and each is reduced mod p before the
-    lookup.
+    Columns are keyed as ints in the slot layout of gf.pack, with slots
+    wide enough for k terms, and each product G[i][j] * G[:, c] is
+    packed once per code, so a candidate only combines ints: by XOR for
+    p = 2, and for odd p by a sum whose slots are each reduced mod p
+    before the lookup.
     """
     field, n, rows = code.field, code.n, code.rref
     if not rows:
         return list(iter_permutations(range(n)))
     p, m, k = field.p, field.m, len(rows)
+    w = slot_width(field, k)
     if p == 2:
-        def pack(col):
-            return sum(x.index << (m * r) for r, x in enumerate(col))
-
         def image(t, terms):
             s = 0
             for i, prods in terms:
                 s ^= prods[t[i]]
             return s
     else:
-        w = (k * (p - 1)).bit_length()
         offsets = range(0, w * m * k, w)
         slot = (1 << w) - 1
-
-        def pack(col):
-            return sum(
-                x.index // p**b % p << (w * (m * r + b))
-                for r, x in enumerate(col)
-                for b in range(m)
-            )
 
         def image(t, terms):
             s = 0
@@ -264,12 +253,12 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     cols = list(zip(*rows))
     where: dict[int, list[int]] = {}
     for c, col in enumerate(cols):
-        where.setdefault(pack(col), []).append(c)
+        where.setdefault(pack(field, [x.index for x in col], w), []).append(c)
     pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
     free = [j for j in range(n) if j not in pivots]
     checks = [
         [
-            (i, [pack([g * x for x in col]) for col in cols])
+            (i, [pack(field, [(g * x).index for x in col], w) for col in cols])
             for i, g in enumerate(cols[j])
             if not g.is_zero()
         ]
@@ -560,6 +549,8 @@ class TheoremReport:
     equal: bool
     all_degree_one: bool
     warning: str | None
+    # RS(A, k) itself, for callers that check more of it; not serialised.
+    code: LinearCode
 
     @property
     def holds(self) -> bool:
@@ -611,4 +602,5 @@ def check_theorem(
         equal=equal,
         all_degree_one=all_degree_one,
         warning=warning,
+        code=code,
     )

@@ -6,18 +6,33 @@ so degree arithmetic stays honest (deg(f*g) = deg f + deg g even when a
 factor is zero).  Also holds ordered evaluation sets with their Lagrange
 machinery: vanishing polynomial, indicator functions, interpolation and
 composition modulo the set.
+
+Interpolation is one int kernel on indices.  f = sum_i v_i * L_i over
+the indicators L_i, and each term v_i * L_i depends only on i and the
+index of v_i, so every evaluation set memoises, per indicator, the
+term's coefficients packed into one int (the slot layout of gf.pack).
+A call adds n memoised ints and unpacks the sum once.  Arithmetic inside
+the module builds results through a constructor that skips the
+per-coefficient check of the public one.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, pack, slot_width, unpack
 
 # Degree of the zero polynomial.  A float so that NEG_INF + d == NEG_INF
 # and NEG_INF < d hold for every integer degree d.
 NEG_INF = float("-inf")
+
+
+def _stripped(cs: list[FieldElement]) -> tuple[FieldElement, ...]:
+    while cs and not cs[-1].index:
+        cs.pop()
+    return tuple(cs)
 
 
 class Polynomial:
@@ -30,10 +45,17 @@ class Polynomial:
         for c in cs:
             if not isinstance(c, FieldElement) or c.field != field:
                 raise ValueError(f"coefficient {c!r} is not an element of {field}")
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = _stripped(cs)
+
+    @classmethod
+    def _trusted(cls, field: Field, coeffs: tuple[FieldElement, ...]) -> "Polynomial":
+        """Internal constructor without checks: the coefficients are elements
+        of the field and the last one is nonzero."""
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = coeffs
+        return f
 
     # -- constructors ---------------------------------------------------
 
@@ -92,34 +114,36 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
+        return Polynomial._trusted(
             self.field,
-            (self.coefficient(i) + other.coefficient(i) for i in range(n)),
+            _stripped([self.coefficient(i) + other.coefficient(i) for i in range(n)]),
         )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
+        return Polynomial._trusted(
             self.field,
-            (self.coefficient(i) - other.coefficient(i) for i in range(n)),
+            _stripped([self.coefficient(i) - other.coefficient(i) for i in range(n)]),
         )
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, (-c for c in self.coeffs))
+        return Polynomial._trusted(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
+            return Polynomial._trusted(self.field, ())
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        return Polynomial._trusted(self.field, _stripped(out))
 
     def scale(self, c: FieldElement) -> "Polynomial":
-        return Polynomial(self.field, (c * a for a in self.coeffs))
+        return Polynomial._trusted(
+            self.field, _stripped([c * a for a in self.coeffs])
+        )
 
     def __pow__(self, e: int) -> "Polynomial":
         result = Polynomial.one(self.field)
@@ -140,7 +164,7 @@ class Polynomial:
         d = len(divisor.coeffs) - 1
         inv_lead = divisor.coeffs[-1].inverse()
         if len(rem) - 1 < d:
-            return Polynomial.zero(field), self
+            return Polynomial._trusted(field, ()), self
         quot = [field.zero] * (len(rem) - d)
         for top in range(len(rem) - 1, d - 1, -1):
             c = rem[top]
@@ -150,7 +174,10 @@ class Polynomial:
             quot[top - d] = f
             for i, b in enumerate(divisor.coeffs):
                 rem[top - d + i] = rem[top - d + i] - f * b
-        return Polynomial(field, quot), Polynomial(field, rem)
+        return (
+            Polynomial._trusted(field, _stripped(quot)),
+            Polynomial._trusted(field, _stripped(rem)),
+        )
 
     def __mod__(self, divisor: "Polynomial") -> "Polynomial":
         return divmod(self, divisor)[1]
@@ -292,15 +319,49 @@ class EvaluationSet:
         """The vector (f(a_1), ..., f(a_n))."""
         return tuple(f.evaluate(a) for a in self.points)
 
+    @cached_property
+    def _slot_width(self) -> int:
+        return slot_width(self.field, self.n)
+
+    @cached_property
+    def _terms(self) -> tuple[dict[int, int], ...]:
+        """Per indicator L_i, a memo from v.index to the packed v * L_i."""
+        return tuple({0: 0} for _ in range(self.n))
+
+    def _term(self, i: int, v: int) -> int:
+        """The coefficients of v * L_i for a nonzero v, packed and memoised."""
+        exp, log, _, _ = self.field.tables
+        lv = log[v]
+        coeffs = [exp[lv + log[c.index]] if c.index else 0
+                  for c in self.indicators[i].coeffs]
+        packed = self._terms[i][v] = pack(self.field, coeffs, self._slot_width)
+        return packed
+
     def interpolate(self, values: Sequence[FieldElement]) -> Polynomial:
-        """The unique polynomial of degree < n matching the values on the points."""
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(values)}")
-        acc = Polynomial.zero(self.field)
-        for v, L in zip(values, self.indicators):
-            if not v.is_zero():
-                acc = acc + L.scale(v)
-        return acc
+        """The unique polynomial of degree < n matching the values on the points.
+
+        Any elements of the field are accepted; anything else raises
+        ValueError.  The memoised terms v_i * L_i are summed as packed
+        ints (XOR for p = 2, + with one mod-p reduction per slot for odd
+        p) and the sum is unpacked into interned elements once.
+        """
+        field, n = self.field, self.n
+        if len(values) != n:
+            raise ValueError(f"expected {n} values, got {len(values)}")
+        terms = []
+        for i, (memo, v) in enumerate(zip(self._terms, values)):
+            if not isinstance(v, FieldElement) or (
+                v.field is not field and v.field != field
+            ):
+                raise ValueError(f"value {v!r} is not an element of {field}")
+            t = memo.get(v.index)
+            terms.append(self._term(i, v.index) if t is None else t)
+        packed = reduce(xor, terms) if field.p == 2 else sum(terms)
+        cs = unpack(field, packed, n, self._slot_width)
+        while cs and not cs[-1]:
+            cs.pop()
+        _, _, _, els = field.tables
+        return Polynomial._trusted(field, tuple(els[x] for x in cs))
 
 
 def compose_mod(p1: Polynomial, p2: Polynomial, points: EvaluationSet) -> Polynomial:

@@ -1,0 +1,105 @@
+"""EvaluationSet.interpolate against the defining property of the interpolant.
+
+For values v_0..v_{n-1} on points a_0..a_{n-1} there is exactly one
+polynomial f with deg f < n and f(a_i) = v_i for every i.  The oracle
+checks those two facts with its own Horner loop over the returned
+coefficients, plus the Polynomial invariants (elements of the field, no
+trailing zero).  It never reads the indicators, so it shares no code
+with the packed Lagrange kernel it checks.
+"""
+
+import random
+
+import pytest
+
+from rsperm import EvaluationSet, Field
+
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
+
+
+def horner(coeffs, a, zero):
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
+
+
+def assert_interpolant(points: EvaluationSet, values) -> None:
+    field = points.field
+    f = points.interpolate(values)
+    assert f.field == field
+    assert len(f.coeffs) <= points.n, "degree must stay below n"
+    assert all(c.field == field for c in f.coeffs)
+    assert not f.coeffs or not f.coeffs[-1].is_zero(), "trailing zero kept"
+    for a, v in zip(points, values):
+        assert horner(f.coeffs, a, field.zero) == v
+
+
+def random_values(rng, field, n):
+    return [field.from_index(rng.randrange(field.q)) for _ in range(n)]
+
+
+def point_sets(field: Field, rng: random.Random) -> list[EvaluationSet]:
+    q = field.q
+    out = [
+        EvaluationSet(field, rng.sample(field.elements(), 2)),
+        EvaluationSet.full_field(field),
+    ]
+    for _ in range(4):
+        n = rng.randint(2, q)
+        out.append(EvaluationSet(field, rng.sample(field.elements(), n)))
+    return out
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_interpolate_satisfies_the_interpolation_conditions(q):
+    field = Field(q)
+    rng = random.Random(1000 + q)
+    for points in point_sets(field, rng):
+        n = points.n
+        # Permutation images: every value a point, as for group members.
+        for _ in range(6):
+            assert_interpolant(points, [points[j] for j in rng.sample(range(n), n)])
+        # Values outside the point set, and repeats among them.
+        for _ in range(6):
+            assert_interpolant(points, random_values(rng, field, n))
+        assert_interpolant(points, [field.zero] * n)
+        assert_interpolant(points, [field.one] * n)
+        assert points.interpolate([field.zero] * n).is_zero()
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_repeated_calls_hit_the_memo(q):
+    """Each (position, value) term is memoised on first use; later calls
+    mixing old and new values at the same position must stay exact."""
+    field = Field(q)
+    rng = random.Random(2000 + q)
+    points = EvaluationSet(field, rng.sample(field.elements(), min(q, 6)))
+    vectors = [random_values(rng, field, points.n) for _ in range(40)]
+    first = [points.interpolate(v) for v in vectors]
+    for v in vectors:
+        assert_interpolant(points, v)
+    assert [points.interpolate(v) for v in vectors] == first
+    # One value changed at a time, so every position sees many values.
+    values = [field.zero] * points.n
+    for _ in range(60):
+        values[rng.randrange(points.n)] = field.from_index(rng.randrange(q))
+        assert_interpolant(points, list(values))
+
+
+def test_values_of_an_equal_field_object_are_accepted():
+    points = EvaluationSet(Field(9), Field(9).elements()[:5])
+    twin = Field(9)
+    values = [twin.from_index(i) for i in (3, 1, 4, 1, 5)]
+    assert_interpolant(points, values)
+
+
+def test_values_from_another_field_are_rejected():
+    points = EvaluationSet(Field(7), [0, 1, 2])
+    other = Field(5)
+    with pytest.raises(ValueError):
+        points.interpolate([other.one, other.zero, other.one])
+    with pytest.raises(ValueError):
+        points.interpolate([other.zero] * 3)
+    with pytest.raises(ValueError):
+        points.interpolate([1, 2, 3])

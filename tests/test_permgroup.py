@@ -185,6 +185,28 @@ def test_brute_force_members_fix_the_code(pts13):
         assert code.permuted(m.perm.images) == code
 
 
+def test_members_are_interpolated_through_evaluation_set_interpolate(monkeypatch):
+    """The benchmark's traced run times interpolation by wrapping
+    EvaluationSet.interpolate, so every member's polynomial must come
+    from exactly one call of it."""
+    calls = []
+    interpolate = EvaluationSet.interpolate
+
+    def spy(self, values):
+        calls.append(tuple(values))
+        return interpolate(self, values)
+
+    monkeypatch.setattr(EvaluationSet, "interpolate", spy)
+    field = Field(7)
+    for points, k in ((EvaluationSet.full_field(field), 6),
+                      (EvaluationSet(field, [0, 1, 2, 4]), 2)):
+        calls.clear()
+        report = brute_force_perm_group(rs_code(points, k), points)
+        assert len(calls) == report.order == len(report.elements)
+        assert calls == [tuple(points[j] for j in m.perm.images)
+                         for m in report.elements]
+
+
 def test_brute_force_group_is_closed(pts13):
     for k in (1, 2, 3):
         perms = exhaustive_permutations(rs_code(pts13, k))
