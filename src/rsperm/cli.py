@@ -107,16 +107,15 @@ def _print_group_text(report: GroupReport) -> None:
             f"equal to the full group: {report.is_affine_equal}"
         )
     for m in report.elements:
-        poly = affine_str(m.poly) if m.poly.degree <= 1 else str(m.poly)
         tag = "affine" if m.is_affine else f"degree {m.degree}"
-        print(f"  {m.perm}  {poly}  [{tag}]")
+        print(f"  {m.perm}  {affine_str(m.poly)}  [{tag}]")
 
 
 def cmd_group(args) -> int:
     field = build_field(args)
     points = parse_points(field, args.points)
     code = rs_code(points, args.k)
-    report = brute_force_perm_group(code, points, max_n=args.max_n)
+    report = brute_force_perm_group(code, points)
     if args.json:
         _print_json(report.to_json_dict())
         return 0
@@ -132,7 +131,7 @@ def cmd_group(args) -> int:
 def cmd_verify(args) -> int:
     field = build_field(args)
     points = parse_points(field, args.points)
-    result = check_theorem(points, args.k, max_n=args.max_n)
+    result = check_theorem(points, args.k)
     if args.json:
         _print_json(result.to_json_dict())
     else:
@@ -193,7 +192,7 @@ class SweepTrial:
         }
 
 
-def run_sweep(seed: int, trials: int, max_n: int = 10) -> list[SweepTrial]:
+def run_sweep(seed: int, trials: int) -> list[SweepTrial]:
     """Seeded random instances checking the affine characterization.
 
     Each trial samples a field from SWEEP_FIELD_POOL, a point set with
@@ -211,12 +210,12 @@ def run_sweep(seed: int, trials: int, max_n: int = 10) -> list[SweepTrial]:
         pts = rng.sample(field.elements(), n)
         k = rng.randint(2, n - 2)
         points = EvaluationSet(field, pts)
-        result = check_theorem(points, k, max_n=max_n)
+        result = check_theorem(points, k)
         group_perms = {m.perm for m in result.group.elements}
         code = result.code
         # check_theorem searched the smaller of C and its dual; search the other.
         other = code.dual if search_side(code) is code else code
-        dual_perms = set(exhaustive_permutations(other, max_n=max_n))
+        dual_perms = set(exhaustive_permutations(other))
         bound = min(k, n - k)
         out.append(
             SweepTrial(
@@ -239,7 +238,7 @@ def run_sweep(seed: int, trials: int, max_n: int = 10) -> list[SweepTrial]:
 
 
 def cmd_sweep(args) -> int:
-    trials = run_sweep(args.seed, args.trials, max_n=args.max_n)
+    trials = run_sweep(args.seed, args.trials)
     failures = [t for t in trials if not t.ok]
     if args.json:
         _print_json(
@@ -377,17 +376,6 @@ def cmd_paper_examples(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _max_n(text: str) -> int:
-    """--max-n value: an evaluation set has at least two points."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
-
-
 def _add_field_flags(sub, with_k: bool) -> None:
     sub.add_argument("--field", type=int, required=True, help="field order q = p^m")
     sub.add_argument(
@@ -402,9 +390,6 @@ def _add_field_flags(sub, with_k: bool) -> None:
     )
     if with_k:
         sub.add_argument("--k", type=int, required=True, help="code dimension")
-        sub.add_argument(
-            "--max-n", type=_max_n, default=10, help="exhaustive-search length cap"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="seeded randomized verification sweep")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=_max_n, default=10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

@@ -5,8 +5,9 @@ its generator matrix alone, by column matching on an information set:
 a member is fixed, up to exchanging equal columns, by the images of the
 k pivot columns of the rref, and every other column's image is then one
 lookup.  Per(C) = Per(C^perp), so the smaller of the two is searched,
-which tries n!/(n-d)! candidates for d = min(k, n-k).  An optional
-backtracking mode prunes on prefix-supported dual constraints.
+which tries n!/(n-d)! candidates for d = min(k, n-k).  A search that
+would try more than SEARCH_CAP candidates, or list more than SEARCH_CAP
+members, raises ValueError instead of running or listing.
 Permutations of an evaluation set correspond to the unique degree < n
 polynomial interpolating a_i -> a_pi(i); the affine ones are those of
 degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
@@ -16,6 +17,7 @@ by instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 from typing import Iterable, Sequence
@@ -24,7 +26,9 @@ from .codes import LinearCode, rref, rs_code
 from .gf import FieldElement, pack, slot_width
 from .poly import EvaluationSet, Polynomial, affine_str, compose_mod
 
-DEFAULT_MAX_N = 10
+# Candidates tried and members listed by one search, each at most this:
+# about a second of column matching, and a list that fits in memory.
+SEARCH_CAP = 1_000_000
 
 # Abelian testing is quadratic in the group order; skip above this size.
 ABELIAN_CHECK_CAP = 10_000
@@ -209,6 +213,13 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
 # -- exhaustive group computation ------------------------------------------
 
 
+def _check_cap(count: int, what: str) -> None:
+    if count > SEARCH_CAP:
+        raise ValueError(
+            f"{count} {what} exceed the search cap SEARCH_CAP = {SEARCH_CAP}"
+        )
+
+
 def _match(code: LinearCode) -> list[tuple[int, ...]]:
     """Every pi whose column permutation G[:, pi] spans the code again.
 
@@ -219,7 +230,10 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     images of I are tried, and each free column's image is found by one
     lookup from column to positions.  Free columns with equal targets can
     be exchanged among the positions holding that column, so every
-    bijection between the two is a member.
+    bijection between the two is a member.  The accepted images of I are
+    collected first, with their blocks of exchangeable columns, so that
+    |Per(C)|, the sum of the products of |block|!, is checked against
+    SEARCH_CAP before any member is listed.
 
     Columns are keyed as ints in the slot layout of gf.pack, with slots
     wide enough for k terms, and each product G[i][j] * G[:, c] is
@@ -229,6 +243,7 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     """
     field, n, rows = code.field, code.n, code.rref
     if not rows:
+        _check_cap(math.factorial(n), "members")
         return list(iter_permutations(range(n)))
     p, m, k = field.p, field.m, len(rows)
     w = slot_width(field, k)
@@ -264,8 +279,7 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
         ]
         for j in free
     ]
-    members = []
-    images = [0] * n
+    accepted = []
     for t in iter_permutations(range(n), k):
         targets = []
         for terms in checks:
@@ -286,13 +300,21 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
                     break
                 blocks.append((js, spare))
             else:
-                for i, c in zip(pivots, t):
-                    images[i] = c
-                for choice in product(*(iter_permutations(cs) for _, cs in blocks)):
-                    for (js, _), cs in zip(blocks, choice):
-                        for j, c in zip(js, cs):
-                            images[j] = c
-                    members.append(tuple(images))
+                accepted.append((t, blocks))
+    order = sum(
+        math.prod(math.factorial(len(js)) for js, _ in blocks) for _, blocks in accepted
+    )
+    _check_cap(order, "members")
+    members = []
+    images = [0] * n
+    for t, blocks in accepted:
+        for i, c in zip(pivots, t):
+            images[i] = c
+        for choice in product(*(iter_permutations(cs) for _, cs in blocks)):
+            for (js, _), cs in zip(blocks, choice):
+                for j, c in zip(js, cs):
+                    images[j] = c
+            members.append(tuple(images))
     members.sort()
     return members
 
@@ -351,18 +373,21 @@ def _scan_backtrack(code: LinearCode) -> list[tuple[int, ...]]:
 
 
 def exhaustive_permutations(
-    code: LinearCode, max_n: int = DEFAULT_MAX_N, method: str = "scan"
+    code: LinearCode, method: str = "scan"
 ) -> list[Permutation]:
     """All coordinate permutations fixing the code, in lexicographic order.
 
     The search reads only the given code's generator matrix, so its cost
     is set by that code's dimension k: n!/(n-k)! candidates.  Use
-    search_side to pick the cheaper of a code and its dual.
+    search_side to pick the cheaper of a code and its dual.  Raises
+    ValueError, before searching, when there are more than SEARCH_CAP
+    candidates, and before listing any member when Per(C) has more
+    than SEARCH_CAP members.
+
+    method="backtrack" runs _scan_backtrack instead; it remains only
+    because the benchmark's permgroup.backtrack_s probe times it.
     """
-    if code.n > max_n:
-        raise ValueError(
-            f"length {code.n} exceeds the exhaustive-search cap {max_n}"
-        )
+    _check_cap(math.perm(code.n, code.k), "candidates")
     if method == "scan":
         raw = _match(code)
     elif method == "backtrack":
@@ -385,9 +410,7 @@ class GroupMember:
     def to_json_dict(self) -> dict:
         return {
             "perm": list(self.perm.one_based()),
-            "poly": None
-            if self.poly is None
-            else (affine_str(self.poly) if self.poly.degree <= 1 else str(self.poly)),
+            "poly": None if self.poly is None else affine_str(self.poly),
             "degree": self.degree,
             "affine": self.is_affine,
         }
@@ -449,10 +472,7 @@ def search_side(code: LinearCode) -> LinearCode:
 
 
 def brute_force_perm_group(
-    code: LinearCode,
-    points: EvaluationSet | None = None,
-    max_n: int = DEFAULT_MAX_N,
-    method: str = "scan",
+    code: LinearCode, points: EvaluationSet | None = None
 ) -> GroupReport:
     """Exact Per(C), by exhaustive search of the smaller of C and its dual.
 
@@ -460,7 +480,7 @@ def brute_force_perm_group(
     interpolating polynomial and degree, and the group is compared
     against the affine permutations of the set.
     """
-    perms = exhaustive_permutations(search_side(code), max_n=max_n, method=method)
+    perms = exhaustive_permutations(search_side(code))
     if points is None:
         members = tuple(GroupMember(p, None, None, None) for p in perms)
         affine_order = None
@@ -516,15 +536,13 @@ def homomorphism_check(
     return lhs == perm_to_poly(perm1 * perm2, points)
 
 
-def degree_profile(
-    code: LinearCode, points: EvaluationSet, max_n: int = DEFAULT_MAX_N
-) -> dict[Permutation, int]:
+def degree_profile(code: LinearCode, points: EvaluationSet) -> dict[Permutation, int]:
     """Degree of the interpolating polynomial for every member of Per(C).
 
     For 1 < k < n-1 the degrees must stay below min(k, n-k); a violation
     would expose an implementation bug and raises DegreeBoundError.
     """
-    report = brute_force_perm_group(code, points, max_n=max_n)
+    report = brute_force_perm_group(code, points)
     profile = {m.perm: m.degree for m in report.elements}
     k, n = code.k, code.n
     if 1 < k < n - 1:
@@ -570,12 +588,7 @@ class TheoremReport:
         }
 
 
-def check_theorem(
-    points: EvaluationSet,
-    k: int,
-    max_n: int = DEFAULT_MAX_N,
-    method: str = "scan",
-) -> TheoremReport:
+def check_theorem(points: EvaluationSet, k: int) -> TheoremReport:
     """Compare brute-force Per(RS(A,k)) with the affine permutations of A.
 
     Equality is expected exactly for 1 < k < n-1.  Boundary dimensions
@@ -584,7 +597,7 @@ def check_theorem(
     """
     n = points.n
     code = rs_code(points, k)
-    report = brute_force_perm_group(code, points, max_n=max_n, method=method)
+    report = brute_force_perm_group(code, points)
     in_range = 1 < k < n - 1
     equal = bool(report.is_affine_equal)
     all_degree_one = all(m.degree == 1 for m in report.elements)

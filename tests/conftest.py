@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rsperm
 from rsperm import EvaluationSet, Field, Polynomial
+
+SRC = str(Path(rsperm.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -24,6 +31,15 @@ def pts13(f13):
 @pytest.fixture
 def pts9(f9):
     return EvaluationSet(f9, [[0, 0], [1, 0], [2, 0], [1, 1], [2, 2]])
+
+
+def run_process(argv, **kwargs):
+    """rsperm in a fresh interpreter, importing the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rsperm.cli", *argv], env=env, **kwargs
+    )
 
 
 def vector_literals(p: int, m: int, indices) -> str:

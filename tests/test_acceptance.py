@@ -6,9 +6,10 @@ pytest -s to see them) and enforces its stated bound exactly.
 
 import math
 import random
+import subprocess
 from time import perf_counter
 
-from conftest import random_points, random_polynomial
+from conftest import random_points, random_polynomial, run_process
 from rsperm import (
     EvaluationSet,
     Field,
@@ -284,3 +285,31 @@ def test_criterion_10_algebraic_property_suites():
     elapsed = perf_counter() - t0
     _report(10, "algebraic property suites", not failures, elapsed, None)
     assert not failures, failures[:5]
+
+
+def test_criterion_11_over_the_search_cap_exits_2():
+    # 16!/8! candidates, and a group of 10! members: both would run for
+    # minutes (the second then runs out of memory) if they were searched.
+    inputs = (
+        ("17", ",".join(str(a) for a in range(16)), "8"),
+        ("11", ",".join(str(a) for a in range(10)), "1"),
+    )
+    bad = []
+    t0 = perf_counter()
+    for q, points, k in inputs:
+        start = perf_counter()
+        try:
+            result = run_process(
+                ["group", "--field", q, "--points", points, "--k", k, "--json"],
+                capture_output=True, text=True, timeout=10,
+            )
+        except subprocess.TimeoutExpired:
+            bad.append((q, k, "timed out"))
+            continue
+        elapsed = perf_counter() - start
+        if not (result.returncode == 2 and result.stdout == ""
+                and "SEARCH_CAP" in result.stderr and elapsed < 1.0):
+            bad.append((q, k, result.returncode, result.stderr.strip(), elapsed))
+    elapsed = perf_counter() - t0
+    _report(11, "inputs over the search cap exit 2", not bad, elapsed, 1.0)
+    assert not bad, bad

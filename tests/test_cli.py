@@ -2,28 +2,15 @@ import json
 import os
 import random
 import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import rsperm
 import rsperm.cli
 import rsperm.permgroup
-from conftest import vector_literals
+from conftest import run_process, vector_literals
 from rsperm.cli import main, run_sweep, split_top_level
-
-SRC = str(Path(rsperm.__file__).resolve().parent.parent)
-
-
-def run_process(argv, **kwargs):
-    """rsperm in a fresh interpreter, importing the package under test."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "rsperm.cli", *argv], env=env, **kwargs
-    )
 
 
 def run(capsys, *argv):
@@ -112,35 +99,6 @@ def test_group_json_schema(capsys):
     assert set(data) == {"order", "affine_order", "equal", "elements"}
     assert data["order"] == 6 and data["affine_order"] == 3
     assert json.dumps(data, indent=2) == out.strip()
-
-
-def test_group_respects_max_n(capsys):
-    code, _, err = run(
-        capsys,
-        "group",
-        "--field",
-        "13",
-        "--points",
-        "0,1,2,3,4,5",
-        "--k",
-        "2",
-        "--max-n",
-        "4",
-    )
-    assert code == 2
-    assert "cap" in err
-
-
-@pytest.mark.parametrize("command", ["group", "verify", "sweep"])
-@pytest.mark.parametrize("max_n", ["-3", "0", "1"])
-def test_max_n_below_two_exits_2(capsys, command, max_n):
-    argv = [command, "--max-n", max_n]
-    if command != "sweep":
-        argv += ["--field", "13", "--points", "0,1,4,6", "--k", "2"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "--max-n" in capsys.readouterr().err
 
 
 def test_group_extension_field(capsys):
@@ -394,11 +352,10 @@ def test_verify_gf65536_seven_points_is_fast():
 COROLLARY_SECONDS = 10.0
 
 
-def _corollary(command, field, points, k, max_n):
+def _corollary(command, field, points, k):
     start = time.perf_counter()
     result = run_process(
-        [command, "--field", str(field), "--points", points, "--k", str(k),
-         "--max-n", str(max_n), "--json"],
+        [command, "--field", str(field), "--points", points, "--k", str(k), "--json"],
         capture_output=True, text=True, timeout=4 * COROLLARY_SECONDS,
     )
     assert time.perf_counter() - start < COROLLARY_SECONDS
@@ -407,7 +364,7 @@ def _corollary(command, field, points, k, max_n):
 
 
 def _group_order(field, points, k):
-    data = _corollary("group", field, points, k, 16)
+    data = _corollary("group", field, points, k)
     assert data["equal"] is True
     assert all(e["degree"] == 1 for e in data["elements"])
     return data["order"]
@@ -437,6 +394,6 @@ def test_group_of_gf16_inside_gf256():
 def test_verify_gf13_less_one_point():
     """A = GF(13) without 12: the affine maps fixing 12, q - 1 of them."""
     q = 13
-    data = _corollary("verify", q, ",".join(str(a) for a in range(q - 1)), 6, 12)
+    data = _corollary("verify", q, ",".join(str(a) for a in range(q - 1)), 6)
     assert data["equal"] and data["all_degree_one"]
     assert data["group"]["order"] == data["group"]["affine_order"] == q - 1

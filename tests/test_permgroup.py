@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -173,9 +175,27 @@ def test_brute_force_full_space(pts13):
     assert report.order == 24
 
 
-def test_brute_force_respects_cap(pts13):
-    with pytest.raises(ValueError):
-        brute_force_perm_group(rs_code(pts13, 2), pts13, max_n=3)
+def _refused_quickly(search, *args):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="SEARCH_CAP") as exc:
+        search(*args)
+    assert time.perf_counter() - start < 1.0
+    return str(exc.value)
+
+
+def test_brute_force_respects_cap():
+    field = Field(11)
+    # The zero code of length 11 is fixed by all 11! permutations.
+    message = _refused_quickly(brute_force_perm_group, LinearCode(field, [], n=11))
+    assert str(math.factorial(11)) in message
+    # 16!/8! candidates: the search would take minutes.
+    points = EvaluationSet(Field(17), list(range(16)))
+    message = _refused_quickly(brute_force_perm_group, rs_code(points, 8), points)
+    assert str(math.perm(16, 8)) in message
+    # k = 1 on 10 points: 10 candidates, but 10! members.
+    points = EvaluationSet(field, list(range(10)))
+    message = _refused_quickly(exhaustive_permutations, rs_code(points, 1))
+    assert str(math.factorial(10)) in message
 
 
 def test_brute_force_members_fix_the_code(pts13):

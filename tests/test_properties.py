@@ -99,8 +99,6 @@ def cli_argvs(draw) -> list[str]:
         argv += ["--modulus", modulus]
     if command != "affine":
         argv += ["--k", str(k)]
-        if draw(st.integers(0, 3)) == 0:
-            argv += ["--max-n", str(draw(st.integers(-2, 7)))]
     return argv
 
 
