@@ -5,9 +5,12 @@ its generator matrix alone, by column matching on an information set:
 a member is fixed, up to exchanging equal columns, by the images of the
 k pivot columns of the rref, and every other column's image is then one
 lookup.  Per(C) = Per(C^perp), so the smaller of the two is searched,
-which tries n!/(n-d)! candidates for d = min(k, n-k).  A search that
-would try more than SEARCH_CAP candidates, or list more than SEARCH_CAP
-members, raises ValueError instead of running or listing.
+whose n!/(n-d)! candidate images, d = min(k, n-k), are met in the
+middle on one free column: perm(n, h) lookups of the first h images
+against a table of the other d - h, |W| * perm(n, d-h) entries for the
+|W| distinct columns.  A search whose candidate space n!/(n-d)! exceeds
+SEARCH_CAP, or which would list more than SEARCH_CAP members, raises
+ValueError instead of running or listing.
 Permutations of an evaluation set correspond to the unique degree < n
 polynomial interpolating a_i -> a_pi(i); the affine ones are those of
 degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
@@ -26,8 +29,10 @@ from .codes import LinearCode, rref, rs_code
 from .gf import FieldElement, pack, slot_width
 from .poly import EvaluationSet, Polynomial, affine_str, compose_mod
 
-# Candidates tried and members listed by one search, each at most this:
-# about a second of column matching, and a list that fits in memory.
+# The candidate space n!/(n-d)! of one search, and the members it lists,
+# each at most this.  Under it the meet in the middle makes fewer than
+# 5 * 10^4 lookups and table entries (perm(n, h) + |W| * perm(n, d-h))
+# whenever d >= 3, and the list fits in memory.
 SEARCH_CAP = 1_000_000
 
 # Abelian testing is quadratic in the group order; skip above this size.
@@ -220,33 +225,57 @@ def _check_cap(count: int, what: str) -> None:
         )
 
 
+def _split(n: int, k: int, keys: int) -> int:
+    """How many of the k pivot images _match enumerates; the rest are tabled.
+
+    Enumerating the first h images costs perm(n, h) lookups, and the
+    table of the other k - h, one entry per suffix and distinct column,
+    costs keys * perm(n, k - h) entries to build.  The h of least total
+    cost is returned, the largest on a tie, so h = k, the plain
+    enumeration, whenever a table does not pay.
+    """
+    return min(
+        range(k, -1, -1), key=lambda h: math.perm(n, h) + keys * math.perm(n, k - h)
+    )
+
+
 def _match(code: LinearCode) -> list[tuple[int, ...]]:
     """Every pi whose column permutation G[:, pi] spans the code again.
 
     With G the k x n rref, pivot columns I and free columns J, such a pi
     is fixed up to equal columns by the images t = pi(I): G[:, pi] is
     M * G for M = G[:, t], so each free column j must go to a column
-    equal to sum_i G[i][j] * G[:, t_i].  Only the n!/(n-k)! injective
-    images of I are tried, and each free column's image is found by one
-    lookup from column to positions.  Free columns with equal targets can
-    be exchanged among the positions holding that column, so every
-    bijection between the two is a member.  The accepted images of I are
+    equal to sum_i G[i][j] * G[:, t_i].  Free columns with equal targets
+    can be exchanged among the positions holding that column, so every
+    bijection between the two is a member.
+
+    The n!/(n-k)! injective images t of I are not enumerated one by one.
+    They are met in the middle on the first free column j0, split at
+    h = _split(n, k, |W|) for W the distinct columns: t passes j0 exactly
+    when sum_{i<h} G[i][j0] * G[:, t_i] equals x - sum_{i>=h} G[i][j0] *
+    G[:, t_i] for some x in W.  The right side is tabled once for every
+    suffix u of k - h images and every x, and each prefix s of h images
+    is one lookup; each u found there that is disjoint from s makes the
+    candidate t = s + u, which then must pass every other free column.
+    That is perm(n, h) + |W| * perm(n, k - h) lookups and table entries
+    in place of n!/(n-k)! candidates.  The accepted images of I are
     collected first, with their blocks of exchangeable columns, so that
     |Per(C)|, the sum of the products of |block|!, is checked against
     SEARCH_CAP before any member is listed.
 
     Columns are keyed as ints in the slot layout of gf.pack, with slots
-    wide enough for k terms, and each product G[i][j] * G[:, c] is
-    packed once per code, so a candidate only combines ints: by XOR for
-    p = 2, and for odd p by a sum whose slots are each reduced mod p
-    before the lookup.
+    wide enough for k + 1 terms, and each product G[i][j] * G[:, c] (and
+    for odd p the negated products of j0's table side) is packed once
+    per code, so a lookup only combines ints: by XOR for p = 2, and for
+    odd p by a sum whose slots are each reduced mod p.
     """
     field, n, rows = code.field, code.n, code.rref
-    if not rows:
+    p, m, k = field.p, field.m, len(rows)
+    if k in (0, n):
+        # The zero code and the whole space are fixed by every permutation.
         _check_cap(math.factorial(n), "members")
         return list(iter_permutations(range(n)))
-    p, m, k = field.p, field.m, len(rows)
-    w = slot_width(field, k)
+    w = slot_width(field, k + 1)
     if p == 2:
         def image(t, terms):
             s = 0
@@ -271,36 +300,60 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
         where.setdefault(pack(field, [x.index for x in col], w), []).append(c)
     pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
     free = [j for j in range(n) if j not in pivots]
+
+    def products(g):
+        return [pack(field, [(g * x).index for x in col], w) for col in cols]
+
     checks = [
-        [
-            (i, [pack(field, [(g * x).index for x in col], w) for col in cols])
-            for i, g in enumerate(cols[j])
-            if not g.is_zero()
-        ]
+        [(i, products(g)) for i, g in enumerate(cols[j]) if not g.is_zero()]
         for j in free
     ]
+    keys = list(where)
+    h = _split(n, k, len(keys))
+    j0 = free[0]
+    head = [(i, prods) for i, prods in checks[0] if i < h]
+    # u + (x,) indexes the tail: u_{i-h} for row i >= h, then the column x.
+    tail = [
+        (i - h, prods if p == 2 else products(-cols[j0][i]))
+        for i, prods in checks[0]
+        if i >= h
+    ]
+    tail.append((k - h, keys))
+    table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for u in iter_permutations(range(n), k - h):
+        for x, key in enumerate(keys):
+            table.setdefault(image(u + (x,), tail), []).append((u, key))
+    rest = checks[1:]
     accepted = []
-    for t in iter_permutations(range(n), k):
-        targets = []
-        for terms in checks:
-            key = image(t, terms)
-            if key not in where:
-                break
-            targets.append(key)
-        else:
-            classes: dict[int, list[int]] = {}
-            for j, key in zip(free, targets):
-                classes.setdefault(key, []).append(j)
-            # The free columns must fill the n - k positions outside t,
-            # each class exactly the positions holding its target.
-            blocks = []
-            for key, js in classes.items():
-                spare = [c for c in where[key] if c not in t]
-                if len(spare) != len(js):
+    for s in iter_permutations(range(n), h):
+        hits = table.get(image(s, head))
+        if hits is None:
+            continue
+        taken = set(s)
+        for u, first in hits:
+            if not taken.isdisjoint(u):
+                continue
+            t = s + u
+            targets = [first]
+            for terms in rest:
+                key = image(t, terms)
+                if key not in where:
                     break
-                blocks.append((js, spare))
+                targets.append(key)
             else:
-                accepted.append((t, blocks))
+                classes: dict[int, list[int]] = {}
+                for j, key in zip(free, targets):
+                    classes.setdefault(key, []).append(j)
+                # The free columns must fill the n - k positions outside t,
+                # each class exactly the positions holding its target.
+                blocks = []
+                for key, js in classes.items():
+                    spare = [c for c in where[key] if c not in t]
+                    if len(spare) != len(js):
+                        break
+                    blocks.append((js, spare))
+                else:
+                    accepted.append((t, blocks))
     order = sum(
         math.prod(math.factorial(len(js)) for js, _ in blocks) for _, blocks in accepted
     )
@@ -378,11 +431,14 @@ def exhaustive_permutations(
     """All coordinate permutations fixing the code, in lexicographic order.
 
     The search reads only the given code's generator matrix, so its cost
-    is set by that code's dimension k: n!/(n-k)! candidates.  Use
-    search_side to pick the cheaper of a code and its dual.  Raises
-    ValueError, before searching, when there are more than SEARCH_CAP
-    candidates, and before listing any member when Per(C) has more
-    than SEARCH_CAP members.
+    is set by that code's dimension k: of the n!/(n-k)! candidate images
+    of the pivots, the first h are enumerated and the other k - h tabled,
+    perm(n, h) + |W| * perm(n, k-h) lookups and entries for the |W|
+    distinct columns (see _match and _split).  Use search_side to pick
+    the cheaper of a code and its dual.  Raises ValueError, before
+    searching, when the n!/(n-k)! candidates exceed SEARCH_CAP, and
+    before listing any member when Per(C) has more than SEARCH_CAP
+    members.
 
     method="backtrack" runs _scan_backtrack instead; it remains only
     because the benchmark's permgroup.backtrack_s probe times it.

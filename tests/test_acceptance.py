@@ -4,12 +4,15 @@ One test per criterion; each prints a single pass/fail line (run with
 pytest -s to see them) and enforces its stated bound exactly.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import subprocess
 from time import perf_counter
 
-from conftest import random_points, random_polynomial, run_process
+from conftest import random_points, random_polynomial, run_process, vector_literals
 from rsperm import (
     EvaluationSet,
     Field,
@@ -25,7 +28,7 @@ from rsperm import (
     rs_code,
     rs_dual_multiplier,
 )
-from rsperm.cli import run_sweep
+from rsperm.cli import main, run_sweep
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, limit: float | None):
@@ -312,4 +315,30 @@ def test_criterion_11_over_the_search_cap_exits_2():
             bad.append((q, k, result.returncode, result.stderr.strip(), elapsed))
     elapsed = perf_counter() - t0
     _report(11, "inputs over the search cap exit 2", not bad, elapsed, 1.0)
+    assert not bad, bad
+
+
+def test_criterion_12_information_set_searches_are_fast():
+    # 12!/6! = 665,280 and 16!/11! = 524,160 candidates, which the meet in
+    # the middle on a free column turns into 13,464 and 7,200 lookups and
+    # table entries.
+    cases = (
+        (["verify", "--field", "13", "--points", ",".join(str(a) for a in range(12)),
+          "--k", "6"], lambda d: d["group"]["order"] == d["group"]["affine_order"] == 12
+         and d["equal"] and d["all_degree_one"]),
+        (["group", "--field", "16", "--points", vector_literals(2, 4, range(16)),
+          "--k", "5"], lambda d: d["order"] == 240 and d["equal"] is True),
+    )
+    bad = []
+    t0 = perf_counter()
+    for argv, ok in cases:
+        out = io.StringIO()
+        start = perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--json"])
+        elapsed = perf_counter() - start
+        if not (code == 0 and ok(json.loads(out.getvalue())) and elapsed < 0.5):
+            bad.append((argv[0], argv[2], code, elapsed))
+    elapsed = perf_counter() - t0
+    _report(12, "information-set searches answer fast", not bad, elapsed, 0.5)
     assert not bad, bad

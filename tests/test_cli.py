@@ -347,8 +347,9 @@ def test_verify_gf65536_seven_points_is_fast():
 
 # The paper's corollaries at n = 16: the permutation group of RS(A, k)
 # for A all of GF(q) (or a subfield) is AGL(1, q), of order q(q-1), and
-# for A = GF(q)* it is the q-1 scalings.  The search tries n!/(n-d)!
-# candidates for d = min(k, n-k), so these take about a second each.
+# for A = GF(q)* it is the q-1 scalings.  The search meets the
+# n!/(n-d)! candidates, d = min(k, n-k), in the middle on one free
+# column, so each of these takes well under a second.
 COROLLARY_SECONDS = 10.0
 
 
