@@ -202,25 +202,14 @@ def rs_code(points: EvaluationSet, k: int) -> LinearCode:
 def rs_dual_multiplier(points: EvaluationSet) -> tuple[FieldElement, ...]:
     """The column multipliers turning RS(A, n-k) into the dual of RS(A, k).
 
-    Entry j is the inverse of prod_{i != j} (a_j - a_i); all entries are
-    nonzero, and star-multiplying RS(A, n-k) by this vector yields
-    dual(RS(A, k)) for every k.
+    Entry j is the inverse of prod_{i != j} (a_j - a_i), the leading
+    coefficient of the indicator L_j; all entries are nonzero, and
+    star-multiplying RS(A, n-k) by this vector yields dual(RS(A, k)) for
+    every k.
     """
-    out = []
-    for j, aj in enumerate(points):
-        prod_ = points.field.one
-        for i, ai in enumerate(points):
-            if i != j:
-                prod_ = prod_ * (aj - ai)
-        out.append(prod_.inverse())
-    return tuple(out)
+    return tuple(L.coeffs[-1] for L in points.indicators)
 
 
 def format_matrix(rows: Iterable[Sequence[FieldElement]]) -> str:
     """Rows of space-separated element literals."""
     return "\n".join(" ".join(str(x) for x in row) for row in rows)
-
-
-def matrix_json(rows: Iterable[Sequence[FieldElement]]) -> list[list[str]]:
-    """Array-of-arrays of element literals, ready for json.dumps."""
-    return [[str(x) for x in row] for row in rows]

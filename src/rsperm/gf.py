@@ -7,6 +7,10 @@ indices through O(q) tables built on first use: exp and log over a
 primitive element, and for sums mod p (prime fields), XOR (p = 2) or
 Zech logarithms.  Everything is immutable; fields are capped at
 q = p^m <= 2**16.
+
+Packing, the one kernel for vectors of indices, packs them into ints
+(scaled through exp/log), sums them and unpacks a sum into interned
+elements; interpolation and the permutation search both run on it.
 """
 
 from __future__ import annotations
@@ -317,45 +321,82 @@ class Field:
 
 
 # -- packed vectors ----------------------------------------------------------
-#
-# A vector of indices packs into one int with one slot per base-p digit:
-# digit b of entry r sits in slot m*r + b.  For p = 2 a slot is one bit,
-# so an entry is its index shifted by m*r, and vectors add by XOR.  For
-# odd p a slot of slot_width(field, terms) bits holds the plain sum of
-# that many digits without carrying into the next, so vectors add with +
-# and each slot is reduced mod p afterwards.
 
 
-def slot_width(field: Field, terms: int) -> int:
-    """Bits per slot for a sum of `terms` packed vectors (1 for p = 2)."""
-    return 1 if field.p == 2 else (terms * (field.p - 1)).bit_length()
+class Packing:
+    """Vectors of `count` indices packed into ints, one slot per base-p
+    digit, and summed up to `terms` at a time.
+
+    Digit b of entry r sits in slot m*r + b.  For p = 2 a slot is one
+    bit, so an entry is its index shifted by m*r and vectors add by XOR.
+    For odd p a slot of `width` bits holds the plain sum of `terms`
+    digits without carrying, so vectors add with + and each slot of the
+    sum is then reduced mod p.  key(choice, terms) is that reduced sum
+    of packed[choice[i]] over the (i, packed) pairs, packed being a list
+    or a memo dict; equal vectors have equal keys.
+    """
+
+    def __init__(self, field: Field, count: int, terms: int):
+        p, m = field.p, field.m
+        self.field, self.count = field, count
+        if p == 2:
+            self.width, self.key = 1, _xor_key
+        else:
+            self.width = w = (terms * (p - 1)).bit_length()
+            self.key = _reduced_sum(p, range(0, w * m * count, w), (1 << w) - 1)
+
+    def pack(self, indices: Iterable[int], scale: int = 1) -> int:
+        """The vector of indices times the element of index `scale`, packed."""
+        p, m, w = self.field.p, self.field.m, self.width
+        if scale != 1:
+            if not scale:
+                return 0
+            exp, log, _, _ = self.field.tables
+            s = log[scale]
+            indices = [exp[s + log[x]] if x else 0 for x in indices]
+        if p == 2:
+            return sum(x << (m * r) for r, x in enumerate(indices))
+        return sum(
+            x // p**b % p << (w * (m * r + b))
+            for r, x in enumerate(indices)
+            for b in range(m)
+        )
+
+    def unpack(self, key: int) -> list[FieldElement]:
+        """The `count` entries of a key, as the field's interned elements."""
+        field, count, w = self.field, self.count, self.width
+        p, m = field.p, field.m
+        els = field.tables[3]
+        if p == 2:
+            mask = field.q - 1
+            return [els[key >> (m * r) & mask] for r in range(count)]
+        slot = (1 << w) - 1
+        digits = [key >> s & slot for s in range(0, w * m * count, w)]
+        # Entry r is digits[m*r : m*(r+1)] read base p, most significant last.
+        out = digits[m - 1 :: m]
+        for b in range(m - 2, -1, -1):
+            out = [x * p + d for x, d in zip(out, digits[b::m])]
+        return [els[x] for x in out]
 
 
-def pack(field: Field, indices: Iterable[int], width: int) -> int:
-    """The indices' base-p digits in slots of `width` bits, entry r at slot m*r."""
-    p, m = field.p, field.m
-    if p == 2:
-        return sum(x << (m * r) for r, x in enumerate(indices))
-    return sum(
-        x // p**b % p << (width * (m * r + b))
-        for r, x in enumerate(indices)
-        for b in range(m)
-    )
+def _xor_key(choice, terms) -> int:
+    s = 0
+    for i, packed in terms:
+        s ^= packed[choice[i]]
+    return s
 
 
-def unpack(field: Field, packed: int, count: int, width: int) -> list[int]:
-    """The `count` indices of a packed sum, each slot reduced mod p."""
-    p, m = field.p, field.m
-    if p == 2:
-        mask = field.q - 1
-        return [packed >> (m * r) & mask for r in range(count)]
-    slot = (1 << width) - 1
-    digits = [(packed >> s & slot) % p for s in range(0, width * m * count, width)]
-    # Entry r is digits[m*r : m*(r+1)] read base p, most significant last.
-    out = digits[m - 1 :: m]
-    for b in range(m - 2, -1, -1):
-        out = [x * p + d for x, d in zip(out, digits[b::m])]
-    return out
+def _reduced_sum(p: int, offsets: range, slot: int):
+    def key(choice, terms) -> int:
+        s = 0
+        for i, packed in terms:
+            s += packed[choice[i]]
+        out = 0
+        for off in offsets:
+            out |= (s >> off & slot) % p << off
+        return out
+
+    return key
 
 
 def _primitive_powers(field: Field) -> list[int]:

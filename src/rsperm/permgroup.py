@@ -26,7 +26,7 @@ from itertools import permutations as iter_permutations, product
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, rref, rs_code
-from .gf import FieldElement, pack, slot_width
+from .gf import FieldElement, Packing
 from .poly import EvaluationSet, Polynomial, affine_str, compose_mod
 
 # The candidate space n!/(n-d)! of one search, and the members it lists,
@@ -174,12 +174,10 @@ def poly_to_perm(f: Polynomial, points: EvaluationSet) -> Permutation:
 
 def permutes(f: Polynomial, points: EvaluationSet) -> bool:
     """True when a -> f(a) is a bijection of the point set onto itself."""
-    seen = set()
-    for a in points:
-        pos = points.position(f.evaluate(a))
-        if pos is None or pos in seen:
-            return False
-        seen.add(pos)
+    try:
+        poly_to_perm(f, points)
+    except NotAPermutationError:
+        return False
     return True
 
 
@@ -263,61 +261,36 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     |Per(C)|, the sum of the products of |block|!, is checked against
     SEARCH_CAP before any member is listed.
 
-    Columns are keyed as ints in the slot layout of gf.pack, with slots
-    wide enough for k + 1 terms, and each product G[i][j] * G[:, c] (and
-    for odd p the negated products of j0's table side) is packed once
-    per code, so a lookup only combines ints: by XOR for p = 2, and for
-    odd p by a sum whose slots are each reduced mod p.
+    Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
+    time: each product G[i][j] * G[:, c], and the negated products of
+    j0's table side, is packed once per code, and every sum is one
+    Packing.key over those packed lists.
     """
     field, n, rows = code.field, code.n, code.rref
-    p, m, k = field.p, field.m, len(rows)
+    k = len(rows)
     if k in (0, n):
         # The zero code and the whole space are fixed by every permutation.
         _check_cap(math.factorial(n), "members")
         return list(iter_permutations(range(n)))
-    w = slot_width(field, k + 1)
-    if p == 2:
-        def image(t, terms):
-            s = 0
-            for i, prods in terms:
-                s ^= prods[t[i]]
-            return s
-    else:
-        offsets = range(0, w * m * k, w)
-        slot = (1 << w) - 1
-
-        def image(t, terms):
-            s = 0
-            for i, prods in terms:
-                s += prods[t[i]]
-            key = 0
-            for off in offsets:
-                key |= (s >> off & slot) % p << off
-            return key
-    cols = list(zip(*rows))
+    packing = Packing(field, k, k + 1)
+    image = packing.key
+    cols = [[x.index for x in col] for col in zip(*rows)]
     where: dict[int, list[int]] = {}
     for c, col in enumerate(cols):
-        where.setdefault(pack(field, [x.index for x in col], w), []).append(c)
+        where.setdefault(packing.pack(col), []).append(c)
     pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
     free = [j for j in range(n) if j not in pivots]
 
     def products(g):
-        return [pack(field, [(g * x).index for x in col], w) for col in cols]
+        return [packing.pack(col, g) for col in cols]
 
-    checks = [
-        [(i, products(g)) for i, g in enumerate(cols[j]) if not g.is_zero()]
-        for j in free
-    ]
+    checks = [[(i, products(g)) for i, g in enumerate(cols[j]) if g] for j in free]
     keys = list(where)
     h = _split(n, k, len(keys))
     j0 = free[0]
     head = [(i, prods) for i, prods in checks[0] if i < h]
     # u + (x,) indexes the tail: u_{i-h} for row i >= h, then the column x.
-    tail = [
-        (i - h, prods if p == 2 else products(-cols[j0][i]))
-        for i, prods in checks[0]
-        if i >= h
-    ]
+    tail = [(i - h, products((-rows[i][j0]).index)) for i, _ in checks[0] if i >= h]
     tail.append((k - h, keys))
     table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for u in iter_permutations(range(n), k - h):
@@ -493,9 +466,6 @@ class GroupReport:
     affine_order: int | None
     is_affine_equal: bool | None
     hint: IsomorphismHint
-
-    def permutation_set(self) -> frozenset[Permutation]:
-        return frozenset(m.perm for m in self.elements)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,19 +10,20 @@ composition modulo the set.
 Interpolation is one int kernel on indices.  f = sum_i v_i * L_i over
 the indicators L_i, and each term v_i * L_i depends only on i and the
 index of v_i, so every evaluation set memoises, per indicator, the
-term's coefficients packed into one int (the slot layout of gf.pack).
-A call adds n memoised ints and unpacks the sum once.  Arithmetic inside
-the module builds results through a constructor that skips the
-per-coefficient check of the public one.
+term's coefficients packed into one int by a gf.Packing.  A call sums
+n memoised ints with Packing.key and unpacks the sum once.  The
+indicators are the vanishing polynomial divided by each x - a_i and
+scaled by its barycentric weight.  Arithmetic inside the module builds
+results through a constructor that skips the per-coefficient check of
+the public one.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from operator import xor
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, pack, slot_width, unpack
+from .gf import Field, FieldElement, Packing
 
 # Degree of the zero polynomial.  A float so that NEG_INF + d == NEG_INF
 # and NEG_INF < d hold for every integer degree d.
@@ -302,17 +303,16 @@ class EvaluationSet:
 
     @cached_property
     def indicators(self) -> tuple[Polynomial, ...]:
-        """Indicator functions: degree n-1 polynomials with L_i(a_j) = delta_ij."""
+        """Indicator functions: degree n-1 polynomials with L_i(a_j) = delta_ij.
+
+        L_i is Q_i = vanishing / (x - a_i) scaled by 1/Q_i(a_i), so its
+        leading coefficient is the barycentric weight 1/prod_{j != i}
+        (a_i - a_j) (Berrut and Trefethen, SIAM Review 46(3), 2004).
+        """
         out = []
-        for i, ai in enumerate(self.points):
-            num = Polynomial.one(self.field)
-            den = self.field.one
-            for j, aj in enumerate(self.points):
-                if j == i:
-                    continue
-                num = num * Polynomial(self.field, (-aj, self.field.one))
-                den = den * (ai - aj)
-            out.append(num.scale(den.inverse()))
+        for a in self.points:
+            q, _ = divmod(self.vanishing, Polynomial(self.field, (-a, self.field.one)))
+            out.append(q.scale(q.evaluate(a).inverse()))
         return tuple(out)
 
     def evaluate(self, f: Polynomial) -> tuple[FieldElement, ...]:
@@ -320,48 +320,36 @@ class EvaluationSet:
         return tuple(f.evaluate(a) for a in self.points)
 
     @cached_property
-    def _slot_width(self) -> int:
-        return slot_width(self.field, self.n)
+    def _packing(self) -> Packing:
+        return Packing(self.field, self.n, self.n)
 
     @cached_property
-    def _terms(self) -> tuple[dict[int, int], ...]:
-        """Per indicator L_i, a memo from v.index to the packed v * L_i."""
-        return tuple({0: 0} for _ in range(self.n))
-
-    def _term(self, i: int, v: int) -> int:
-        """The coefficients of v * L_i for a nonzero v, packed and memoised."""
-        exp, log, _, _ = self.field.tables
-        lv = log[v]
-        coeffs = [exp[lv + log[c.index]] if c.index else 0
-                  for c in self.indicators[i].coeffs]
-        packed = self._terms[i][v] = pack(self.field, coeffs, self._slot_width)
-        return packed
+    def _terms(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """(i, memo) per indicator L_i, the memo from v.index to the packed v * L_i."""
+        return tuple((i, {}) for i in range(self.n))
 
     def interpolate(self, values: Sequence[FieldElement]) -> Polynomial:
         """The unique polynomial of degree < n matching the values on the points.
 
         Any elements of the field are accepted; anything else raises
-        ValueError.  The memoised terms v_i * L_i are summed as packed
-        ints (XOR for p = 2, + with one mod-p reduction per slot for odd
-        p) and the sum is unpacked into interned elements once.
+        ValueError.  The memoised terms v_i * L_i are summed by one
+        Packing.key and the key is unpacked into interned elements once.
         """
-        field, n = self.field, self.n
+        field, n, packing, terms = self.field, self.n, self._packing, self._terms
         if len(values) != n:
             raise ValueError(f"expected {n} values, got {len(values)}")
-        terms = []
-        for i, (memo, v) in enumerate(zip(self._terms, values)):
+        choice = []
+        for (i, memo), v in zip(terms, values):
             if not isinstance(v, FieldElement) or (
                 v.field is not field and v.field != field
             ):
                 raise ValueError(f"value {v!r} is not an element of {field}")
-            t = memo.get(v.index)
-            terms.append(self._term(i, v.index) if t is None else t)
-        packed = reduce(xor, terms) if field.p == 2 else sum(terms)
-        cs = unpack(field, packed, n, self._slot_width)
-        while cs and not cs[-1]:
-            cs.pop()
-        _, _, _, els = field.tables
-        return Polynomial._trusted(field, tuple(els[x] for x in cs))
+            x = v.index
+            if x not in memo:
+                memo[x] = packing.pack([c.index for c in self.indicators[i].coeffs], x)
+            choice.append(x)
+        cs = _stripped(packing.unpack(packing.key(choice, terms)))
+        return Polynomial._trusted(field, cs)
 
 
 def compose_mod(p1: Polynomial, p2: Polynomial, points: EvaluationSet) -> Polynomial:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_points, random_polynomial
 from rsperm import EvaluationSet, Field, LinearCode, Polynomial, rs_code, rs_dual_multiplier, rref
-from rsperm.codes import format_matrix, matrix_json
+from rsperm.codes import format_matrix
 
 
 def int_rref_mod_p(rows, p):
@@ -355,8 +355,6 @@ def test_matrix_display_and_json(pts13):
     code = rs_code(pts13, 2)
     text = format_matrix(code.rref)
     assert len(text.splitlines()) == 2
-    as_json = matrix_json(code.rref)
-    assert as_json == [[str(x) for x in row] for row in code.rref]
 
 
 def test_zero_code_needs_length(f13):

@@ -1,0 +1,171 @@
+"""gf.Packing against a from-scratch base-p digit reference.
+
+An index is read as its m base-p digits, least significant first, and
+a vector of count indices is laid out with digit b of entry r in slot
+m*r + b.  A slot is one bit for p = 2 (sums are XOR) and otherwise the
+narrowest width holding terms * (p - 1), the largest plain sum of terms
+digits.  Scaling goes through FieldElement multiplication and sums are
+taken digit by digit mod p, so the reference shares no code with the
+exp/log scaling or the slot arithmetic it checks.
+"""
+
+import random
+
+import pytest
+
+from rsperm import Field
+from rsperm.gf import Packing
+
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
+
+
+def digits(field, x):
+    return [x // field.p**b % field.p for b in range(field.m)]
+
+
+def from_digits(field, ds):
+    return sum(d * field.p**b for b, d in enumerate(ds))
+
+
+def ref_width(field, terms):
+    return 1 if field.p == 2 else len(bin(terms * (field.p - 1))) - 2
+
+
+def ref_pack(field, terms, vector):
+    w, m = ref_width(field, terms), field.m
+    return sum(
+        d << (w * (m * r + b))
+        for r, x in enumerate(vector)
+        for b, d in enumerate(digits(field, x))
+    )
+
+
+def ref_scale(field, g, vector):
+    return [(field.from_index(g) * field.from_index(x)).index for x in vector]
+
+
+def ref_sum(field, vectors):
+    """Digit-by-digit sum mod p of equal-length index vectors."""
+    out = []
+    for entries in zip(*vectors):
+        ds = [sum(col) % field.p for col in zip(*(digits(field, x) for x in entries))]
+        out.append(from_digits(field, ds))
+    return out
+
+
+def widest(field, count):
+    """The vector whose every digit is p - 1: index q - 1 in every entry."""
+    return [field.q - 1] * count
+
+
+def random_vector(field, count, rng):
+    return [rng.randrange(field.q) for _ in range(count)]
+
+
+def special_scales(field):
+    """The zero index, 1 and -1."""
+    return (0, 1, (-field.one).index)
+
+
+@pytest.fixture(params=ORDERS, ids=lambda q: f"GF{q}")
+def field(request):
+    return Field(request.param)
+
+
+@pytest.mark.parametrize("terms", (1, 2, 3, 7))
+def test_pack_matches_the_reference_layout(field, terms):
+    rng = random.Random(field.q * 100 + terms)
+    for count in (1, 2, 5):
+        packing = Packing(field, count, terms)
+        for vector in [widest(field, count), [0] * count] + [
+            random_vector(field, count, rng) for _ in range(20)
+        ]:
+            assert packing.pack(vector) == ref_pack(field, terms, vector)
+
+
+def test_scaled_pack_is_field_multiplication(field):
+    rng = random.Random(field.q)
+    count = 4
+    packing = Packing(field, count, 3)
+    vectors = [widest(field, count), [0] * count, list(range(min(count, field.q)))]
+    vectors += [random_vector(field, count, rng) for _ in range(5)]
+    for g in range(field.q):
+        for vector in vectors:
+            want = ref_pack(field, 3, ref_scale(field, g, vector))
+            assert packing.pack(vector, g) == want, (g, vector)
+
+
+def test_special_scales(field):
+    count = min(field.q, 6)
+    packing = Packing(field, count, 2)
+    vector = list(range(field.q - count, field.q))
+    zero, one, minus_one = special_scales(field)
+    assert packing.pack(vector, zero) == 0
+    assert packing.pack(vector, one) == packing.pack(vector)
+    negated = [(-field.from_index(x)).index for x in vector]
+    assert packing.pack(vector, minus_one) == ref_pack(field, 2, negated)
+
+
+def test_unpack_inverts_pack_into_interned_elements(field):
+    rng = random.Random(field.q + 7)
+    for count in (1, 3, 8):
+        packing = Packing(field, count, 4)
+        for vector in [widest(field, count), [0] * count] + [
+            random_vector(field, count, rng) for _ in range(20)
+        ]:
+            out = packing.unpack(packing.pack(vector))
+            assert [x.index for x in out] == vector
+            assert all(x.field is field for x in out)
+            # The elements the field's operators return, not fresh copies.
+            assert all(x is field.one * field.from_index(x.index) for x in out)
+
+
+@pytest.mark.parametrize("terms", (1, 2, 3, 5, 8))
+def test_key_of_a_full_sum_of_widest_vectors(field, terms):
+    """terms vectors whose digits are all p - 1: every slot at its widest sum."""
+    count = 3
+    packing = Packing(field, count, terms)
+    packed = [packing.pack(widest(field, count))]
+    key = packing.key([0] * terms, [(i, packed) for i in range(terms)])
+    want = ref_sum(field, [widest(field, count)] * terms)
+    assert key == ref_pack(field, terms, want)
+    assert [x.index for x in packing.unpack(key)] == want
+
+
+@pytest.mark.parametrize("terms", (1, 2, 3, 6))
+def test_key_of_scaled_sums(field, terms):
+    """key(choice, terms) over lists and memo dicts of scaled packed vectors."""
+    rng = random.Random(field.q * 31 + terms)
+    count = 4
+    packing = Packing(field, count, terms)
+    for _ in range(30):
+        pool = [random_vector(field, count, rng) for _ in range(5)]
+        pool.append(widest(field, count))
+        scales = [rng.choice(special_scales(field) + (rng.randrange(field.q),))
+                  for _ in range(terms)]
+        # Term i sums the scales[i]-multiple of pool[choice[i]]; even terms
+        # keep their packed vectors in a list, odd ones in a dict.
+        table = []
+        for i, g in enumerate(scales):
+            packed = [packing.pack(v, g) for v in pool]
+            table.append((i, packed if i % 2 == 0 else dict(enumerate(packed))))
+        choice = [rng.randrange(len(pool)) for _ in range(terms)]
+        want = ref_sum(
+            field, [ref_scale(field, g, pool[c]) for g, c in zip(scales, choice)]
+        )
+        key = packing.key(choice, table)
+        assert key == ref_pack(field, terms, want)
+        assert [x.index for x in packing.unpack(key)] == want
+
+
+def test_equal_sums_have_equal_keys(field):
+    """x + (-x) + y and y, summed with three terms, are the same key."""
+    rng = random.Random(field.q * 5)
+    count = 5
+    packing = Packing(field, count, 3)
+    minus_one = (-field.one).index
+    for _ in range(20):
+        x, y = random_vector(field, count, rng), random_vector(field, count, rng)
+        terms = [(0, [packing.pack(x)]), (1, [packing.pack(x, minus_one)]),
+                 (2, [packing.pack(y)])]
+        assert packing.key([0, 0, 0], terms) == packing.key([0], [(0, [packing.pack(y)])])
