@@ -46,6 +46,8 @@ CASES = {
         "--k", "3", "--json",
     ],
     "sweep-42-30": ["sweep", "--seed", "42", "--trials", "30", "--json"],
+    # The headline run: every field of the sweep pool, 200 trials.
+    "sweep-42-200": ["sweep", "--seed", "42", "--trials", "200", "--json"],
 }
 
 DIGESTS = {
@@ -56,6 +58,7 @@ DIGESTS = {
     "group-gf9": "672c40b921df854f44afd8a70a1a0d88c29ea54d7bb3e1f0ca6f94b2f1a11712",
     "paper-examples": "5f06041a64d5cccb7bb9295726c8b6374eefda84ade5456605369774f25a9f7f",
     "sweep-42-30": "4179d3b5b9f3efaf8bbcb458a926c75100186a5a2bfa5f3636cb89702755aca5",
+    "sweep-42-200": "b73164eb7d6c933ed4e0631060d0e1de695a03376f2098a871762a975f6d9be8",
     "verify-gf256": "bdb606de42bef5a6300fa522829977c24f061d12d7e1e14b5392115225caf005",
 }
 
