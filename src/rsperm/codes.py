@@ -12,8 +12,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement
-from .poly import EvaluationSet, Polynomial
+from .gf import Field, FieldElement, FieldMismatchError
+from .poly import EvaluationSet
 
 Row = tuple[FieldElement, ...]
 
@@ -22,36 +22,44 @@ ENUMERATION_CAP = 200_000
 
 
 def rref(field: Field, rows: Iterable[Sequence[FieldElement]]) -> tuple[Row, ...]:
-    """Reduced row echelon form over F_q; zero rows are dropped."""
-    work = [list(r) for r in rows]
+    """Reduced row echelon form over F_q; zero rows are dropped.
+
+    The elimination runs on index lists with the field's index
+    operations, and the rows come back as interned elements.
+    """
+    work = []
+    for r in rows:
+        for x in r:
+            if x.field is not field and x.field != field:
+                raise FieldMismatchError(f"{x!r} is not in {field}")
+        work.append([x.index for x in r])
     if not work:
         return ()
     n = len(work[0])
     for r in work:
         if len(r) != n:
             raise ValueError("ragged generator matrix")
+    ops = field.ops
+    sub, scale = ops.sub, ops.scale
     pivot_row = 0
     for col in range(n):
         pivot = None
         for r in range(pivot_row, len(work)):
-            if not work[r][col].is_zero():
+            if work[r][col]:
                 pivot = r
                 break
         if pivot is None:
             continue
         work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        inv = work[pivot_row][col].inverse()
-        work[pivot_row] = [inv * x for x in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
+        top = work[pivot_row] = scale(ops.inv(work[pivot_row][col]), work[pivot_row])
+        for r, row in enumerate(work):
+            if r != pivot_row and row[col]:
+                work[r] = list(map(sub, row, scale(row[col], top)))
         pivot_row += 1
         if pivot_row == len(work):
             break
-    return tuple(
-        tuple(r) for r in work[:pivot_row] if not all(x.is_zero() for x in r)
-    )
+    els = ops.elements
+    return tuple(tuple(els[x] for x in r) for r in work[:pivot_row] if any(r))
 
 
 class LinearCode:
@@ -76,6 +84,11 @@ class LinearCode:
         self.k = len(canon)
         self.rref = canon
 
+    @cached_property
+    def index_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rref as rows of element indices."""
+        return tuple(tuple(x.index for x in row) for row in self.rref)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
@@ -94,30 +107,21 @@ class LinearCode:
     @cached_property
     def dual(self) -> "LinearCode":
         """The (n-k)-dimensional code orthogonal to every codeword."""
-        field = self.field
-        if self.k == 0:
-            ident = [
-                tuple(field.one if j == i else field.zero for j in range(self.n))
-                for i in range(self.n)
-            ]
-            return LinearCode(field, ident)
-        pivots = []
-        for row in self.rref:
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    pivots.append(j)
-                    break
+        field, n = self.field, self.n
+        neg, els = field.ops.neg, field.ops.elements
+        rows = self.index_rows
+        pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
         pivot_set = set(pivots)
-        rows = []
-        for f in range(self.n):
+        dual_rows = []
+        for f in range(n):
             if f in pivot_set:
                 continue
-            w = [field.zero] * self.n
-            w[f] = field.one
-            for i, p in enumerate(pivots):
-                w[p] = -self.rref[i][f]
-            rows.append(tuple(w))
-        return LinearCode(field, rows, n=self.n)
+            w = [0] * n
+            w[f] = 1
+            for r, p in zip(rows, pivots):
+                w[p] = neg(r[f])
+            dual_rows.append(tuple(els[x] for x in w))
+        return LinearCode(field, dual_rows, n=n)
 
     def contains(self, vector: Sequence) -> bool:
         """Membership via the parity check H * v^T = 0."""
@@ -189,13 +193,21 @@ class LinearCode:
 
 
 def rs_code(points: EvaluationSet, k: int) -> LinearCode:
-    """The Reed-Solomon code {f(A) : deg f < k} for the ordered point set."""
+    """The Reed-Solomon code {f(A) : deg f < k} for the ordered point set.
+
+    Row i is the monomial x^i evaluated on the points, each row the one
+    before times the points, on indices.
+    """
     if not 1 <= k <= points.n:
         raise ValueError(f"dimension k must be in 1..{points.n}, got {k}")
     field = points.field
-    rows = [
-        points.evaluate(Polynomial.monomial(field, i)) for i in range(k)
-    ]
+    mul, els = field.ops.mul, field.ops.elements
+    pts = [a.index for a in points]
+    row = [1] * points.n
+    rows = []
+    for _ in range(k):
+        rows.append(tuple(els[x] for x in row))
+        row = list(map(mul, row, pts))
     return LinearCode(field, rows, n=points.n)
 
 

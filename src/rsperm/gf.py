@@ -8,15 +8,23 @@ primitive element, and for sums mod p (prime fields), XOR (p = 2) or
 Zech logarithms.  Everything is immutable; fields are capped at
 q = p^m <= 2**16.
 
-Packing, the one kernel for vectors of indices, packs them into ints
-(scaled through exp/log), sums them and unpacks a sum into interned
-elements; interpolation and the permutation search both run on it.
+Field.ops, the one kernel for scalars, is add, sub, neg, mul and inv on
+indices, plus scale on index lists; FieldElement operators wrap it and
+return the field's interned elements, and code, interpolation and
+affine enumeration run on it directly.  Packing, the one kernel for
+vectors of indices, packs them into ints with one slot per base-p
+digit, sums them and unpacks a sum into interned elements; the
+permutation search and interpolation both run on it.  Over odd p a
+slot is one byte whenever the sum of all terms fits in it, so a sum is
+reduced mod p in every slot at once by one bytes.translate.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
@@ -103,46 +111,35 @@ class FieldElement:
     field: "Field"
     index: int
 
-    def _check(self, other: "FieldElement") -> tuple:
-        """The field's tables, once other is known to share the field."""
+    def _check(self, other: "FieldElement") -> "IndexOps":
+        """The field's index operations, once other is known to share the field."""
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"elements of {self.field} and {other.field} cannot be combined"
             )
-        return self.field.tables
+        return self.field.ops
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        exp, log, zech, els = self._check(other)
-        field, a, b = self.field, self.index, other.index
-        if field.p == 2:
-            return els[a ^ b]
-        if field.m == 1:
-            return els[(a + b) % field.p]
-        if not a or not b:
-            return els[a or b]
-        # g**i + g**j = g**i * (1 + g**(j-i)); a negative j - i wraps in zech.
-        z = zech[log[b] - log[a]]
-        return els[0 if z is None else exp[log[a] + z]]
+        ops = self._check(other)
+        return ops.elements[ops.add(self.index, other.index)]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
+        ops = self._check(other)
+        return ops.elements[ops.sub(self.index, other.index)]
 
     def __neg__(self) -> "FieldElement":
-        exp, log, _, els = self.field.tables
-        # -1 is g**((q-1)/2) for odd q, and -1 = 1 when p = 2.
-        half = (self.field.q - 1) // 2 if self.field.p > 2 else 0
-        return els[exp[log[self.index] + half] if self.index else 0]
+        ops = self.field.ops
+        return ops.elements[ops.neg(self.index)]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        exp, log, _, els = self._check(other)
-        a, b = self.index, other.index
-        return els[exp[log[a] + log[b]] if a and b else 0]
+        ops = self._check(other)
+        return ops.elements[ops.mul(self.index, other.index)]
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
+        ops = self._check(other)
+        return ops.elements[ops.mul(self.index, ops.inv(other.index))]
 
     def __pow__(self, e: int) -> "FieldElement":
         """0**0 is defined as 1; a negative power of zero raises."""
@@ -155,7 +152,8 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises on zero."""
-        return self**-1
+        ops = self.field.ops
+        return ops.elements[ops.inv(self.index)]
 
     def is_zero(self) -> bool:
         return self.index == 0
@@ -319,6 +317,101 @@ class Field:
             zech = [log[x + 1 if (x + 1) % self.p else x + 1 - self.p] for x in powers]
         return powers + powers, log, zech, self.elements()
 
+    @cached_property
+    def ops(self) -> "IndexOps":
+        """Arithmetic on indices, built from the tables on first use."""
+        return IndexOps(self)
+
+    @cached_property
+    def byte_digits(self) -> tuple[list[bytes], dict[bytes, FieldElement], bytes]:
+        """(digits, element, mod_p) for packings with one byte per digit (odd p).
+
+        digits[x] holds the m base-p digits of index x, least significant
+        first, and element maps each such string to its interned element;
+        mod_p is the bytes.translate table taking every byte value to its
+        residue mod p.
+        """
+        p = self.p
+        # product() counts with its last place fastest, the reverse of
+        # index order.
+        digits = [bytes(ds[::-1]) for ds in product(range(p), repeat=self.m)]
+        element = dict(zip(digits, self.tables[3]))
+        return digits, element, bytes(v % p for v in range(256))
+
+
+class IndexOps:
+    """Arithmetic of one field on element indices.
+
+    add, sub, neg, mul and inv take and return ints (inv raises on zero),
+    and scale(c, xs) is the list of c * x over an iterable of indices.
+    elements[i] is the field's interned element of index i.  Sums are
+    mod p, XOR or Zech logarithms; products and inverses go through
+    exp/log, except mod p in prime fields.
+    """
+
+    __slots__ = ("add", "sub", "neg", "mul", "inv", "scale", "elements")
+
+    def __init__(self, field: Field):
+        exp, log, zech, self.elements = field.tables
+        p, m, q = field.p, field.m, field.q
+
+        def inv(a: int) -> int:
+            if not a:
+                raise ZeroDivisionError("zero has no multiplicative inverse")
+            return exp[q - 1 - log[a]]
+
+        def mul(a: int, b: int) -> int:
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def scale(c: int, xs: Iterable[int]) -> list[int]:
+            if not c:
+                return [0 for _ in xs]
+            lc = log[c]
+            return [exp[lc + log[x]] if x else 0 for x in xs]
+
+        if p == 2:
+            add = sub = operator.xor
+
+            def neg(a: int) -> int:
+                return a
+
+        elif m == 1:
+
+            def add(a: int, b: int) -> int:
+                return (a + b) % p
+
+            def sub(a: int, b: int) -> int:
+                return (a - b) % p
+
+            def neg(a: int) -> int:
+                return -a % p
+
+            def mul(a: int, b: int) -> int:
+                return a * b % p
+
+            def scale(c: int, xs: Iterable[int]) -> list[int]:
+                return [c * x % p for x in xs]
+
+        else:
+            # -1 is g**((q-1)/2).
+            half = (q - 1) // 2
+
+            def add(a: int, b: int) -> int:
+                if not a or not b:
+                    return a or b
+                # g**i + g**j = g**i * (1 + g**(j-i)); a negative j - i wraps in zech.
+                z = zech[log[b] - log[a]]
+                return 0 if z is None else exp[log[a] + z]
+
+            def neg(a: int) -> int:
+                return exp[log[a] + half] if a else 0
+
+            def sub(a: int, b: int) -> int:
+                return add(a, exp[log[b] + half]) if b else a
+
+        self.add, self.sub, self.neg = add, sub, neg
+        self.mul, self.inv, self.scale = mul, inv, scale
+
 
 # -- packed vectors ----------------------------------------------------------
 
@@ -329,21 +422,32 @@ class Packing:
 
     Digit b of entry r sits in slot m*r + b.  For p = 2 a slot is one
     bit, so an entry is its index shifted by m*r and vectors add by XOR.
-    For odd p a slot of `width` bits holds the plain sum of `terms`
-    digits without carrying, so vectors add with + and each slot of the
-    sum is then reduced mod p.  key(choice, terms) is that reduced sum
-    of packed[choice[i]] over the (i, packed) pairs, packed being a list
-    or a memo dict; equal vectors have equal keys.
+    For odd p a slot holds the plain sum of `terms` digits without
+    carrying, so vectors add with + and each slot of the sum is then
+    reduced mod p.  The slot is one byte when terms * (p - 1) < 256,
+    and the reduction is then one bytes.translate over the whole sum;
+    otherwise it is the narrowest width holding terms * (p - 1), reduced
+    slot by slot.  key(choice, terms) is that reduced sum of
+    packed[choice[i]] over the (i, packed) pairs, packed being a list
+    or a memo dict; equal vectors have equal keys.  keys(choice, terms,
+    last) is the list of keys of that sum plus each packed vector in
+    last, the sum taken once.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
         p, m = field.p, field.m
         self.field, self.count = field, count
+        self._bytes = None
         if p == 2:
-            self.width, self.key = 1, _xor_key
+            self.width = 1
+            self.key, self.keys = _xor_keys()
+        elif terms * (p - 1) < 256:
+            self.width = 8
+            self._bytes = field.byte_digits
+            self.key, self.keys = _translated_keys(m * count, self._bytes[2])
         else:
             self.width = w = (terms * (p - 1)).bit_length()
-            self.key = _reduced_sum(p, range(0, w * m * count, w), (1 << w) - 1)
+            self.key, self.keys = _slot_keys(p, range(0, w * m * count, w), (1 << w) - 1)
 
     def pack(self, indices: Iterable[int], scale: int = 1) -> int:
         """The vector of indices times the element of index `scale`, packed."""
@@ -351,9 +455,10 @@ class Packing:
         if scale != 1:
             if not scale:
                 return 0
-            exp, log, _, _ = self.field.tables
-            s = log[scale]
-            indices = [exp[s + log[x]] if x else 0 for x in indices]
+            indices = self.field.ops.scale(scale, indices)
+        if self._bytes is not None:
+            digits = self._bytes[0]
+            return int.from_bytes(b"".join([digits[x] for x in indices]), "little")
         if p == 2:
             return sum(x << (m * r) for r, x in enumerate(indices))
         return sum(
@@ -366,7 +471,13 @@ class Packing:
         """The `count` entries of a key, as the field's interned elements."""
         field, count, w = self.field, self.count, self.width
         p, m = field.p, field.m
-        els = field.tables[3]
+        els = field.ops.elements
+        if self._bytes is not None:
+            digits = key.to_bytes(m * count, "little")
+            if m == 1:
+                return [els[d] for d in digits]
+            element = self._bytes[1]
+            return [element[digits[i : i + m]] for i in range(0, m * count, m)]
         if p == 2:
             mask = field.q - 1
             return [els[key >> (m * r) & mask] for r in range(count)]
@@ -379,24 +490,68 @@ class Packing:
         return [els[x] for x in out]
 
 
-def _xor_key(choice, terms) -> int:
-    s = 0
-    for i, packed in terms:
-        s ^= packed[choice[i]]
-    return s
+def _xor_keys():
+    """key and keys for p = 2: the XOR of the terms."""
+
+    def key(choice, terms) -> int:
+        s = 0
+        for i, packed in terms:
+            s ^= packed[choice[i]]
+        return s
+
+    def keys(choice, terms, last) -> list[int]:
+        s = key(choice, terms)
+        return [s ^ x for x in last]
+
+    return key, keys
 
 
-def _reduced_sum(p: int, offsets: range, slot: int):
+def _translated_keys(length: int, mod_p: bytes):
+    """key and keys for byte slots: the plain sum, then every byte
+    reduced by one translate through mod_p."""
+    from_bytes, to_bytes = int.from_bytes, int.to_bytes
+
     def key(choice, terms) -> int:
         s = 0
         for i, packed in terms:
             s += packed[choice[i]]
+        return from_bytes(to_bytes(s, length, "little").translate(mod_p), "little")
+
+    def keys(choice, terms, last) -> list[int]:
+        s = 0
+        for i, packed in terms:
+            s += packed[choice[i]]
+        return [
+            from_bytes(to_bytes(s + x, length, "little").translate(mod_p), "little")
+            for x in last
+        ]
+
+    return key, keys
+
+
+def _slot_keys(p: int, offsets: range, slot: int):
+    """key and keys for slots wider than a byte: the plain sum, reduced
+    slot by slot."""
+
+    def reduced(s: int) -> int:
         out = 0
         for off in offsets:
             out |= (s >> off & slot) % p << off
         return out
 
-    return key
+    def key(choice, terms) -> int:
+        s = 0
+        for i, packed in terms:
+            s += packed[choice[i]]
+        return reduced(s)
+
+    def keys(choice, terms, last) -> list[int]:
+        s = 0
+        for i, packed in terms:
+            s += packed[choice[i]]
+        return [reduced(s + x) for x in last]
+
+    return key, keys
 
 
 def _primitive_powers(field: Field) -> list[int]:

@@ -191,26 +191,29 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
     sorted by (a, b) in enumeration order, so the identity map x comes
     first, and is closed under composition modulo the point set.
     """
-    a0, a1 = points[0], points[1]
-    rest = points.points[2:]
-    scale = (a1 - a0).inverse()
-    out = []
-    for i, ai in enumerate(points):
-        for j, aj in enumerate(points):
+    ops = points.field.ops
+    add, sub, mul, els = ops.add, ops.sub, ops.mul, ops.elements
+    pts = [x.index for x in points]
+    where = {x: i for i, x in enumerate(pts)}
+    a0, a1, rest = pts[0], pts[1], pts[2:]
+    scale = ops.inv(sub(a1, a0))
+    found = []
+    for i, ai in enumerate(pts):
+        for j, aj in enumerate(pts):
             if i == j:
                 continue
-            a = (aj - ai) * scale
-            b = ai - a * a0
+            a = mul(sub(aj, ai), scale)
+            b = sub(ai, mul(a, a0))
             images = [i, j]
-            for x in rest:
-                pos = points.position(a * x + b)
+            for ax in ops.scale(a, rest):
+                pos = where.get(add(ax, b))
                 if pos is None:
                     break
                 images.append(pos)
             else:
-                out.append((AffineMap(a, b), Permutation(images)))
-    out.sort(key=lambda member: (member[0].a.index, member[0].b.index))
-    return out
+                found.append((a, b, images))
+    found.sort(key=lambda member: member[:2])
+    return [(AffineMap(els[a], els[b]), Permutation(images)) for a, b, images in found]
 
 
 # -- exhaustive group computation ------------------------------------------
@@ -262,11 +265,14 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     SEARCH_CAP before any member is listed.
 
     Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
-    time: each product G[i][j] * G[:, c], and the negated products of
-    j0's table side, is packed once per code, and every sum is one
-    Packing.key over those packed lists.
+    time, read from the rref's index rows: the products g * G[:, c] are
+    packed once per code and distinct scalar g, and every sum is one
+    Packing.key over those packed lists.  The table and the lookups sum
+    the terms they share once: Packing.keys adds each x in W to the sum
+    over a suffix u, and each last prefix image c to the sum over the
+    first h - 1.
     """
-    field, n, rows = code.field, code.n, code.rref
+    field, n, rows = code.field, code.n, code.index_rows
     k = len(rows)
     if k in (0, n):
         # The zero code and the whole space are fixed by every permutation.
@@ -274,32 +280,50 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
         return list(iter_permutations(range(n)))
     packing = Packing(field, k, k + 1)
     image = packing.key
-    cols = [[x.index for x in col] for col in zip(*rows)]
+    cols = list(zip(*rows))
     where: dict[int, list[int]] = {}
     for c, col in enumerate(cols):
         where.setdefault(packing.pack(col), []).append(c)
-    pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
     free = [j for j in range(n) if j not in pivots]
 
+    scaled: dict[int, list[int]] = {}
+
     def products(g):
-        return [packing.pack(col, g) for col in cols]
+        """The packed g * G[:, c] for every column c, once per distinct g."""
+        if g not in scaled:
+            scaled[g] = [packing.pack(col, g) for col in cols]
+        return scaled[g]
 
     checks = [[(i, products(g)) for i, g in enumerate(cols[j]) if g] for j in free]
     keys = list(where)
     h = _split(n, k, len(keys))
     j0 = free[0]
-    head = [(i, prods) for i, prods in checks[0] if i < h]
-    # u + (x,) indexes the tail: u_{i-h} for row i >= h, then the column x.
-    tail = [(i - h, products((-rows[i][j0]).index)) for i, _ in checks[0] if i >= h]
-    tail.append((k - h, keys))
+    # u indexes the tail, u_{i-h} for row i >= h, and each x in W is then
+    # added to its sum.
+    neg = field.ops.neg
+    tail = [(i - h, products(neg(rows[i][j0]))) for i, _ in checks[0] if i >= h]
     table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for u in iter_permutations(range(n), k - h):
-        for x, key in enumerate(keys):
-            table.setdefault(image(u + (x,), tail), []).append((u, key))
+        for key, total in zip(keys, packing.keys(u, tail, keys)):
+            table.setdefault(total, []).append((u, key))
+    # A prefix s of h images is its first h - 1 images and one column c
+    # outside them, whose term is added to their sum.
+    if h:
+        head = [(i, prods) for i, prods in checks[0] if i < h - 1]
+        last = products(rows[h - 1][j0])
+        lookups = (
+            (s + (c,), total)
+            for s in iter_permutations(range(n), h - 1)
+            for c, total in enumerate(packing.keys(s, head, last))
+            if c not in s
+        )
+    else:
+        lookups = [((), image((), []))]  # the key of the empty sum
     rest = checks[1:]
     accepted = []
-    for s in iter_permutations(range(n), h):
-        hits = table.get(image(s, head))
+    for s, total in lookups:
+        hits = table.get(total)
         if hits is None:
             continue
         taken = set(s)

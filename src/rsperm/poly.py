@@ -13,7 +13,8 @@ index of v_i, so every evaluation set memoises, per indicator, the
 term's coefficients packed into one int by a gf.Packing.  A call sums
 n memoised ints with Packing.key and unpacks the sum once.  The
 indicators are the vanishing polynomial divided by each x - a_i and
-scaled by its barycentric weight.  Arithmetic inside the module builds
+scaled by its barycentric weight, computed on indices with the field's
+index operations (gf.Field.ops).  Arithmetic inside the module builds
 results through a constructor that skips the per-coefficient check of
 the public one.
 """
@@ -295,11 +296,20 @@ class EvaluationSet:
 
     @cached_property
     def vanishing(self) -> Polynomial:
-        """Monic degree-n polynomial with roots exactly the points."""
-        acc = Polynomial.one(self.field)
-        for a in self.points:
-            acc = acc * Polynomial(self.field, (-a, self.field.one))
-        return acc
+        """Monic degree-n polynomial with roots exactly the points.
+
+        The product of the x - a, one factor at a time on indices.
+        """
+        ops = self.field.ops
+        add, mul = ops.add, ops.mul
+        acc = [1]
+        for a in [x.index for x in self.points]:
+            # (x - a) * acc: coefficient i is acc[i-1] - a * acc[i].
+            na = ops.neg(a)
+            acc = [mul(na, acc[0])] + [
+                add(hi, mul(na, lo)) for hi, lo in zip(acc, acc[1:] + [0])
+            ]
+        return Polynomial._trusted(self.field, tuple(ops.elements[c] for c in acc))
 
     @cached_property
     def indicators(self) -> tuple[Polynomial, ...]:
@@ -308,11 +318,28 @@ class EvaluationSet:
         L_i is Q_i = vanishing / (x - a_i) scaled by 1/Q_i(a_i), so its
         leading coefficient is the barycentric weight 1/prod_{j != i}
         (a_i - a_j) (Berrut and Trefethen, SIAM Review 46(3), 2004).
+        Q_i is one synthetic division and Q_i(a_i) one Horner pass, on
+        indices.
         """
+        ops = self.field.ops
+        add, mul, els = ops.add, ops.mul, ops.elements
+        v = [c.index for c in self.vanishing.coeffs]
         out = []
-        for a in self.points:
-            q, _ = divmod(self.vanishing, Polynomial(self.field, (-a, self.field.one)))
-            out.append(q.scale(q.evaluate(a).inverse()))
+        for a in [x.index for x in self.points]:
+            # Synthetic division: q_{n-1} = v_n and q_{i-1} = v_i + a * q_i;
+            # the remainder v(a) is zero and is not formed.
+            q = [1]
+            for c in v[-2:0:-1]:
+                q.append(add(c, mul(a, q[-1])))
+            value = 0
+            for c in q:
+                value = add(mul(value, a), c)
+            q.reverse()
+            out.append(
+                Polynomial._trusted(
+                    self.field, tuple(els[c] for c in ops.scale(ops.inv(value), q))
+                )
+            )
         return tuple(out)
 
     def evaluate(self, f: Polynomial) -> tuple[FieldElement, ...]:

@@ -199,6 +199,21 @@ def test_sweep_duality_check_searches_the_other_side(monkeypatch):
     assert sorted(len(rref) for rref in seen) == sorted([trial.k, n - trial.k])
 
 
+def test_sweep_builds_each_field_once(monkeypatch):
+    """A run builds one Field per order it draws, however many trials."""
+    built = []
+    field_class = rsperm.cli.Field
+
+    def counting_field(q, *args, **kwargs):
+        built.append(q)
+        return field_class(q, *args, **kwargs)
+
+    monkeypatch.setattr(rsperm.cli, "Field", counting_field)
+    trials = run_sweep(seed=42, trials=30)
+    assert sorted(built) == sorted({t.q for t in trials})
+    assert len(trials) > len(built)
+
+
 def test_sweep_zero_trials(capsys):
     code, out, err = run(capsys, "sweep", "--trials", "0")
     assert code == 2

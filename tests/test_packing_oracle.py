@@ -2,9 +2,10 @@
 
 An index is read as its m base-p digits, least significant first, and
 a vector of count indices is laid out with digit b of entry r in slot
-m*r + b.  A slot is one bit for p = 2 (sums are XOR) and otherwise the
-narrowest width holding terms * (p - 1), the largest plain sum of terms
-digits.  Scaling goes through FieldElement multiplication and sums are
+m*r + b.  A slot is one bit for p = 2 (sums are XOR).  For odd p it is
+one byte when terms * (p - 1), the largest plain sum of terms digits,
+is below 256, and otherwise the narrowest width holding that sum.
+Scaling goes through FieldElement multiplication and sums are
 taken digit by digit mod p, so the reference shares no code with the
 exp/log scaling or the slot arithmetic it checks.
 """
@@ -16,7 +17,9 @@ import pytest
 from rsperm import Field
 from rsperm.gf import Packing
 
-ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
+# GF(243) has byte slots for up to 127 terms; GF(257) has none, so every
+# packing of it reduces slot by slot.
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 257)
 
 
 def digits(field, x):
@@ -28,7 +31,10 @@ def from_digits(field, ds):
 
 
 def ref_width(field, terms):
-    return 1 if field.p == 2 else len(bin(terms * (field.p - 1))) - 2
+    if field.p == 2:
+        return 1
+    widest_sum = terms * (field.p - 1)
+    return 8 if widest_sum < 256 else len(bin(widest_sum)) - 2
 
 
 def ref_pack(field, terms, vector):
@@ -169,3 +175,26 @@ def test_equal_sums_have_equal_keys(field):
         terms = [(0, [packing.pack(x)]), (1, [packing.pack(x, minus_one)]),
                  (2, [packing.pack(y)])]
         assert packing.key([0, 0, 0], terms) == packing.key([0], [(0, [packing.pack(y)])])
+
+
+@pytest.mark.parametrize("terms", (15, 16), ids=("bytes", "slot-loop"))
+def test_gf17_on_each_side_of_the_byte_cutover(terms):
+    """15 * 16 = 240 fits a byte slot and 16 * 16 = 256 does not."""
+    field = Field(17)
+    rng = random.Random(terms)
+    count = 6
+    packing = Packing(field, count, terms)
+    full = [(i, [packing.pack(widest(field, count))]) for i in range(terms)]
+    want = ref_sum(field, [widest(field, count)] * terms)
+    assert packing.key([0] * terms, full) == ref_pack(field, terms, want)
+    vectors = [widest(field, count)] * terms
+    vectors[1:3] = [random_vector(field, count, rng) for _ in range(2)]
+    minus_one = (-field.one).index
+    scales = [rng.choice((1, minus_one, rng.randrange(field.q))) for _ in vectors]
+    table = [(i, [packing.pack(v, g)]) for i, (v, g) in enumerate(zip(vectors, scales))]
+    for i, (v, g) in enumerate(zip(vectors, scales)):
+        assert table[i][1][0] == ref_pack(field, terms, ref_scale(field, g, v))
+    want = ref_sum(field, [ref_scale(field, g, v) for v, g in zip(vectors, scales)])
+    key = packing.key([0] * terms, table)
+    assert key == ref_pack(field, terms, want)
+    assert [x.index for x in packing.unpack(key)] == want
