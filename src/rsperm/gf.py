@@ -437,14 +437,14 @@ class Packing:
     def __init__(self, field: Field, count: int, terms: int):
         p, m = field.p, field.m
         self.field, self.count = field, count
-        self._bytes = None
+        self._digits = self._element = None
         if p == 2:
             self.width = 1
             self.key, self.keys = _xor_keys()
         elif terms * (p - 1) < 256:
             self.width = 8
-            self._bytes = field.byte_digits
-            self.key, self.keys = _translated_keys(m * count, self._bytes[2])
+            self._digits, self._element, mod_p = field.byte_digits
+            self.key, self.keys = _translated_keys(m * count, mod_p)
         else:
             self.width = w = (terms * (p - 1)).bit_length()
             self.key, self.keys = _slot_keys(p, range(0, w * m * count, w), (1 << w) - 1)
@@ -456,8 +456,8 @@ class Packing:
             if not scale:
                 return 0
             indices = self.field.ops.scale(scale, indices)
-        if self._bytes is not None:
-            digits = self._bytes[0]
+        if self._digits is not None:
+            digits = self._digits
             return int.from_bytes(b"".join([digits[x] for x in indices]), "little")
         if p == 2:
             return sum(x << (m * r) for r, x in enumerate(indices))
@@ -472,11 +472,11 @@ class Packing:
         field, count, w = self.field, self.count, self.width
         p, m = field.p, field.m
         els = field.ops.elements
-        if self._bytes is not None:
+        if self._element is not None:
             digits = key.to_bytes(m * count, "little")
             if m == 1:
                 return [els[d] for d in digits]
-            element = self._bytes[1]
+            element = self._element
             return [element[digits[i : i + m]] for i in range(0, m * count, m)]
         if p == 2:
             mask = field.q - 1
