@@ -164,6 +164,28 @@ def test_key_of_scaled_sums(field, terms):
         assert [x.index for x in packing.unpack(key)] == want
 
 
+@pytest.mark.parametrize("terms", (1, 3, 6))
+def test_keys_add_each_last_vector_to_one_sum(field, terms):
+    """keys(choice, terms, last) is the reduced sum plus each vector of last."""
+    rng = random.Random(field.q * 17 + terms)
+    count = 4
+    packing = Packing(field, count, terms)
+    minus_one = (-field.one).index
+    for _ in range(10):
+        pool = [random_vector(field, count, rng) for _ in range(4)] + [widest(field, count)]
+        scales = [rng.choice((1, minus_one, rng.randrange(field.q))) for _ in range(terms)]
+        # The first terms - 1 terms are summed once; the last one is `last`.
+        table = [(i, [packing.pack(v, g) for v in pool]) for i, g in enumerate(scales)]
+        choice = [rng.randrange(len(pool)) for _ in range(terms - 1)]
+        got = packing.keys(choice, table[:-1], table[-1][1])
+        assert len(got) == len(pool)
+        for x, key in enumerate(got):
+            vectors = [ref_scale(field, g, pool[c]) for g, c in zip(scales, choice + [x])]
+            want = ref_sum(field, vectors)
+            assert key == ref_pack(field, terms, want)
+            assert key == packing.key(choice + [x], table)
+
+
 def test_equal_sums_have_equal_keys(field):
     """x + (-x) + y and y, summed with three terms, are the same key."""
     rng = random.Random(field.q * 5)
