@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_points, random_polynomial
-from rsperm import EvaluationSet, Field, LinearCode, Polynomial, rs_code, rs_dual_multiplier, rref
+from rsperm import EvaluationSet, Field, FieldMismatchError, LinearCode, Polynomial, rs_code, rs_dual_multiplier, rref
 from rsperm.codes import format_matrix
 
 
@@ -113,6 +113,15 @@ def test_rs_code_full_space(pts13):
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ]
+
+
+def test_rref_rejects_entries_of_another_field(f13):
+    """Indices of GF(16) would read as wrong or out-of-range GF(13) indices."""
+    f16 = Field(16)
+    with pytest.raises(FieldMismatchError):
+        rref(f13, [[f13.one, f16.one]])
+    with pytest.raises(FieldMismatchError):
+        LinearCode(f13, [[f16.from_index(15), f16.one]])
 
 
 def test_rs_code_k_out_of_range(pts13):
