@@ -6,7 +6,12 @@ sum(c_i * p**i) over its ascending coefficients.  Arithmetic runs on
 indices through O(q) tables built on first use: exp and log over a
 primitive element, and for sums mod p (prime fields), XOR (p = 2) or
 Zech logarithms.  Everything is immutable; fields are capped at
-q = p^m <= 2**16.
+q = p^m <= 2**16.  The tables are built on ints alone: the primitive
+element is found by an order test on the int form of each candidate,
+and its powers by walking a q-entry table of x -> x*g, itself built
+by linearity over the digits of x: XOR for p = 2, sums in one-byte
+digit slots reduced a block at a time by one bytes.translate for odd
+p < 131, and the two digits reduced directly for larger p.
 
 Field.ops, the one kernel for scalars, is add, sub, neg, mul and inv on
 indices, plus scale on index lists; FieldElement operators wrap it and
@@ -22,6 +27,8 @@ reduced mod p in every slot at once by one bytes.translate.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -34,21 +41,34 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of different fields."""
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, m) with p prime and q = p**m, or raise ValueError."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                m += 1
-            if rest != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, m
-    raise ValueError(f"{q} is not a prime power")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = primes[0]
+    m = 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
 
 
 # -- polynomial helpers over F_p, used only for modulus validation --------
@@ -301,11 +321,13 @@ class Field:
     def tables(self) -> tuple:
         """(exp, log, zech, elements), built on first use.
 
-        exp[i] is the index of g**i for a primitive g, stored twice over so
-        that a sum of two logarithms needs no reduction; log inverts it on
-        nonzero indices.  zech[d] is the logarithm of 1 + g**d (None if that
-        is zero) for odd p with m > 1, and zech is None otherwise.  The
-        elements, one per index, are what the operators return.
+        exp[i] is the index of g**i for g the first primitive element in
+        index order (_primitive_powers), stored twice over so that a sum
+        of two logarithms needs no reduction; log inverts it on nonzero
+        indices.  zech[d] is the logarithm of 1 + g**d (None if that is
+        zero) for odd p with m > 1, and zech is None otherwise.  The
+        elements, one per index, are what the operators return.  All of
+        it takes O(q) operations on ints.
         """
         powers = _primitive_powers(self)
         log: list[int | None] = [None] * self.q
@@ -336,7 +358,7 @@ class Field:
         # index order.
         digits = [bytes(ds[::-1]) for ds in product(range(p), repeat=self.m)]
         element = dict(zip(digits, self.tables[3]))
-        return digits, element, bytes(v % p for v in range(256))
+        return digits, element, _scaled_digits(1, p)
 
 
 class IndexOps:
@@ -557,46 +579,173 @@ def _slot_keys(p: int, offsets: range, slot: int):
 def _primitive_powers(field: Field) -> list[int]:
     """Indices of g**0, ..., g**(q-2) for the first primitive g in index order.
 
-    g is primitive when g**d != 1 for every proper divisor d of q - 1.
-    These products of coefficient lists, reduced one power of t at a
-    time, only build the tables.
+    g is primitive when g**((q-1)/r) != 1 for every prime r dividing q - 1.
+    Everything runs on ints.  A prime field tests with pow and walks
+    x -> x*g mod p.  An extension field tests on the int forms of
+    _vector_arithmetic, builds the table of x -> x*g over all q indices
+    once, and walks it from 1.
     """
     p, m, q = field.p, field.m, field.q
-    # t**m as a combination of lower powers: minus the modulus below its top.
-    top_power = [(-c) % p for c in field.modulus[:m]] if m > 1 else []
+    exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+    if m == 1:
+        g = next(g for g in range(1, q) if all(pow(g, e, q) != 1 for e in exponents))
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(powers[-1] * g % q)
+        return powers
+    vector, shift, apply, times = _vector_arithmetic(p, m, field.modulus)
 
-    def times(x: list[int], y: Sequence[int]) -> list[int]:
-        """x * y by Horner's rule in t; y may end at its last nonzero coefficient."""
-        acc = [0] * m
-        for c in reversed(y):
-            lead, acc = acc[-1], [0] + acc[:-1]
-            if lead:
-                acc = [(a + lead * b) % p for a, b in zip(acc, top_power)]
-            if c:
-                acc = [(a + c * b) % p for a, b in zip(acc, x)]
-        return acc
+    def columns(x: int) -> list[int]:
+        """x * t**j for j < m: the columns of multiplication by x."""
+        cols = [x]
+        for _ in range(m - 1):
+            cols.append(shift(cols[-1]))
+        return cols
 
-    def power(x: list[int], e: int) -> list[int]:
-        result = one
-        while e:
-            if e & 1:
-                result = times(result, x)
-            x = times(x, x)
-            e >>= 1
-        return result
+    def primitive(g: int) -> bool:
+        by_g = columns(vector(g))
+        for e in exponents:
+            x = by_g[0]
+            for bit in bin(e)[3:]:
+                x = apply(columns(x), x)
+                if bit == "1":
+                    x = apply(by_g, x)
+            # The int form of 1 is 1 in every representation.
+            if x == 1:
+                return False
+        return True
 
-    one = [1] + [0] * (m - 1)
-    divisors = [d for d in range(1, q - 1) if (q - 1) % d == 0]
-    for cand in range(1, q):
-        g = list(field.from_index(cand).coeffs)
-        if all(power(g, d) != one for d in divisors):
-            break
-    while not g[-1]:
-        g.pop()
-    place = [p**i for i in range(m)]
+    # The constants, indices below p, have orders dividing p - 1 < q - 1.
+    g = next(g for g in range(p, q) if primitive(g))
+    mg = times(columns(vector(g)))
     powers = [1]
-    x = times(one, g)
-    while x != one:
-        powers.append(sum(c * w for c, w in zip(x, place)))
-        x = times(x, g)
+    for _ in range(q - 2):
+        powers.append(mg[powers[-1]])
     return powers
+
+
+def _vector_arithmetic(p: int, m: int, modulus: Sequence[int]):
+    """(vector, shift, apply, times) for GF(p^m), m > 1, on ints.
+
+    vector(x) is the int form of index x and shift(x) that of x*t.
+    apply(cols, x) is the sum of x_j * cols[j] over the digits x_j of x:
+    the product of x and y when cols are the columns of y, y*t**j.
+    times(cols) is the list over all indices x of the index of that
+    product, built by linearity over the digits of x: the entries from
+    c*p**j to (c+1)*p**j - 1 are those below p**j plus c*cols[j].
+
+    For p = 2 the int form is the index, bit i being the coefficient of
+    t**i, and sums are XOR.  For odd p with 2(p-1) < 256 it is the byte
+    layout of Field.byte_digits, one byte per digit, and sums are
+    reduced by its mod-p translate; times sums and reduces each block
+    of p**j entries at once.  For larger p, where m = 2, the int form
+    is the index, both digits are reduced mod p directly, and times
+    applies the columns to one index at a time.
+    """
+    if p == 2:
+        # Adding the modulus clears the t**m bit of a product by t.
+        wrap = sum(c << i for i, c in enumerate(modulus))
+
+        def shift(x: int) -> int:
+            x <<= 1
+            return x ^ wrap if x >> m else x
+
+        def apply(cols: list[int], x: int) -> int:
+            acc = 0
+            for col in cols:
+                if x & 1:
+                    acc ^= col
+                x >>= 1
+            return acc
+
+        def times(cols: list[int]) -> list[int]:
+            table = [0]
+            for col in cols:
+                table += [x ^ col for x in table]
+            return table
+
+        return int, shift, apply, times
+
+    if 2 * (p - 1) >= 256:
+        # p >= 131 leaves only m = 2 below 2**16: t**2 = -c0 - c1*t.
+        c0, c1 = modulus[0], modulus[1]
+
+        def shift(x: int) -> int:
+            a, b = x % p, x // p
+            return -b * c0 % p + (a - b * c1) % p * p
+
+        def apply(cols: list[int], x: int) -> int:
+            (u1, u0), (v1, v0) = divmod(cols[0], p), divmod(cols[1], p)
+            a, b = x % p, x // p
+            return (a * u0 + b * v0) % p + (a * u1 + b * v1) % p * p
+
+        def times(cols: list[int]) -> list[int]:
+            return [apply(cols, x) for x in range(p * p)]
+
+        return int, shift, apply, times
+
+    scaled = [_scaled_digits(c, p) for c in range(p)]
+    mod_p = scaled[1]
+    top = 8 * (m - 1)
+    low = (1 << top) - 1
+    # c*t**m for each digit c: minus c times the modulus below its top.
+    wrap = [
+        sum((-c * a) % p << 8 * i for i, a in enumerate(modulus[:m])) for c in range(p)
+    ]
+
+    def reduce(s: int) -> int:
+        return int.from_bytes(s.to_bytes(m, "little").translate(mod_p), "little")
+
+    def scale(c: int, x: int) -> bytes:
+        return x.to_bytes(m, "little").translate(scaled[c])
+
+    def vector(x: int) -> int:
+        return sum(x // p**i % p << 8 * i for i in range(m))
+
+    def shift(x: int) -> int:
+        return reduce(((x & low) << 8) + wrap[x >> top])
+
+    def apply(cols: list[int], x: int) -> int:
+        # m terms of digits below p: q <= 2**16 keeps every slot under 256.
+        acc = 0
+        for c, col in zip(x.to_bytes(m, "little"), cols):
+            if c:
+                acc += int.from_bytes(scale(c, col), "little")
+        return reduce(acc)
+
+    def times(cols: list[int]) -> list[int]:
+        table = bytes(m)
+        for col in cols:
+            count = len(table) // m
+            base = int.from_bytes(table, "little")
+            blocks = [table]
+            for c in range(1, p):
+                block = base + int.from_bytes(scale(c, col) * count, "little")
+                blocks.append(block.to_bytes(len(table), "little").translate(mod_p))
+            table = b"".join(blocks)
+        return _indices(table, p, m)
+
+    return vector, shift, apply, times
+
+
+def _scaled_digits(c: int, p: int) -> bytes:
+    """The bytes.translate table taking every byte value v to c*v mod p."""
+    return (bytes(c * v % p for v in range(p)) * (256 // p + 1))[:256]
+
+
+def _indices(table: bytes, p: int, m: int) -> list[int]:
+    """The indices of the m-byte digit strings that make up table.
+
+    Digit plane i, placed in 16-bit lanes (every index is below 2**16),
+    is weighted by p**i, so one big-int sum gives every index at once.
+    """
+    count = len(table) // m
+    lanes = bytearray(2 * count)
+    acc = 0
+    for i in range(m):
+        lanes[0::2] = table[i::m]
+        acc += p**i * int.from_bytes(lanes, "little")
+    out = array("H", acc.to_bytes(2 * count, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out.tolist()

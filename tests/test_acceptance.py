@@ -342,3 +342,21 @@ def test_criterion_12_information_set_searches_are_fast():
     elapsed = perf_counter() - t0
     _report(12, "information-set searches answer fast", not bad, elapsed, 0.5)
     assert not bad, bad
+
+
+def test_criterion_13_large_field_tables_build_fast():
+    # The largest fields of each kind: p = 2, the longest odd-p digit
+    # strings, and p >= 131 (two digits too wide for byte slots).
+    fields = [Field(1 << 16), Field(3**10), Field(251**2)]
+    bad = []
+    t0 = perf_counter()
+    for field in fields:
+        start = perf_counter()
+        exp = field.tables[0]
+        elapsed = perf_counter() - start
+        full_cycle = sorted(exp[: field.q - 1]) == list(range(1, field.q))
+        if not (elapsed < 0.5 and full_cycle):
+            bad.append((field.q, elapsed))
+    elapsed = perf_counter() - t0
+    _report(13, "large field tables build fast", not bad, elapsed, 0.5)
+    assert not bad, bad

@@ -1,7 +1,8 @@
 """rsperm.gf against sympy's polynomial arithmetic over F_p.
 
-The index kernel is checked pair by pair, and the modulus search
-(is_irreducible, default_modulus) against sympy's irreducibility test.
+The index kernel is checked pair by pair, the modulus search
+(is_irreducible, default_modulus) against sympy's irreducibility test,
+and factor_prime_power against sympy's factorint.
 
 sympy shares no code with rsperm and is a test-only dependency.  Its
 galoistools take coefficient lists highest degree first, so every
@@ -17,7 +18,7 @@ from sympy import factorint  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
 from rsperm import Field  # noqa: E402
-from rsperm.gf import default_modulus, is_irreducible  # noqa: E402
+from rsperm.gf import default_modulus, factor_prime_power, is_irreducible  # noqa: E402
 
 
 class Oracle:
@@ -163,3 +164,22 @@ def test_default_modulus_is_the_first_irreducible(p, m):
         if galoistools.gf_irreducible_p(monic(p, m, idx)[::-1], p, ZZ)
     )
     assert default_modulus(p, m) == tuple(first)
+
+
+@pytest.mark.parametrize(
+    "qs",
+    [
+        pytest.param(range(4097), id="q<=4096"),
+        # 251^2, 251*257, the largest prime below 2^16, 2^16 - 1, 2^16,
+        # and orders below 2.
+        pytest.param([63001, 64507, 65521, 65535, 65536, 0, 1, -5], id="edges"),
+    ],
+)
+def test_factor_prime_power_matches_sympy(qs):
+    for q in qs:
+        factors = factorint(q)
+        if q >= 2 and len(factors) == 1:
+            assert factor_prime_power(q) == next(iter(factors.items())), q
+        else:
+            with pytest.raises(ValueError):
+                factor_prime_power(q)
