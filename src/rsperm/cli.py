@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .codes import format_matrix, rs_code
 from .gf import Field
@@ -155,55 +156,43 @@ def cmd_verify(args) -> int:
 @dataclass(frozen=True)
 class SweepTrial:
     index: int
-    q: int
-    modulus: list[int] | None
-    points: list[str]
-    k: int
-    order: int
-    affine_order: int
-    equal: bool
-    all_degree_one: bool
+    result: TheoremReport
     duality_ok: bool
-    degree_bound_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.equal
-            and self.all_degree_one
-            and self.duality_ok
-            and self.degree_bound_ok
-        )
 
     def to_json_dict(self) -> dict:
+        r = self.result
+        field, n = r.points.field, r.points.n
+        bound = min(r.k, n - r.k)
+        degree_bound_ok = all(m.degree < bound for m in r.group.elements)
         return {
             "trial": self.index,
-            "q": self.q,
-            "modulus": self.modulus,
-            "points": self.points,
-            "k": self.k,
-            "order": self.order,
-            "affine_order": self.affine_order,
-            "equal": self.equal,
-            "all_degree_one": self.all_degree_one,
+            "q": field.q,
+            "modulus": None if field.modulus is None else list(field.modulus),
+            "points": [str(a) for a in r.points],
+            "k": r.k,
+            "order": r.group.order,
+            "affine_order": r.group.affine_order,
+            "equal": r.equal,
+            "all_degree_one": r.all_degree_one,
             "duality_ok": self.duality_ok,
-            "degree_bound_ok": self.degree_bound_ok,
-            "ok": self.ok,
+            "degree_bound_ok": degree_bound_ok,
+            "ok": r.equal and r.all_degree_one and self.duality_ok and degree_bound_ok,
         }
 
 
-def run_sweep(seed: int, trials: int) -> list[SweepTrial]:
+def run_sweep(seed: int, trials: int) -> Iterator[SweepTrial]:
     """Seeded random instances checking the affine characterization.
 
     Each trial samples a field from SWEEP_FIELD_POOL, a point set with
     4 <= n <= min(8, q) and a dimension 2 <= k <= n-2, then verifies
-    group equality, the degree bound, and Per(C) = Per(dual C).
+    group equality, the degree bound, and Per(C) = Per(dual C).  Trials
+    are yielded one at a time, so a caller that keeps only what it needs
+    of each does not hold every report of a long run.
     """
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     fields: dict[int, Field] = {}
-    out = []
     for t in range(trials):
         q = rng.choice(SWEEP_FIELD_POOL)
         # One Field per q for the run: its modulus search and tables once.
@@ -213,64 +202,45 @@ def run_sweep(seed: int, trials: int) -> list[SweepTrial]:
         n = rng.randint(4, min(8, q))
         pts = rng.sample(field.elements(), n)
         k = rng.randint(2, n - 2)
-        points = EvaluationSet(field, pts)
-        result = check_theorem(points, k)
-        group_perms = {m.perm for m in result.group.elements}
+        result = check_theorem(EvaluationSet(field, pts), k)
         code = result.code
         # check_theorem searched the smaller of C and its dual; search the other.
         other = code.dual if search_side(code) is code else code
         dual_perms = set(exhaustive_permutations(other))
-        bound = min(k, n - k)
-        out.append(
-            SweepTrial(
-                index=t,
-                q=q,
-                modulus=None if field.modulus is None else list(field.modulus),
-                points=[str(a) for a in points],
-                k=k,
-                order=result.group.order,
-                affine_order=result.group.affine_order,
-                equal=result.equal,
-                all_degree_one=result.all_degree_one,
-                duality_ok=dual_perms == group_perms,
-                degree_bound_ok=all(
-                    m.degree < bound for m in result.group.elements
-                ),
-            )
-        )
-    return out
+        group_perms = {m.perm for m in result.group.elements}
+        yield SweepTrial(t, result, dual_perms == group_perms)
 
 
 def cmd_sweep(args) -> int:
-    trials = run_sweep(args.seed, args.trials)
-    failures = [t for t in trials if not t.ok]
+    records = [t.to_json_dict() for t in run_sweep(args.seed, args.trials)]
+    failures = [r for r in records if not r["ok"]]
     if args.json:
         _print_json(
             {
                 "rng": RNG_NAME,
                 "seed": args.seed,
                 "trials": args.trials,
-                "passed": len(trials) - len(failures),
+                "passed": len(records) - len(failures),
                 "failed": len(failures),
-                "results": [t.to_json_dict() for t in trials],
+                "results": records,
             }
         )
         return 0 if not failures else 1
     print(f"sweep rng={RNG_NAME} seed={args.seed} trials={args.trials}")
-    for t in trials:
-        status = "ok" if t.ok else "FAIL"
+    for r in records:
+        status = "ok" if r["ok"] else "FAIL"
         print(
-            f"trial {t.index:03d} q={t.q} n={len(t.points)} k={t.k} "
-            f"order={t.order} affine={t.affine_order} {status}"
+            f"trial {r['trial']:03d} q={r['q']} n={len(r['points'])} k={r['k']} "
+            f"order={r['order']} affine={r['affine_order']} {status}"
         )
-    for t in failures:
+    for r in failures:
         print(
-            f"FAILURE trial {t.index}: q={t.q} modulus={t.modulus} "
-            f"points={','.join(t.points)} k={t.k} "
-            f"equal={t.equal} degrees_ok={t.all_degree_one} "
-            f"duality_ok={t.duality_ok} bound_ok={t.degree_bound_ok}"
+            f"FAILURE trial {r['trial']}: q={r['q']} modulus={r['modulus']} "
+            f"points={','.join(r['points'])} k={r['k']} "
+            f"equal={r['equal']} degrees_ok={r['all_degree_one']} "
+            f"duality_ok={r['duality_ok']} bound_ok={r['degree_bound_ok']}"
         )
-    print(f"{len(trials) - len(failures)}/{len(trials)} pass")
+    print(f"{len(records) - len(failures)}/{len(records)} pass")
     return 0 if not failures else 1
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as iter_permutations, product
 from typing import Iterable, Sequence
 
@@ -233,10 +234,11 @@ def _split(n: int, k: int, keys: int) -> int:
     table of the other k - h, one entry per suffix and distinct column,
     costs keys * perm(n, k - h) entries to build.  The h of least total
     cost is returned, the largest on a tie, so h = k, the plain
-    enumeration, whenever a table does not pay.
+    enumeration, whenever a table does not pay.  h = 0 is not tried: its
+    1 + keys * perm(n, k) is never below the perm(n, k) + keys of h = k.
     """
     return min(
-        range(k, -1, -1), key=lambda h: math.perm(n, h) + keys * math.perm(n, k - h)
+        range(k, 0, -1), key=lambda h: math.perm(n, h) + keys * math.perm(n, k - h)
     )
 
 
@@ -309,17 +311,14 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
             table.setdefault(total, []).append((u, key))
     # A prefix s of h images is its first h - 1 images and one column c
     # outside them, whose term is added to their sum.
-    if h:
-        head = [(i, prods) for i, prods in checks[0] if i < h - 1]
-        last = products(rows[h - 1][j0])
-        lookups = (
-            (s + (c,), total)
-            for s in iter_permutations(range(n), h - 1)
-            for c, total in enumerate(packing.keys(s, head, last))
-            if c not in s
-        )
-    else:
-        lookups = [((), image((), []))]  # the key of the empty sum
+    head = [(i, prods) for i, prods in checks[0] if i < h - 1]
+    last = products(rows[h - 1][j0])
+    lookups = (
+        (s + (c,), total)
+        for s in iter_permutations(range(n), h - 1)
+        for c, total in enumerate(packing.keys(s, head, last))
+        if c not in s
+    )
     rest = checks[1:]
     accepted = []
     for s, total in lookups:
@@ -457,8 +456,14 @@ def exhaustive_permutations(
 class GroupMember:
     perm: Permutation
     poly: Polynomial | None
-    degree: int | None
-    is_affine: bool | None
+
+    @property
+    def degree(self) -> int | None:
+        return None if self.poly is None else int(self.poly.degree)
+
+    @property
+    def is_affine(self) -> bool | None:
+        return None if self.poly is None else self.degree == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -485,11 +490,21 @@ class IsomorphismHint:
 
 @dataclass(frozen=True)
 class GroupReport:
-    order: int
     elements: tuple[GroupMember, ...]
     affine_order: int | None
     is_affine_equal: bool | None
-    hint: IsomorphismHint
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def hint(self) -> IsomorphismHint:
+        """The order and whether the group is abelian, tested on the first
+        read only: up to |G|^2 * n / 2 steps."""
+        abelian = _is_abelian([m.perm for m in self.elements])
+        label = "S_3" if self.order == 6 and abelian is False else None
+        return IsomorphismHint(self.order, abelian, label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -526,36 +541,22 @@ def brute_force_perm_group(
 ) -> GroupReport:
     """Exact Per(C), by exhaustive search of the smaller of C and its dual.
 
-    When an evaluation set is supplied, every member is enriched with its
-    interpolating polynomial and degree, and the group is compared
-    against the affine permutations of the set.
+    When an evaluation set is supplied, every member gets its
+    interpolating polynomial, and the group is compared against the
+    affine permutations of the set.  Degrees, the order and the
+    isomorphism hint are derived from the report when they are read.
     """
     perms = exhaustive_permutations(search_side(code))
     if points is None:
-        members = tuple(GroupMember(p, None, None, None) for p in perms)
-        affine_order = None
-        equal = None
-    else:
-        if points.n != code.n or points.field != code.field:
-            raise ValueError("evaluation set does not match the code")
-        members = []
-        for p in perms:
-            f = perm_to_poly(p, points)
-            deg = int(f.degree)
-            members.append(GroupMember(p, f, deg, deg == 1))
-        members = tuple(members)
-        affine_perms = {perm for _, perm in affine_group(points)}
-        affine_order = len(affine_perms)
-        equal = affine_perms == set(perms)
-    order = len(perms)
-    abelian = _is_abelian(perms)
-    label = "S_3" if order == 6 and abelian is False else None
+        return GroupReport(tuple(GroupMember(p, None) for p in perms), None, None)
+    if points.n != code.n or points.field != code.field:
+        raise ValueError("evaluation set does not match the code")
+    members = tuple(GroupMember(p, perm_to_poly(p, points)) for p in perms)
+    affine_perms = {perm for _, perm in affine_group(points)}
     return GroupReport(
-        order=order,
         elements=members,
-        affine_order=affine_order,
-        is_affine_equal=equal,
-        hint=IsomorphismHint(order, abelian, label),
+        affine_order=len(affine_perms),
+        is_affine_equal=affine_perms == set(perms),
     )
 
 
@@ -612,13 +613,30 @@ class TheoremReport:
 
     points: EvaluationSet
     k: int
-    in_range: bool
     group: GroupReport
-    equal: bool
-    all_degree_one: bool
-    warning: str | None
     # RS(A, k) itself, for callers that check more of it; not serialised.
     code: LinearCode
+
+    @property
+    def in_range(self) -> bool:
+        return 1 < self.k < self.points.n - 1
+
+    @property
+    def equal(self) -> bool:
+        return bool(self.group.is_affine_equal)
+
+    @property
+    def all_degree_one(self) -> bool:
+        return all(m.degree == 1 for m in self.group.elements)
+
+    @property
+    def warning(self) -> str | None:
+        if self.in_range:
+            return None
+        return (
+            f"k={self.k} is outside 1 < k < n-1 for n={self.points.n}; "
+            "equality with the affine group is not expected to hold"
+        )
 
     @property
     def holds(self) -> bool:
@@ -645,25 +663,5 @@ def check_theorem(points: EvaluationSet, k: int) -> TheoremReport:
     k in {1, n-1, n} are still computed but only reported, with a warning
     flag instead of an assertion.
     """
-    n = points.n
     code = rs_code(points, k)
-    report = brute_force_perm_group(code, points)
-    in_range = 1 < k < n - 1
-    equal = bool(report.is_affine_equal)
-    all_degree_one = all(m.degree == 1 for m in report.elements)
-    warning = None
-    if not in_range:
-        warning = (
-            f"k={k} is outside 1 < k < n-1 for n={n}; "
-            "equality with the affine group is not expected to hold"
-        )
-    return TheoremReport(
-        points=points,
-        k=k,
-        in_range=in_range,
-        group=report,
-        equal=equal,
-        all_degree_one=all_degree_one,
-        warning=warning,
-        code=code,
-    )
+    return TheoremReport(points, k, brute_force_perm_group(code, points), code)

@@ -56,3 +56,82 @@ def random_points(rng: random.Random, field: Field, n: int) -> EvaluationSet:
 def random_polynomial(rng: random.Random, field: Field, max_degree: int) -> Polynomial:
     coeffs = [field.from_index(rng.randrange(field.q)) for _ in range(max_degree + 1)]
     return Polynomial(field, coeffs)
+
+
+class Reference:
+    """GF(p^m) on coefficient tuples, ascending powers of t.
+
+    Products reduce by the field's modulus and inverses go by square and
+    multiply.  It reads only the modulus, so it shares no code with the
+    index arithmetic of Field.ops that it checks.
+    """
+
+    def __init__(self, field: Field):
+        self.p, self.m, self.q = field.p, field.m, field.q
+        self.modulus = field.modulus
+        self.zero = (0,) * self.m
+        self.one = (1,) + (0,) * (self.m - 1)
+
+    def add(self, x, y):
+        return tuple((a + b) % self.p for a, b in zip(x, y))
+
+    def sub(self, x, y):
+        return tuple((a - b) % self.p for a, b in zip(x, y))
+
+    def mul(self, x, y):
+        m = self.m
+        prod = [0] * (2 * m - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        # t^m is minus the modulus below its (monic) top coefficient.
+        for d in range(2 * m - 2, m - 1, -1):
+            c = prod[d] % self.p
+            prod[d] = 0
+            for i, r in enumerate(self.modulus[:m]):
+                prod[d - m + i] -= c * r
+        return tuple(c % self.p for c in prod[:m])
+
+    def inv(self, x):
+        assert x != self.zero
+        result, base, e = self.one, x, self.q - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def dot(self, u, v):
+        acc = self.zero
+        for a, b in zip(u, v):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+    def rref(self, rows):
+        """Reduced row echelon form; zero rows dropped."""
+        work = [list(r) for r in rows]
+        if not work:
+            return []
+        pivot_row = 0
+        for col in range(len(work[0])):
+            pivot = next(
+                (r for r in range(pivot_row, len(work)) if work[r][col] != self.zero),
+                None,
+            )
+            if pivot is None:
+                continue
+            work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+            inv = self.inv(work[pivot_row][col])
+            work[pivot_row] = [self.mul(inv, x) for x in work[pivot_row]]
+            for r in range(len(work)):
+                f = work[r][col]
+                if r != pivot_row and f != self.zero:
+                    work[r] = [
+                        self.sub(a, self.mul(f, b))
+                        for a, b in zip(work[r], work[pivot_row])
+                    ]
+            pivot_row += 1
+            if pivot_row == len(work):
+                break
+        return [r for r in work[:pivot_row] if any(x != self.zero for x in r)]

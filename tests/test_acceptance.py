@@ -12,6 +12,7 @@ import random
 import subprocess
 from time import perf_counter
 
+import rsperm.permgroup
 from conftest import random_points, random_polynomial, run_process, vector_literals
 from rsperm import (
     EvaluationSet,
@@ -88,8 +89,8 @@ def test_criterion_02_f9_frobenius_example():
 
 def test_criterion_03_theorem_sweep_200():
     t0 = perf_counter()
-    trials = run_sweep(seed=42, trials=200)
-    failures = [t for t in trials if not (t.equal and t.all_degree_one)]
+    trials = list(run_sweep(seed=42, trials=200))
+    failures = [t for t in trials if not (t.result.equal and t.result.all_degree_one)]
     ok = len(trials) == 200 and not failures
     elapsed = perf_counter() - t0
     _report(3, "200-instance theorem sweep", ok and elapsed < 300, elapsed, 300)
@@ -359,4 +360,54 @@ def test_criterion_13_large_field_tables_build_fast():
             bad.append((field.q, elapsed))
     elapsed = perf_counter() - t0
     _report(13, "large field tables build fast", not bad, elapsed, 0.5)
+    assert not bad, bad
+
+
+def test_criterion_14_reports_derive_the_hint_only_when_printed(monkeypatch):
+    # k = n - 1 on GF(29) without {14, 15}: |Per| = 2^13, an abelian group
+    # whose commutativity test alone takes about 40 s, against two affine
+    # maps, x and -x.  Nothing in --json output needs that test.
+    calls = []
+    is_abelian = rsperm.permgroup._is_abelian
+
+    def spy(perms):
+        calls.append(len(perms))
+        return is_abelian(perms)
+
+    monkeypatch.setattr(rsperm.permgroup, "_is_abelian", spy)
+    points = ",".join(str(a) for a in [*range(14), *range(16, 29)])
+    bad = []
+    t0 = perf_counter()
+    for command in ("group", "verify"):
+        out = io.StringIO()
+        start = perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--field", "29", "--points", points, "--k", "26",
+                         "--json"])
+        elapsed = perf_counter() - start
+        data = json.loads(out.getvalue())
+        group = data.get("group", data)
+        ok = (group["order"] == 2**13 and group["affine_order"] == 2
+              and group["equal"] is False)
+        if not (code == 0 and ok and elapsed < 5.0):
+            bad.append((command, code, elapsed))
+
+    f13 = ["--field", "13", "--points", "0,1,4,6", "--k", "3"]
+    expected_calls = (
+        (["group", *f13, "--json"], 0),
+        (["verify", *f13], 0),
+        (["verify", *f13, "--json"], 0),
+        (["sweep", "--seed", "7", "--trials", "5"], 0),
+        (["sweep", "--seed", "7", "--trials", "5", "--json"], 0),
+        (["group", *f13], 1),
+        (["paper-examples"], 1),
+    )
+    for argv, want in expected_calls:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        if len(calls) != want:
+            bad.append((argv, "commutativity tests", len(calls)))
+    elapsed = perf_counter() - t0
+    _report(14, "reports derive the hint only when printed", not bad, elapsed, 5.0)
     assert not bad, bad

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import time
 
@@ -191,12 +192,12 @@ def test_sweep_duality_check_searches_the_other_side(monkeypatch):
     monkeypatch.setattr(rsperm.permgroup, "exhaustive_permutations", spy)
     monkeypatch.setattr(rsperm.cli, "exhaustive_permutations", spy)
     [trial] = run_sweep(seed=0, trials=1)
-    n = len(trial.points)
-    assert trial.k != n - trial.k
+    n, k = trial.result.points.n, trial.result.k
+    assert k != n - k
     assert trial.duality_ok
     assert len(seen) == 2
     assert seen[0] != seen[1]
-    assert sorted(len(rref) for rref in seen) == sorted([trial.k, n - trial.k])
+    assert sorted(len(rref) for rref in seen) == sorted([k, n - k])
 
 
 def test_sweep_builds_each_field_once(monkeypatch):
@@ -209,9 +210,29 @@ def test_sweep_builds_each_field_once(monkeypatch):
         return field_class(q, *args, **kwargs)
 
     monkeypatch.setattr(rsperm.cli, "Field", counting_field)
-    trials = run_sweep(seed=42, trials=30)
-    assert sorted(built) == sorted({t.q for t in trials})
+    trials = list(run_sweep(seed=42, trials=30))
+    assert sorted(built) == sorted({t.result.points.field.q for t in trials})
     assert len(trials) > len(built)
+
+
+def test_sweep_reports_a_failed_duality_check(capsys, monkeypatch):
+    """A trial whose dual search disagrees is printed as FAIL, described on
+    a FAILURE line, counted in the JSON, and makes the sweep exit 1."""
+    monkeypatch.setattr(rsperm.cli, "exhaustive_permutations", lambda code: [])
+    code, out, _ = run(capsys, "sweep", "--seed", "3", "--trials", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert re.fullmatch(r"trial 000 q=\d+ n=\d k=\d order=\d+ affine=\d+ FAIL", lines[1])
+    assert re.fullmatch(
+        r"FAILURE trial 0: q=\d+ modulus=(None|\[[\d, ]+\]) points=\S+ k=\d "
+        r"equal=True degrees_ok=True duality_ok=False bound_ok=True",
+        lines[3],
+    )
+    assert lines[-1] == "0/2 pass"
+    code, out, _ = run(capsys, "sweep", "--seed", "3", "--trials", "2", "--json")
+    data = json.loads(out)
+    assert code == 1 and (data["passed"], data["failed"]) == (0, 2)
+    assert [t["ok"] for t in data["results"]] == [False, False]
 
 
 def test_sweep_zero_trials(capsys):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import random_points
+from rsperm import permgroup
 from rsperm import (
     EvaluationSet,
     Field,
@@ -175,6 +176,33 @@ def test_brute_force_full_space(pts13):
     assert report.order == 24
 
 
+def test_hint_above_the_abelian_check_cap():
+    # RS(A, 1) on 8 points is fixed by all of S_8: 40320 members, too
+    # many for the quadratic commutativity test, so the hint gives only
+    # the order.
+    points = EvaluationSet(Field(11), list(range(8)))
+    report = brute_force_perm_group(rs_code(points, 1))
+    assert report.order == math.factorial(8)
+    assert report.hint.abelian is None
+    assert str(report.hint) == "order 40320"
+
+
+def test_hint_is_computed_once_on_first_read(pts13, monkeypatch):
+    calls = []
+    is_abelian = permgroup._is_abelian
+
+    def spy(perms):
+        calls.append(len(perms))
+        return is_abelian(perms)
+
+    monkeypatch.setattr(permgroup, "_is_abelian", spy)
+    report = brute_force_perm_group(rs_code(pts13, 3), pts13)
+    report.to_json_dict()
+    assert calls == []
+    assert str(report.hint) == str(report.hint) == "order 6, non-abelian (S_3)"
+    assert calls == [6]
+
+
 def _refused_quickly(search, *args):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="SEARCH_CAP") as exc:
@@ -316,6 +344,14 @@ def test_group_closure_check_missing_inverse():
     assert group_closure_check(
         [Permutation.identity(3), three_cycle, three_cycle.inverse()]
     )
+
+
+def test_group_closure_check_missing_product():
+    # Both transpositions are their own inverses; their product (1 2 3)
+    # is missing.
+    a, b = Permutation([1, 0, 2]), Permutation([0, 2, 1])
+    assert not group_closure_check([Permutation.identity(3), a, b])
+    assert group_closure_check([Permutation.identity(3), a])
 
 
 def test_group_closure_check_empty():

@@ -6,7 +6,7 @@ check; it uses no search routine from rsperm.permgroup, so it shares no
 code with the column matching it checks.  The comparison is list
 equality: the same members in the same (lexicographic) order, on a code
 and on its dual, with the split of the pivot images that the search
-picks and with every other split forced on it.
+picks and with every split 1 <= h <= k that it may pick forced on it.
 """
 
 import math
@@ -97,7 +97,7 @@ def test_search_matches_reference(q, monkeypatch):
             want = reference_members(c)
             got = [p.images for p in exhaustive_permutations(c)]
             assert got == want, f"GF({q}) {name} {side} k={c.k}"
-            for h in range(c.k + 1):
+            for h in range(1, c.k + 1):
                 with monkeypatch.context() as patch:
                     patch.setattr(permgroup, "_split", lambda n, k, keys, h=h: h)
                     got = [p.images for p in exhaustive_permutations(c)]
