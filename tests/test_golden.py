@@ -45,6 +45,21 @@ CASES = {
         "verify", "--field", "256", "--points", _gf256_points(256, 7),
         "--k", "3", "--json",
     ],
+    # Three reports of all of S_7, 5040 members each, whose polynomials
+    # print prime, p = 2 and odd-p vector literals: the largest outputs
+    # pinned here, and the only ones where most members have polynomials
+    # of high degree.
+    "group-gf7-full-k6": [
+        "group", "--field", "7", "--points", "0,1,2,3,4,5,6", "--k", "6", "--json",
+    ],
+    "group-gf8-units-k1": [
+        "group", "--field", "8", "--points", vector_literals(2, 3, range(1, 8)),
+        "--k", "1", "--json",
+    ],
+    "group-gf9-seven-k1": [
+        "group", "--field", "9", "--points", vector_literals(3, 2, [0, 1, 2, 4, 5, 7, 8]),
+        "--k", "1", "--json",
+    ],
     "sweep-42-30": ["sweep", "--seed", "42", "--trials", "30", "--json"],
     # The headline run: every field of the sweep pool, 200 trials.
     "sweep-42-200": ["sweep", "--seed", "42", "--trials", "200", "--json"],
@@ -55,7 +70,10 @@ DIGESTS = {
     "affine-gf9-units": "ec475f189aa8a212f75e84e946ec075add68df3aafa396c7fa3f1bb720405169",
     "affine-gf13": "3ada8537d205511f1db11e7e50dcb82e344c6879b3bf6c35abc563f86280c114",
     "group-gf13": "d89f4fd21df2bd1f9f4e865e5964f5774d93d27bdc8adde3f70b4f368a8f818a",
+    "group-gf7-full-k6": "c3cc080e3a8f59253bc1b37c89555593419e73fc4f7136ddcef22e1b9f0e6ddf",
+    "group-gf8-units-k1": "b56a7516c97c09b9ac0ac46b3240b6120cdace53da561d9547c37722d0b87df0",
     "group-gf9": "672c40b921df854f44afd8a70a1a0d88c29ea54d7bb3e1f0ca6f94b2f1a11712",
+    "group-gf9-seven-k1": "699ff9e6bf214994cf64e135c4bf470bac006c5f9003e32f8b8957124f104323",
     "paper-examples": "5f06041a64d5cccb7bb9295726c8b6374eefda84ade5456605369774f25a9f7f",
     "sweep-42-30": "4179d3b5b9f3efaf8bbcb458a926c75100186a5a2bfa5f3636cb89702755aca5",
     "sweep-42-200": "b73164eb7d6c933ed4e0631060d0e1de695a03376f2098a871762a975f6d9be8",
