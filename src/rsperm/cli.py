@@ -13,6 +13,8 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .codes import format_matrix, rs_code
@@ -67,8 +69,57 @@ def parse_points(field: Field, text: str) -> EvaluationSet:
     return EvaluationSet(field, [field.parse(s) for s in literals])
 
 
+def json_text(value) -> str:
+    """Exactly json.dumps(value, indent=2), in one pass over the value.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writer does the same layout with one call per container.  Dicts with
+    str keys, lists, str, int, bool and None are written here, by exact
+    type; anything else is left to json.dumps.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the text of value, nested so that its lines open with newline."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list and value:
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        out.append("[")
+        for i, x in enumerate(value):
+            out.append("," + inner if i else inner)
+            _write_json(x, inner, out)
+        out.append(newline + "]")
+    elif kind is dict and value and all(type(k) is str for k in value):
+        inner = newline + "  "
+        out.append("{")
+        for i, (k, x) in enumerate(value.items()):
+            out.append(f"{',' if i else ''}{inner}{encode_basestring_ascii(k)}: ")
+            _write_json(x, inner, out)
+        out.append(newline + "}")
+    else:
+        # Empty containers, floats, tuples, other keys: the stdlib's text,
+        # its line breaks moved to this depth (JSON strings hold none).
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json_text(obj))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -366,7 +417,13 @@ def _add_field_flags(sub, with_k: bool) -> None:
         sub.add_argument("--k", type=int, required=True, help="code dimension")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Parsing reads the parser and writes only the namespace it returns,
+    so one parser serves every call of main in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="rsperm",
         description="Permutation groups of Reed-Solomon codes over arbitrary evaluation sets",

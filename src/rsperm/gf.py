@@ -185,12 +185,33 @@ class FieldElement:
         return tuple(self.index // p**i % p for i in range(self.field.m))
 
     def __str__(self) -> str:
-        if self.field.m == 1:
-            return str(self.index)
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+        return self.field.literals[self.index]
 
     def __repr__(self) -> str:
         return f"FieldElement({self.field!r}, {self})"
+
+
+class _Literals(dict):
+    """Index -> literal: decimal for m == 1, [c0,...,c_{m-1}] else.
+
+    A literal is stored when it is first read, so a field holds only the
+    literals it has printed.
+    """
+
+    __slots__ = ("p", "m")
+
+    def __init__(self, p: int, m: int):
+        self.p = p
+        self.m = m
+
+    def __missing__(self, index: int) -> str:
+        if self.m == 1:
+            literal = str(index)
+        else:
+            p = self.p
+            literal = "[" + ",".join(str(index // p**i % p) for i in range(self.m)) + "]"
+        self[index] = literal
+        return literal
 
 
 class Field:
@@ -314,6 +335,11 @@ class Field:
             return self.element(int(s))
         except ValueError:
             raise ValueError(f"bad element literal {literal!r}") from None
+
+    @cached_property
+    def literals(self) -> "_Literals":
+        """Element literals by index, each made on its first read."""
+        return _Literals(self.p, self.m)
 
     # -- arithmetic tables -------------------------------------------------
 

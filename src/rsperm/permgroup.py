@@ -466,11 +466,12 @@ class GroupMember:
         return None if self.poly is None else self.degree == 1
 
     def to_json_dict(self) -> dict:
+        degree = self.degree
         return {
             "perm": list(self.perm.one_based()),
             "poly": None if self.poly is None else affine_str(self.poly),
-            "degree": self.degree,
-            "affine": self.is_affine,
+            "degree": degree,
+            "affine": None if degree is None else degree == 1,
         }
 
 

@@ -218,7 +218,7 @@ class Polynomial:
                 terms.append(str(c))
             else:
                 xpart = "x" if i == 1 else f"x^{i}"
-                if c == self.field.one:
+                if c.index == 1:
                     terms.append(xpart)
                 else:
                     terms.append(f"{c}*{xpart}")
@@ -236,7 +236,7 @@ def affine_str(f: Polynomial) -> str:
     b = f.coefficient(0)
     if a.is_zero():
         return str(b)
-    ax = "x" if a == f.field.one else f"{a}*x"
+    ax = "x" if a.index == 1 else f"{a}*x"
     return ax if b.is_zero() else f"{ax} + {b}"
 
 

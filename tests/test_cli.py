@@ -311,6 +311,25 @@ def test_bare_trailing_points_exits_2(capsys):
     assert "--points" in capsys.readouterr().err
 
 
+def test_main_shares_one_parser_and_leaks_no_options(capsys):
+    instance = ["group", "--field", "13", "--points", "0,1,4,6", "--k", "3"]
+    assert rsperm.cli.build_parser() is rsperm.cli.build_parser()
+    for _ in range(2):
+        code, out, _ = run(capsys, *instance, "--json")
+        assert code == 0
+        assert json.loads(out)["order"] == 6
+        code, out, _ = run(capsys, *instance)
+        assert code == 0
+        assert out.startswith("field GF(13)\n")
+        # The calls before gave --points; this one must still lack it.
+        with pytest.raises(SystemExit) as exc:
+            main(["group", "--field", "13", "--k", "3", "--json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--points" in err
+
+
 def test_bad_point_literal_exits_2(capsys):
     code, _, err = run(capsys, "affine", "--field", "13", "--points", "0,zz")
     assert code == 2

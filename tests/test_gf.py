@@ -175,3 +175,35 @@ def test_index_round_trip(f9):
     for i in range(9):
         assert f9.from_index(i).index == i
 
+
+
+def _reference_literal(p: int, m: int, index: int) -> str:
+    """Decimal for a prime field; else the m base-p digits, least significant first."""
+    if m == 1:
+        return str(index)
+    digits = []
+    for _ in range(m):
+        index, d = divmod(index, p)
+        digits.append(str(d))
+    return "[" + ",".join(digits) + "]"
+
+
+@pytest.mark.parametrize(
+    "q, modulus", [(2, None), (13, None), (9, (2, 2, 1)), (16, None), (27, None), (256, None)]
+)
+def test_element_literals_are_base_p_digits(q, modulus):
+    field = Field(q, modulus=modulus)
+    assert "literals" not in vars(field)
+    # The second pass reads what the first stored.
+    for _ in range(2):
+        for x in field.elements():
+            assert str(x) == _reference_literal(field.p, field.m, x.index)
+    assert len(field.literals) == q
+
+
+def test_element_literals_are_stored_only_when_printed():
+    field = Field(1 << 16)
+    assert "literals" not in vars(field)
+    xs = [field.from_index(6553 * i + 1) for i in range(10)]
+    assert [str(x) for x in xs] == [_reference_literal(2, 16, x.index) for x in xs]
+    assert len(field.literals) <= 10

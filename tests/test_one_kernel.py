@@ -1,9 +1,12 @@
-"""Field arithmetic on indices lives in gf alone.
+"""Field arithmetic on indices lives in gf alone; JSON text in one writer.
 
 Outside gf.py no module of src/rsperm reads the field's exp/log tables
 (an attribute named `tables`) or branches on the characteristic being
 2 (`.p` or `p` compared with 2): packed vectors go through gf.Packing
 and elements through FieldElement.
+
+Likewise every --json report goes through one writer, rsperm.cli.json_text:
+json.dumps appears in src/rsperm only in that writer's fallback.
 """
 
 import ast
@@ -60,4 +63,57 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
         "line 2: p compared with 2",
         "line 3: p compared with 2",
         "line 4: p compared with 2",
+    ]
+
+
+# -- one JSON writer -----------------------------------------------------------
+
+# The one place json.dumps may run: the writer's fallback for what it
+# does not write itself (module, enclosing function).
+JSON_FALLBACK = ("cli.py", "_write_json")
+
+
+def json_dumps_uses(path: Path) -> list[str]:
+    """Each json.dumps reference (or import of dumps), with its enclosing function."""
+    out = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "dumps":
+            out.append((node.lineno, function))
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "dumps" for a in node.names):
+            out.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return [f"line {line}: json.dumps in {function or 'module'}" for line, function in out]
+
+
+def test_json_dumps_runs_only_in_the_writer_fallback():
+    uses = [
+        (path.name, use)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for use in json_dumps_uses(path)
+    ]
+    module, function = JSON_FALLBACK
+    assert [(name, use.split(": ")[1]) for name, use in uses] == [
+        (module, f"json.dumps in {function}")
+    ]
+
+
+def test_the_json_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import json\n"
+        "from json import dumps\n"
+        "def report(x):\n"
+        "    return json.dumps(x, indent=2)\n"
+        "text = json.dumps({})\n"
+    )
+    assert json_dumps_uses(sample) == [
+        "line 2: json.dumps in module",
+        "line 4: json.dumps in report",
+        "line 5: json.dumps in module",
     ]

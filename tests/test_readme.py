@@ -2,7 +2,8 @@
 
 The Python block is executed and its printed line compared with the
 comment under it; every `rsperm ...` line of the shell blocks is passed
-to rsperm.cli.main in process and must exit 0.
+to rsperm.cli.main in process and must exit 0.  The JSON sample is
+the opening of what its command prints.
 """
 
 import contextlib
@@ -48,3 +49,13 @@ def test_readme_lists_six_cli_examples():
 def test_cli_example_exits_0(line):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(shlex.split(line)[1:]) == 0
+
+
+def test_json_sample_is_the_opening_of_its_command():
+    [block] = blocks("json")
+    *opening, ellipsis = block.splitlines(keepends=True)
+    assert ellipsis.strip() == "..."
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["group", "--field", "13", "--points", "0,1,4,6", "--k", "3", "--json"])
+    assert out.getvalue().startswith("".join(opening))
