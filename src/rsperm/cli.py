@@ -153,11 +153,10 @@ def cmd_affine(args) -> int:
 
 def _print_group_text(report: GroupReport) -> None:
     print(f"permutation group order {report.order} ({report.hint})")
-    if report.affine_order is not None:
-        print(
-            f"affine subgroup order {report.affine_order}; "
-            f"equal to the full group: {report.is_affine_equal}"
-        )
+    print(
+        f"affine subgroup order {report.affine_order}; "
+        f"equal to the full group: {report.is_affine_equal}"
+    )
     for m in report.elements:
         tag = "affine" if m.is_affine else f"degree {m.degree}"
         print(f"  {m.perm}  {affine_str(m.poly)}  [{tag}]")

@@ -223,8 +223,6 @@ class Field:
     """
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
-        if q < 2:
-            raise ValueError(f"field order must be >= 2, got {q}")
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
         p, m = factor_prime_power(q)
@@ -394,7 +392,7 @@ class IndexOps:
     and scale(c, xs) is the list of c * x over an iterable of indices.
     elements[i] is the field's interned element of index i.  Sums are
     mod p, XOR or Zech logarithms; products and inverses go through
-    exp/log, except mod p in prime fields.
+    exp/log.
     """
 
     __slots__ = ("add", "sub", "neg", "mul", "inv", "scale", "elements")
@@ -433,12 +431,6 @@ class IndexOps:
 
             def neg(a: int) -> int:
                 return -a % p
-
-            def mul(a: int, b: int) -> int:
-                return a * b % p
-
-            def scale(c: int, xs: Iterable[int]) -> list[int]:
-                return [c * x % p for x in xs]
 
         else:
             # -1 is g**((q-1)/2).

@@ -83,6 +83,17 @@ def test_group_k2_affine_only(capsys):
     assert "equal to the full group: True" in out
 
 
+def test_text_group_decides_a_large_abelian_hint_quickly(capsys):
+    # k = n - 1 on GF(29) without {14, 15}: |Per| = 2^13, an abelian group
+    # whose pairwise commutativity test took about 27 s.
+    points = ",".join(str(a) for a in [*range(14), *range(16, 29)])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "group", "--field", "29", "--points", points, "--k", "26")
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    assert "permutation group order 8192 (order 8192, abelian)" in out
+
+
 def test_group_json_schema(capsys):
     code, out, _ = run(
         capsys,

@@ -6,8 +6,8 @@ group.  So pi is a member exactly when v o pi = c * v for a scalar c:
 each such c maps every level set {i : v_i = y} onto the level set of
 c * y, and gives prod_y |level set of y|! members.  The order is the sum
 of those products over the valid c.  This oracle needs only field
-arithmetic; it imports nothing from rsperm.permgroup, so it shares no
-code with the search it checks.
+arithmetic; closed_form_order calls nothing in rsperm.permgroup, so it
+shares no code with the search it checks.
 """
 
 import math
@@ -16,7 +16,8 @@ from collections import Counter
 
 import pytest
 
-from rsperm import EvaluationSet, Field, brute_force_perm_group, rs_code
+from rsperm import EvaluationSet, Field, rs_code
+from rsperm.permgroup import exhaustive_permutations, search_side
 
 
 def closed_form_order(points: list) -> int:
@@ -39,7 +40,7 @@ def closed_form_order(points: list) -> int:
 
 def search_order(field: Field, points: list) -> int:
     pts = EvaluationSet(field, points)
-    return brute_force_perm_group(rs_code(pts, len(points) - 1)).order
+    return len(exhaustive_permutations(search_side(rs_code(pts, len(points) - 1))))
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 13, 16])

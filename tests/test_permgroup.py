@@ -176,15 +176,14 @@ def test_brute_force_full_space(pts13):
     assert report.order == 24
 
 
-def test_hint_above_the_abelian_check_cap():
-    # RS(A, 1) on 8 points is fixed by all of S_8: 40320 members, too
-    # many for the quadratic commutativity test, so the hint gives only
-    # the order.
+def test_hint_of_s8_is_decided():
+    # RS(A, 1) on 8 points is fixed by all of S_8: 40320 members, whose
+    # commutativity the orbit test decides without comparing every pair.
     points = EvaluationSet(Field(11), list(range(8)))
-    report = brute_force_perm_group(rs_code(points, 1))
+    report = brute_force_perm_group(rs_code(points, 1), points)
     assert report.order == math.factorial(8)
-    assert report.hint.abelian is None
-    assert str(report.hint) == "order 40320"
+    assert report.hint.abelian is False
+    assert str(report.hint) == "order 40320, non-abelian"
 
 
 def test_hint_is_computed_once_on_first_read(pts13, monkeypatch):
@@ -214,7 +213,9 @@ def _refused_quickly(search, *args):
 def test_brute_force_respects_cap():
     field = Field(11)
     # The zero code of length 11 is fixed by all 11! permutations.
-    message = _refused_quickly(brute_force_perm_group, LinearCode(field, [], n=11))
+    points = EvaluationSet(field, list(range(11)))
+    zero = LinearCode(field, [], n=11)
+    message = _refused_quickly(brute_force_perm_group, zero, points)
     assert str(math.factorial(11)) in message
     # 16!/8! candidates: the search would take minutes.
     points = EvaluationSet(Field(17), list(range(16)))
