@@ -5,7 +5,6 @@ from .poly import NEG_INF, EvaluationSet, Polynomial, affine_str, compose_mod
 from .codes import LinearCode, rref, rs_code, rs_dual_multiplier
 from .permgroup import (
     AffineMap,
-    DegreeBoundError,
     GroupReport,
     NotAPermutationError,
     Permutation,
@@ -13,10 +12,7 @@ from .permgroup import (
     affine_group,
     brute_force_perm_group,
     check_theorem,
-    degree_profile,
     exhaustive_permutations,
-    group_closure_check,
-    homomorphism_check,
     perm_to_poly,
     permutes,
     poly_to_perm,
@@ -26,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "DegreeBoundError",
     "EvaluationSet",
     "Field",
     "FieldElement",
@@ -43,10 +38,7 @@ __all__ = [
     "brute_force_perm_group",
     "check_theorem",
     "compose_mod",
-    "degree_profile",
     "exhaustive_permutations",
-    "group_closure_check",
-    "homomorphism_check",
     "perm_to_poly",
     "permutes",
     "poly_to_perm",

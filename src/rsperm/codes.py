@@ -9,16 +9,12 @@ coordinate permutations are built on top of that canonical form.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement, FieldMismatchError
 from .poly import EvaluationSet
 
 Row = tuple[FieldElement, ...]
-
-# Exhaustive codeword enumeration (min_distance) is refused above this size.
-ENUMERATION_CAP = 200_000
 
 
 def rref(field: Field, rows: Iterable[Sequence[FieldElement]]) -> tuple[Row, ...]:
@@ -166,30 +162,6 @@ class LinearCode:
         e = self.field.p**j
         rows = [tuple(x**e for x in row) for row in self.rref]
         return LinearCode(self.field, rows, n=self.n)
-
-    def codewords(self) -> Iterable[Row]:
-        """All q**k codewords (zero included); guarded by ENUMERATION_CAP."""
-        if self.field.q**self.k > ENUMERATION_CAP:
-            raise ValueError("codeword enumeration too large")
-        field = self.field
-        for combo in product(field.elements(), repeat=self.k):
-            word = [field.zero] * self.n
-            for c, row in zip(combo, self.rref):
-                if not c.is_zero():
-                    for i, x in enumerate(row):
-                        word[i] = word[i] + c * x
-            yield tuple(word)
-
-    def min_distance(self) -> int:
-        """Minimum Hamming weight over all nonzero codewords, by enumeration."""
-        if self.k == 0:
-            raise ValueError("the zero code has no minimum distance")
-        best = self.n + 1
-        for word in self.codewords():
-            w = sum(1 for x in word if not x.is_zero())
-            if 0 < w < best:
-                best = w
-        return best
 
 
 def rs_code(points: EvaluationSet, k: int) -> LinearCode:

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as iter_permutations, product
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .codes import LinearCode, rref, rs_code
 from .gf import FieldElement, Packing
-from .poly import EvaluationSet, Polynomial, affine_str, compose_mod
+from .poly import EvaluationSet, Polynomial, affine_str
 
 # The candidate space n!/(n-d)! of one search, and the members it lists,
 # each at most this.  Under it the meet in the middle makes fewer than
@@ -40,10 +40,6 @@ SEARCH_CAP = 1_000_000
 
 class NotAPermutationError(ValueError):
     """A polynomial does not map the point set bijectively onto itself."""
-
-
-class DegreeBoundError(RuntimeError):
-    """A group member's polynomial violates the degree bound for 1 < k < n-1."""
 
 
 class Permutation:
@@ -204,8 +200,8 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
             a = mul(sub(aj, ai), scale)
             b = sub(ai, mul(a, a0))
             images = [i, j]
-            for ax in ops.scale(a, rest):
-                pos = where.get(add(ax, b))
+            for x in rest:
+                pos = where.get(add(mul(a, x), b))
                 if pos is None:
                     break
                 images.append(pos)
@@ -434,8 +430,9 @@ def exhaustive_permutations(
     before listing any member when Per(C) has more than SEARCH_CAP
     members.
 
-    method="backtrack" runs _scan_backtrack instead; it remains only
-    because the benchmark's permgroup.backtrack_s probe times it.
+    method="backtrack" runs _scan_backtrack instead.  It remains for two
+    callers only: the benchmark's permgroup.backtrack_s probe times it,
+    and tests/test_permgroup.py checks it against the scan.
     """
     _check_cap(math.perm(code.n, code.k), "candidates")
     if method == "scan":
@@ -565,53 +562,6 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
         affine_order=len(affine_perms),
         is_affine_equal=affine_perms == set(perms),
     )
-
-
-def group_closure_check(perms: Iterable[Permutation]) -> bool:
-    """True iff the set contains the identity and is closed under * and inverse."""
-    ps = set(perms)
-    if not ps:
-        return False
-    n = len(next(iter(ps)))
-    if Permutation.identity(n) not in ps:
-        return False
-    for a in ps:
-        if a.inverse() not in ps:
-            return False
-        for b in ps:
-            if a * b not in ps:
-                return False
-    return True
-
-
-def homomorphism_check(
-    points: EvaluationSet, perm1: Permutation, perm2: Permutation
-) -> bool:
-    """Composition modulo the set matches index composition of permutations."""
-    lhs = compose_mod(
-        perm_to_poly(perm1, points), perm_to_poly(perm2, points), points
-    )
-    return lhs == perm_to_poly(perm1 * perm2, points)
-
-
-def degree_profile(code: LinearCode, points: EvaluationSet) -> dict[Permutation, int]:
-    """Degree of the interpolating polynomial for every member of Per(C).
-
-    For 1 < k < n-1 the degrees must stay below min(k, n-k); a violation
-    would expose an implementation bug and raises DegreeBoundError.
-    """
-    report = brute_force_perm_group(code, points)
-    profile = {m.perm: m.degree for m in report.elements}
-    k, n = code.k, code.n
-    if 1 < k < n - 1:
-        bound = min(k, n - k)
-        for perm, deg in profile.items():
-            if deg >= bound:
-                raise DegreeBoundError(
-                    f"member {perm} has degree {deg}, expected < {bound} "
-                    f"for n={n}, k={k}"
-                )
-    return profile
 
 
 @dataclass(frozen=True)

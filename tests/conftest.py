@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import rsperm
-from rsperm import EvaluationSet, Field, Polynomial
+from rsperm import EvaluationSet, Field, Permutation, Polynomial, compose_mod, perm_to_poly
 
 SRC = str(Path(rsperm.__file__).resolve().parent.parent)
 
@@ -56,6 +57,33 @@ def random_points(rng: random.Random, field: Field, n: int) -> EvaluationSet:
 def random_polynomial(rng: random.Random, field: Field, max_degree: int) -> Polynomial:
     coeffs = [field.from_index(rng.randrange(field.q)) for _ in range(max_degree + 1)]
     return Polynomial(field, coeffs)
+
+
+def group_closure_check(perms) -> bool:
+    """True iff the set contains the identity and is closed under * and inverse."""
+    ps = set(perms)
+    if not ps:
+        return False
+    n = len(next(iter(ps)))
+    if Permutation.identity(n) not in ps:
+        return False
+    for a in ps:
+        if a.inverse() not in ps:
+            return False
+        for b in ps:
+            if a * b not in ps:
+                return False
+    return True
+
+
+def homomorphism_check(
+    points: EvaluationSet, perm1: Permutation, perm2: Permutation
+) -> bool:
+    """Composition modulo the set matches index composition of permutations."""
+    lhs = compose_mod(
+        perm_to_poly(perm1, points), perm_to_poly(perm2, points), points
+    )
+    return lhs == perm_to_poly(perm1 * perm2, points)
 
 
 class Reference:
@@ -135,3 +163,20 @@ class Reference:
             if pivot_row == len(work):
                 break
         return [r for r in work[:pivot_row] if any(x != self.zero for x in r)]
+
+
+def min_distance(code) -> int:
+    """Least weight of a nonzero codeword, by listing all q^k codewords.
+
+    Each codeword is a sum of multiples of the rref rows, taken on
+    Reference coefficient tuples, so no Field.ops arithmetic is involved.
+    """
+    ref = Reference(code.field)
+    scalars = list(product(range(ref.p), repeat=ref.m))
+    words = [(ref.zero,) * code.n]
+    for row in code.rref:
+        row = [x.coeffs for x in row]
+        multiples = [[ref.mul(c, x) for x in row] for c in scalars]
+        words = [tuple(map(ref.add, w, v)) for w in words for v in multiples]
+    weights = (sum(x != ref.zero for x in w) for w in words)
+    return min(w for w in weights if w)

@@ -13,7 +13,7 @@ import subprocess
 from time import perf_counter
 
 import rsperm.permgroup
-from conftest import random_points, random_polynomial, run_process, vector_literals
+from conftest import homomorphism_check, random_points, random_polynomial, run_process, vector_literals
 from rsperm import (
     EvaluationSet,
     Field,
@@ -24,7 +24,6 @@ from rsperm import (
     brute_force_perm_group,
     compose_mod,
     exhaustive_permutations,
-    homomorphism_check,
     perm_to_poly,
     rs_code,
     rs_dual_multiplier,
@@ -292,8 +291,10 @@ def test_criterion_10_algebraic_property_suites():
 
 
 def test_criterion_11_over_the_search_cap_exits_2():
-    # 16!/8! candidates, and a group of 10! members: both would run for
-    # minutes (the second then runs out of memory) if they were searched.
+    # SEARCH_CAP counts the 16!/8! candidates of the first input before
+    # searching, so it is refused, though the search would answer it in
+    # about a second.  The second has a group of 10! members, more than
+    # the cap lets a search list.
     inputs = (
         ("17", ",".join(str(a) for a in range(16)), "8"),
         ("11", ",".join(str(a) for a in range(10)), "1"),
@@ -364,9 +365,9 @@ def test_criterion_13_large_field_tables_build_fast():
 
 
 def test_criterion_14_reports_derive_the_hint_only_when_printed(monkeypatch):
-    # k = n - 1 on GF(29) without {14, 15}: |Per| = 2^13, an abelian group
-    # whose commutativity test alone takes about 40 s, against two affine
-    # maps, x and -x.  Nothing in --json output needs that test.
+    # k = n - 1 on GF(29) without {14, 15}: |Per| = 2^13, an abelian group,
+    # against two affine maps, x and -x.  --json output prints no
+    # isomorphism hint, so it must never run the commutativity test.
     calls = []
     is_abelian = rsperm.permgroup._is_abelian
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_points, random_polynomial
+from conftest import min_distance, random_points, random_polynomial
 from rsperm import EvaluationSet, Field, FieldMismatchError, LinearCode, Polynomial, rs_code, rs_dual_multiplier, rref
 from rsperm.codes import format_matrix
 
@@ -317,7 +317,7 @@ def test_rs_codes_are_mds():
         if q**k > 100_000:
             continue
         pts = random_points(rng, field, n)
-        assert rs_code(pts, k).min_distance() == n - k + 1
+        assert min_distance(rs_code(pts, k)) == n - k + 1
 
 
 def test_commuting_diagram_componentwise():

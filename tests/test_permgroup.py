@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import random_points
+from conftest import group_closure_check, homomorphism_check, random_points
 from rsperm import permgroup
 from rsperm import (
     EvaluationSet,
@@ -16,10 +16,7 @@ from rsperm import (
     affine_group,
     brute_force_perm_group,
     check_theorem,
-    degree_profile,
     exhaustive_permutations,
-    group_closure_check,
-    homomorphism_check,
     perm_to_poly,
     permutes,
     poly_to_perm,
@@ -427,18 +424,22 @@ def test_check_theorem_json(pts13):
     assert data["group"]["order"] == 3
 
 
+def degrees(points, k):
+    return {m.perm: m.degree for m in brute_force_perm_group(rs_code(points, k), points).elements}
+
+
 def test_degree_profile_in_range(pts13):
-    profile = degree_profile(rs_code(pts13, 2), pts13)
+    profile = degrees(pts13, 2)
     assert sorted(profile.values()) == [1, 1, 1]
 
 
 def test_degree_profile_boundary(pts13):
-    profile = degree_profile(rs_code(pts13, 3), pts13)
+    profile = degrees(pts13, 3)
     assert sorted(profile.values()) == [1, 1, 1, 2, 2, 2]
 
 
 def test_degree_profile_k_one(pts13):
-    profile = degree_profile(rs_code(pts13, 1), pts13)
+    profile = degrees(pts13, 1)
     ident = Permutation.identity(4)
     assert profile[ident] == 1
     assert len(profile) == 24
