@@ -136,7 +136,7 @@ def cmd_affine(args) -> int:
                 "points": [str(a) for a in points],
                 "order": len(members),
                 "elements": [
-                    {"poly": str(m), "perm": list(perm.one_based())}
+                    {"poly": str(m), "perm": [i + 1 for i in perm.images]}
                     for m, perm in members
                 ],
             }

@@ -30,7 +30,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -116,8 +116,12 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     return True
 
 
+@cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
-    """First irreducible monic polynomial of degree m, lowest constant part."""
+    """First irreducible monic polynomial of degree m, lowest constant part.
+
+    Searched for once per (p, m) and remembered: the answer never changes.
+    """
     for cand in _monic_polys_of_degree(m, p):
         if is_irreducible(cand, p):
             return tuple(cand)
@@ -212,6 +216,31 @@ class _Literals(dict):
             literal = "[" + ",".join(str(index // p**i % p) for i in range(self.m)) + "]"
         self[index] = literal
         return literal
+
+
+class _Terms(dict):
+    """i * q + index -> the polynomial term c*x^i for c of that index.
+
+    The term reads x^i alone when c is one, x for i == 1 and the literal
+    of c for i == 0; like a literal it is stored when first read.  The
+    pair (i, index) is keyed as one int, which hashes faster than a tuple.
+    """
+
+    __slots__ = ("q", "literals")
+
+    def __init__(self, q: int, literals: _Literals):
+        self.q = q
+        self.literals = literals
+
+    def __missing__(self, key: int) -> str:
+        i, index = divmod(key, self.q)
+        if i == 0:
+            term = self.literals[index]
+        else:
+            power = "x" if i == 1 else f"x^{i}"
+            term = power if index == 1 else f"{self.literals[index]}*{power}"
+        self[key] = term
+        return term
 
 
 class Field:
@@ -338,6 +367,12 @@ class Field:
     def literals(self) -> "_Literals":
         """Element literals by index, each made on its first read."""
         return _Literals(self.p, self.m)
+
+    @cached_property
+    def terms(self) -> "_Terms":
+        """Polynomial term strings, c*x^i at key i * q + c.index, each made
+        on its first read."""
+        return _Terms(self.q, self.literals)
 
     # -- arithmetic tables -------------------------------------------------
 

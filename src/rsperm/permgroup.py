@@ -54,6 +54,14 @@ class Permutation:
         self.images = t
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Internal constructor without the check: images is a tuple holding
+        each of 0..n-1 once."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
@@ -441,7 +449,7 @@ def exhaustive_permutations(
         raw = _scan_backtrack(code)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return [Permutation(t) for t in raw]
+    return [Permutation._trusted(t) for t in raw]
 
 
 # -- reports ------------------------------------------------------------------
@@ -463,7 +471,7 @@ class GroupMember:
     def to_json_dict(self) -> dict:
         degree = self.degree
         return {
-            "perm": list(self.perm.one_based()),
+            "perm": [i + 1 for i in self.perm.images],
             "poly": affine_str(self.poly),
             "degree": degree,
             "affine": degree == 1,

@@ -208,21 +208,13 @@ class Polynomial:
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
+        """Nonzero terms in ascending powers, read from Field.terms."""
+        if not self.coeffs:
             return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                if c.index == 1:
-                    terms.append(xpart)
-                else:
-                    terms.append(f"{c}*{xpart}")
-        return " + ".join(terms)
+        terms, q = self.field.terms, self.field.q
+        return " + ".join(
+            [terms[i * q + c.index] for i, c in enumerate(self.coeffs) if c.index]
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field!r}, {self})"
@@ -232,12 +224,13 @@ def affine_str(f: Polynomial) -> str:
     """Degree <= 1 polynomials in a*x + b style, as in group listings."""
     if f.degree > 1:
         return str(f)
-    a = f.coefficient(1)
-    b = f.coefficient(0)
-    if a.is_zero():
-        return str(b)
-    ax = "x" if a.index == 1 else f"{a}*x"
-    return ax if b.is_zero() else f"{ax} + {b}"
+    a = f.coefficient(1).index
+    b = f.coefficient(0).index
+    terms = f.field.terms
+    if not a:
+        return terms[b]
+    ax = terms[f.field.q + a]
+    return f"{ax} + {terms[b]}" if b else ax
 
 
 class EvaluationSet:

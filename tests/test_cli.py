@@ -315,6 +315,16 @@ def test_modulus_may_start_with_a_negative_literal(capsys):
     assert split[0] == 0
 
 
+def test_reducible_modulus_exits_2_after_a_default_field(capsys):
+    points = ["--points", "[0,0,0,0,0,0,0,0],[1,0,0,0,0,0,0,0]"]
+    assert run(capsys, "affine", "--field", "256", *points)[0] == 0
+    # t^8 + 1 = (t + 1)^8 over F_2
+    modulus = ["--modulus", "1,0,0,0,0,0,0,0,1"]
+    code, _, err = run(capsys, "affine", "--field", "256", *modulus, *points)
+    assert code == 2
+    assert "reducible" in err
+
+
 def test_bare_trailing_points_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["affine", "--field", "13", "--points"])

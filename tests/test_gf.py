@@ -3,6 +3,7 @@ import time
 import pytest
 
 from rsperm import Field, FieldMismatchError
+from rsperm.gf import default_modulus
 
 
 def test_add_prime_field(f13):
@@ -131,6 +132,19 @@ def test_reducible_modulus_rejected():
     # t^2 + 2 has the root 1 over F_3
     with pytest.raises(ValueError):
         Field(9, modulus=(2, 0, 1))
+
+
+def test_reducible_modulus_rejected_after_the_default_is_remembered():
+    """default_modulus answers each (p, m) once; a modulus given for the
+    same field is still tested for irreducibility."""
+    default = Field(256).modulus
+    hits = default_modulus.cache_info().hits
+    assert Field(256).modulus == default
+    assert default_modulus.cache_info().hits == hits + 1
+    # t^8 + 1 = (t + 1)^8 over F_2
+    with pytest.raises(ValueError, match="reducible"):
+        Field(256, modulus=(1, 0, 0, 0, 0, 0, 0, 0, 1))
+    assert Field(256).modulus == default
 
 
 def test_non_prime_power_rejected():

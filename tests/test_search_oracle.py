@@ -15,7 +15,7 @@ from itertools import permutations
 
 import pytest
 
-from rsperm import EvaluationSet, Field, LinearCode, exhaustive_permutations, rs_code
+from rsperm import EvaluationSet, Field, LinearCode, Permutation, exhaustive_permutations, rs_code
 from rsperm import permgroup
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
@@ -106,6 +106,19 @@ def test_search_matches_reference(q, monkeypatch):
     # Some searches split on a column with zero entries, where a prefix
     # or a suffix of the pivot images contributes nothing to the lookup.
     assert sparse >= 5
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_search_members_pass_the_public_check(q):
+    """The search wraps its images without Permutation's check, so every
+    member must be one the checked constructor accepts unchanged."""
+    field = Field(q)
+    cases = codes(field, random.Random(2000 + q))
+    for name, code in cases.items():
+        for side, c in (("C", code), ("dual", code.dual)):
+            for p in exhaustive_permutations(c):
+                assert type(p.images) is tuple, f"GF({q}) {name} {side}"
+                assert Permutation(p.images) == p, f"GF({q}) {name} {side} {p!r}"
 
 
 @pytest.mark.parametrize("n", range(1, 17))
