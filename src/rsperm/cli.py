@@ -165,17 +165,17 @@ def _print_group_text(report: GroupReport) -> None:
 def cmd_group(args) -> int:
     field = build_field(args)
     points = parse_points(field, args.points)
-    code = rs_code(points, args.k)
-    report = brute_force_perm_group(code, points)
+    result = check_theorem(points, args.k)
     if args.json:
-        _print_json(report.to_json_dict())
+        _print_json(result.group.to_json_dict())
         return 0
+    code = result.code
     print(f"field {field}")
     print(f"points {points}")
     print(f"RS code of dimension {args.k}: n={code.n} k={code.k}")
     print("generator matrix (rref):")
     print(format_matrix(code.rref))
-    _print_group_text(report)
+    _print_group_text(result.group)
     return 0
 
 

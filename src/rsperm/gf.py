@@ -13,9 +13,12 @@ by linearity over the digits of x: XOR for p = 2, sums in one-byte
 digit slots reduced a block at a time by one bytes.translate for odd
 p < 131, and the two digits reduced directly for larger p.
 
-Field.ops, the one kernel for scalars, is add, sub, neg, mul and inv on
-indices, plus scale on index lists; FieldElement operators wrap it and
-return the field's interned elements, and code, interpolation and
+A field hands out one object and one string per element: Field.tables
+makes the q interned elements, which every accessor and operator
+returns, and Field.terms keeps each element's literal, under its index,
+beside the polynomial term strings.  Field.ops, the one kernel for
+scalars, is add, sub, neg, mul and inv on indices, plus scale on index
+lists; FieldElement operators wrap it, and code, interpolation and
 affine enumeration run on it directly.  Packing, the one kernel for
 vectors of indices, packs them into ints with one slot per base-p
 digit, sums them and unpacks a sum into interned elements; the
@@ -189,56 +192,37 @@ class FieldElement:
         return tuple(self.index // p**i % p for i in range(self.field.m))
 
     def __str__(self) -> str:
-        return self.field.literals[self.index]
+        return self.field.terms[self.index]
 
     def __repr__(self) -> str:
         return f"FieldElement({self.field!r}, {self})"
 
 
-class _Literals(dict):
-    """Index -> literal: decimal for m == 1, [c0,...,c_{m-1}] else.
-
-    A literal is stored when it is first read, so a field holds only the
-    literals it has printed.
-    """
-
-    __slots__ = ("p", "m")
-
-    def __init__(self, p: int, m: int):
-        self.p = p
-        self.m = m
-
-    def __missing__(self, index: int) -> str:
-        if self.m == 1:
-            literal = str(index)
-        else:
-            p = self.p
-            literal = "[" + ",".join(str(index // p**i % p) for i in range(self.m)) + "]"
-        self[index] = literal
-        return literal
-
-
 class _Terms(dict):
     """i * q + index -> the polynomial term c*x^i for c of that index.
 
-    The term reads x^i alone when c is one, x for i == 1 and the literal
-    of c for i == 0; like a literal it is stored when first read.  The
-    pair (i, index) is keyed as one int, which hashes faster than a tuple.
+    Key index (i == 0) holds the literal of c: decimal for m == 1,
+    [c0,...,c_{m-1}] else.  A term reads x^i alone when c is one, x for
+    i == 1 and literal*x^i otherwise.  Each string is stored when first
+    read, so a field holds only what it has printed; the pair (i, index)
+    is keyed as one int, which hashes faster than a tuple.
     """
 
-    __slots__ = ("q", "literals")
+    __slots__ = ("p", "m", "q")
 
-    def __init__(self, q: int, literals: _Literals):
-        self.q = q
-        self.literals = literals
+    def __init__(self, p: int, m: int, q: int):
+        self.p, self.m, self.q = p, m, q
 
     def __missing__(self, key: int) -> str:
         i, index = divmod(key, self.q)
-        if i == 0:
-            term = self.literals[index]
-        else:
+        if i:
             power = "x" if i == 1 else f"x^{i}"
-            term = power if index == 1 else f"{self.literals[index]}*{power}"
+            term = power if index == 1 else f"{self[index]}*{power}"
+        elif self.m == 1:
+            term = str(index)
+        else:
+            p = self.p
+            term = "[" + ",".join(str(index // p**b % p) for b in range(self.m)) + "]"
         self[key] = term
         return term
 
@@ -300,34 +284,34 @@ class Field:
     def element(self, value) -> FieldElement:
         """Coerce an int (prime field), coefficient list, or element."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"{value!r} is not in {self}")
-            return value
+            return self.ops.elements[value.index]
         if isinstance(value, int):
             if self.m != 1:
                 raise ValueError(
                     f"{self} elements need {self.m} coefficients, got int {value}"
                 )
-            return FieldElement(self, value % self.p)
+            return self.ops.elements[value % self.p]
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.m:
             raise ValueError(
                 f"expected {self.m} coefficients for {self}, got {len(coeffs)}"
             )
-        return FieldElement(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
+        return self.ops.elements[sum(c * self.p**i for i, c in enumerate(coeffs))]
 
     def from_index(self, i: int) -> FieldElement:
         if not 0 <= i < self.q:
             raise ValueError(f"index {i} out of range for {self}")
-        return FieldElement(self, i)
+        return self.ops.elements[i]
 
     @cached_property
     def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
+        return self.ops.elements[0]
 
     @cached_property
     def one(self) -> FieldElement:
-        return FieldElement(self, 1)
+        return self.ops.elements[1]
 
     def generator(self) -> FieldElement:
         """The residue class of t (only meaningful for m > 1)."""
@@ -337,10 +321,10 @@ class Field:
 
     def elements(self) -> list[FieldElement]:
         """All q elements, zero first, in base-p order on coefficient vectors."""
-        return [FieldElement(self, i) for i in range(self.q)]
+        return self.ops.elements[:]
 
     def nonzero_elements(self) -> list[FieldElement]:
-        return [FieldElement(self, i) for i in range(1, self.q)]
+        return self.ops.elements[1:]
 
     def parse(self, literal: str) -> FieldElement:
         """Parse an element literal: decimal for m == 1, [c0,...,c_{m-1}] else."""
@@ -364,15 +348,10 @@ class Field:
             raise ValueError(f"bad element literal {literal!r}") from None
 
     @cached_property
-    def literals(self) -> "_Literals":
-        """Element literals by index, each made on its first read."""
-        return _Literals(self.p, self.m)
-
-    @cached_property
     def terms(self) -> "_Terms":
-        """Polynomial term strings, c*x^i at key i * q + c.index, each made
-        on its first read."""
-        return _Terms(self.q, self.literals)
+        """Element literals at key c.index and polynomial term strings
+        c*x^i at key i * q + c.index, each made on its first read."""
+        return _Terms(self.p, self.m, self.q)
 
     # -- arithmetic tables -------------------------------------------------
 
@@ -385,7 +364,8 @@ class Field:
         of two logarithms needs no reduction; log inverts it on nonzero
         indices.  zech[d] is the logarithm of 1 + g**d (None if that is
         zero) for odd p with m > 1, and zech is None otherwise.  The
-        elements, one per index, are what the operators return.  All of
+        elements, one per index, are the only FieldElement objects the
+        field makes: every operator and accessor returns them.  All of
         it takes O(q) operations on ints.
         """
         powers = _primitive_powers(self)
@@ -396,7 +376,8 @@ class Field:
         if self.p > 2 and self.m > 1:
             # 1 + x only moves the constant coefficient, the lowest base-p digit.
             zech = [log[x + 1 if (x + 1) % self.p else x + 1 - self.p] for x in powers]
-        return powers + powers, log, zech, self.elements()
+        elements = [FieldElement(self, i) for i in range(self.q)]
+        return powers + powers, log, zech, elements
 
     @cached_property
     def ops(self) -> "IndexOps":

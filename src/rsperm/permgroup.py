@@ -438,9 +438,9 @@ def exhaustive_permutations(
     before listing any member when Per(C) has more than SEARCH_CAP
     members.
 
-    method="backtrack" runs _scan_backtrack instead.  It remains for two
-    callers only: the benchmark's permgroup.backtrack_s probe times it,
-    and tests/test_permgroup.py checks it against the scan.
+    method="backtrack" runs _scan_backtrack instead.  It remains only
+    for the benchmark's permgroup.backtrack_s probe, which times it;
+    tests check both methods against an n! reference search.
     """
     _check_cap(math.perm(code.n, code.k), "candidates")
     if method == "scan":

@@ -242,8 +242,6 @@ class EvaluationSet:
             raise ValueError("evaluation sets need at least two points")
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")
-        if len(pts) > field.q:
-            raise ValueError(f"{len(pts)} distinct points cannot fit in {field}")
         self.field = field
         self.points = pts
         self.n = len(pts)

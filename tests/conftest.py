@@ -2,13 +2,13 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 import rsperm
-from rsperm import EvaluationSet, Field, Permutation, Polynomial, compose_mod, perm_to_poly
+from rsperm import EvaluationSet, Field, LinearCode, Permutation, Polynomial, compose_mod, perm_to_poly
 
 SRC = str(Path(rsperm.__file__).resolve().parent.parent)
 
@@ -57,6 +57,19 @@ def random_points(rng: random.Random, field: Field, n: int) -> EvaluationSet:
 def random_polynomial(rng: random.Random, field: Field, max_degree: int) -> Polynomial:
     coeffs = [field.from_index(rng.randrange(field.q)) for _ in range(max_degree + 1)]
     return Polynomial(field, coeffs)
+
+
+def reference_members(code: LinearCode) -> list[tuple[int, ...]]:
+    """Every pi, 0-based, with (r[pi(0)], ..., r[pi(n-1)]) in the code for each row r.
+
+    An n! search through LinearCode.contains: it calls no search routine
+    of rsperm.permgroup, so it is a reference for both of them.
+    """
+    return [
+        pi
+        for pi in permutations(range(code.n))
+        if all(code.contains([row[i] for i in pi]) for row in code.rref)
+    ]
 
 
 def group_closure_check(perms) -> bool:

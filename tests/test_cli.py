@@ -47,6 +47,13 @@ def test_affine_duplicate_point_exits_2(capsys):
     assert "distinct" in err
 
 
+def test_group_more_points_than_the_field_exits_2(capsys):
+    """Six points of GF(5) repeat one (5 is 0), caught as a duplicate."""
+    code, _, err = run(capsys, "group", "--field", "5", "--points", "0,1,2,3,4,5", "--k", "2")
+    assert code == 2
+    assert "pairwise distinct" in err
+
+
 def test_affine_json_round_trip(capsys):
     code, out, _ = run(
         capsys, "affine", "--field", "13", "--points", "0,1,4,6", "--json"

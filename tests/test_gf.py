@@ -207,17 +207,66 @@ def _reference_literal(p: int, m: int, index: int) -> str:
 )
 def test_element_literals_are_base_p_digits(q, modulus):
     field = Field(q, modulus=modulus)
-    assert "literals" not in vars(field)
+    assert "terms" not in vars(field)
     # The second pass reads what the first stored.
     for _ in range(2):
         for x in field.elements():
             assert str(x) == _reference_literal(field.p, field.m, x.index)
-    assert len(field.literals) == q
+    assert len(field.terms) == q
 
 
 def test_element_literals_are_stored_only_when_printed():
     field = Field(1 << 16)
-    assert "literals" not in vars(field)
+    assert "terms" not in vars(field)
     xs = [field.from_index(6553 * i + 1) for i in range(10)]
     assert [str(x) for x in xs] == [_reference_literal(2, 16, x.index) for x in xs]
-    assert len(field.literals) <= 10
+    assert len(field.terms) <= 10
+
+
+ACCESSOR_FIELDS = [2, 4, 9, 13, 243, 256]
+
+
+@pytest.mark.parametrize("q", ACCESSOR_FIELDS)
+def test_every_accessor_returns_the_interned_element(q):
+    """One object per index: whatever hands out an element of the field
+    returns field.ops.elements[i] itself, never a new equal object."""
+    field = Field(q)
+    interned = field.ops.elements
+    twin = Field(q, modulus=field.modulus)
+    assert twin is not field and twin == field
+    p, m = field.p, field.m
+    assert field.zero is interned[0]
+    assert field.one is interned[1]
+    if m > 1:
+        assert field.generator() is interned[p]
+    all_els, nonzero = field.elements(), field.nonzero_elements()
+    assert len(all_els) == q and len(nonzero) == q - 1
+    for i in range(q):
+        x = interned[i]
+        assert all_els[i] is x
+        assert i == 0 or nonzero[i - 1] is x
+        assert field.from_index(i) is x
+        assert field.element(x) is x
+        assert field.element(twin.from_index(i)) is x
+        coeffs = [i // p**b % p for b in range(m)]
+        assert field.element(coeffs) is x
+        if m == 1:
+            assert field.element(i) is x
+            assert field.element(i + q) is x
+        assert field.parse(str(x)) is x
+
+
+@pytest.mark.parametrize("q", ACCESSOR_FIELDS)
+def test_element_lists_are_the_callers_own(q):
+    """Mutating the lists from elements() and nonzero_elements() changes
+    neither later lists nor the field's arithmetic."""
+    field = Field(q)
+    for listed in (field.elements(), field.nonzero_elements()):
+        listed.reverse()
+        listed.append(None)
+        del listed[0]
+    assert field.elements() == [field.from_index(i) for i in range(q)]
+    assert field.nonzero_elements() == [field.from_index(i) for i in range(1, q)]
+    assert len(field.ops.elements) == q
+    assert all(x.index == i for i, x in enumerate(field.ops.elements))
+    assert field.one + field.zero is field.one

@@ -6,7 +6,9 @@ Outside gf.py no module of src/rsperm reads the field's exp/log tables
 and elements through FieldElement.
 
 Likewise every --json report goes through one writer, rsperm.cli.json_text:
-json.dumps appears in src/rsperm only in that writer's fallback.
+json.dumps appears in src/rsperm only in that writer's fallback.  And a
+field makes its element objects in one place: FieldElement is called in
+src/rsperm only inside Field.tables, which interns one per index.
 """
 
 import ast
@@ -116,4 +118,60 @@ def test_the_json_guard_sees_what_it_forbids(tmp_path):
         "line 2: json.dumps in module",
         "line 4: json.dumps in report",
         "line 5: json.dumps in module",
+    ]
+
+
+# -- one place that makes elements ---------------------------------------------
+
+# The one function that may call FieldElement: (module, Class.function).
+ELEMENT_MAKER = ("gf.py", "Field.tables")
+
+
+def element_calls(path: Path) -> list[str]:
+    """Each call of FieldElement (bare or as an attribute), with its
+    enclosing Class.function."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "FieldElement":
+                out.append((node.lineno, ".".join(scope) or "module"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return [f"line {line}: FieldElement in {scope}" for line, scope in out]
+
+
+def test_field_element_is_made_only_in_field_tables():
+    uses = [
+        (path.name, use.split(": ")[1])
+        for path in sorted(PACKAGE.glob("*.py"))
+        for use in element_calls(path)
+    ]
+    module, function = ELEMENT_MAKER
+    assert uses == [(module, f"FieldElement in {function}")]
+
+
+def test_the_element_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from rsperm import gf\n"
+        "zero = FieldElement(field, 0)\n"
+        "class Field:\n"
+        "    def element(self, i):\n"
+        "        return gf.FieldElement(self, i)\n"
+        "    def tables(self):\n"
+        "        return [FieldElement(self, i) for i in range(self.q)]\n"
+        "text = repr(FieldElement)\n"
+        "label = f'FieldElement({zero})'\n"
+    )
+    assert element_calls(sample) == [
+        "line 2: FieldElement in module",
+        "line 5: FieldElement in Field.element",
+        "line 7: FieldElement in Field.tables",
     ]

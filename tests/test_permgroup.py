@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import group_closure_check, homomorphism_check, random_points
+from conftest import group_closure_check, homomorphism_check, random_points, reference_members
 from rsperm import permgroup
 from rsperm import (
     EvaluationSet,
@@ -273,6 +273,7 @@ def test_affine_permutations_always_contained():
 
 
 def test_backtrack_agrees_with_scan():
+    """Both search methods list exactly the n! reference search's members."""
     rng = random.Random(53)
     for _ in range(25):
         q = rng.choice([2, 3, 5, 7, 9])
@@ -286,9 +287,10 @@ def test_backtrack_agrees_with_scan():
             code = LinearCode(field, rows, n=n)
         else:
             code = rs_code(random_points(rng, field, n), rng.randint(1, n))
-        scan = exhaustive_permutations(code, method="scan")
-        back = exhaustive_permutations(code, method="backtrack")
-        assert scan == back
+        want = reference_members(code)
+        for method in ("scan", "backtrack"):
+            got = [p.images for p in exhaustive_permutations(code, method=method)]
+            assert got == want, method
 
 
 def test_object_path_matches_affine_theory():

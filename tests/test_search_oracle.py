@@ -1,34 +1,26 @@
 """exhaustive_permutations against an n! reference search.
 
-The reference tries every permutation of the coordinates and keeps pi
-when each rref row, pulled back by pi, passes the code's own parity
-check; it uses no search routine from rsperm.permgroup, so it shares no
-code with the column matching it checks.  The comparison is list
-equality: the same members in the same (lexicographic) order, on a code
-and on its dual, with the split of the pivot images that the search
-picks and with every split 1 <= h <= k that it may pick forced on it.
+The reference (conftest.reference_members) tries every permutation of
+the coordinates and keeps pi when each rref row, pulled back by pi,
+passes the code's own parity check; it uses no search routine from
+rsperm.permgroup, so it shares no code with the column matching it
+checks.  The comparison is list equality: the same members in the same
+(lexicographic) order, on a code and on its dual, with the split of the
+pivot images that the search picks and with every split 1 <= h <= k
+that it may pick forced on it.
 """
 
 import math
 import random
-from itertools import permutations
 
 import pytest
 
+from conftest import reference_members
 from rsperm import EvaluationSet, Field, LinearCode, Permutation, exhaustive_permutations, rs_code
 from rsperm import permgroup
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 MAX_N = 7
-
-
-def reference_members(code: LinearCode) -> list[tuple[int, ...]]:
-    """Every pi, 0-based, with (r[pi(0)], ..., r[pi(n-1)]) in the code for each row r."""
-    return [
-        pi
-        for pi in permutations(range(code.n))
-        if all(code.contains([row[i] for i in pi]) for row in code.rref)
-    ]
 
 
 def random_rows(rng: random.Random, field: Field, n: int, k: int) -> list[list]:
