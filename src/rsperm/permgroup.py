@@ -8,9 +8,16 @@ lookup.  Per(C) = Per(C^perp), so the smaller of the two is searched,
 whose n!/(n-d)! candidate images, d = min(k, n-k), are met in the
 middle on one free column: perm(n, h) lookups of the first h images
 against a table of the other d - h, |W| * perm(n, d-h) entries for the
-|W| distinct columns.  A search whose candidate space n!/(n-d)! exceeds
-SEARCH_CAP, or which would list more than SEARCH_CAP members, raises
-ValueError instead of running or listing.
+|W| distinct columns.  Coordinate permutations commute with the Schur
+product and with duals, so Per(C) lies in Per(D) for D = (C * C)^perp,
+and for RS(A, d) with 2d <= n, D has dimension n - 2d + 1.  When that
+meet in the middle costs more than the d(d+1)/2 * n^2 steps of building
+D, and 0 < dim D < d, Per(D) is searched first: if it has at most that
+many members they are listed and kept when they fix C, checked column
+by column on C's rref; otherwise C is searched directly.  A search whose
+candidate space n!/(n-d)! exceeds SEARCH_CAP, or which would list more
+than SEARCH_CAP members of Per(C), raises ValueError instead of running
+or listing.
 Permutations of an evaluation set correspond to the unique degree < n
 polynomial interpolating a_i -> a_pi(i); the affine ones are those of
 degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
@@ -244,15 +251,69 @@ def _split(n: int, k: int, keys: int) -> int:
     )
 
 
-def _match(code: LinearCode) -> list[tuple[int, ...]]:
-    """Every pi whose column permutation G[:, pi] spans the code again.
+def _cost(n: int, k: int, keys: int) -> int:
+    """The lookups and table entries of _match at the split _split picks."""
+    h = _split(n, k, keys)
+    return math.perm(n, h) + keys * math.perm(n, k - h)
 
-    With G the k x n rref, pivot columns I and free columns J, such a pi
-    is fixed up to equal columns by the images t = pi(I): G[:, pi] is
-    M * G for M = G[:, t], so each free column j must go to a column
-    equal to sum_i G[i][j] * G[:, t_i].  Free columns with equal targets
-    can be exchanged among the positions holding that column, so every
-    bijection between the two is a member.
+
+def _square_pays(n: int, k: int, cost: int) -> bool:
+    """Whether building (C * C)^perp costs less than _match's cost on C.
+
+    The square is spanned by the k(k+1)/2 products of C's rref rows, and
+    eliminating them takes about k(k+1)/2 * n^2 steps.
+    """
+    return cost > k * (k + 1) // 2 * n * n
+
+
+class _Columns:
+    """A code's rref with its columns packed for column matching.
+
+    Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
+    time, read from the rref's index rows.  `where` maps each key to the
+    positions holding that column.  For the f-th free column j,
+    checks[f] pairs each row i with G[i][j] != 0 with products(G[i][j]),
+    so that packing.key(t, checks[f]) is the key of
+    sum_i G[i][j] * G[:, t_i].
+    """
+
+    def __init__(self, code: LinearCode):
+        self.field, self.n, self.rows = code.field, code.n, code.index_rows
+        k = len(self.rows)
+        self.packing = packing = Packing(self.field, k, k + 1)
+        self.cols = cols = list(zip(*self.rows))
+        self.where: dict[int, list[int]] = {}
+        for c, col in enumerate(cols):
+            self.where.setdefault(packing.pack(col), []).append(c)
+        self.pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
+        self.free = [j for j in range(self.n) if j not in self.pivots]
+        self._scaled: dict[int, list[int]] = {}
+        self.checks = [
+            [(i, self.products(g)) for i, g in enumerate(cols[j]) if g] for j in self.free
+        ]
+
+    def products(self, g: int) -> list[int]:
+        """The packed g * G[:, c] for every column c, once per distinct g."""
+        if g not in self._scaled:
+            self._scaled[g] = [self.packing.pack(col, g) for col in self.cols]
+        return self._scaled[g]
+
+    def fixes(self, pi: tuple[int, ...]) -> bool:
+        """Whether the permutation pi fixes the code: G[:, pi(j)] equals
+        sum_i G[i][j] * G[:, pi(p_i)] for every free column j."""
+        t = [pi[i] for i in self.pivots]
+        image, where = self.packing.key, self.where
+        return all(
+            pi[j] in where.get(image(t, terms), ()) for j, terms in zip(self.free, self.checks)
+        )
+
+
+_Accepted = list[tuple[tuple[int, ...], list[tuple[list[int], list[int]]]]]
+
+
+def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
+    """The images t of the pivots that pass every free column, each with
+    its blocks of exchangeable columns, and the order they give.
 
     The n!/(n-k)! injective images t of I are not enumerated one by one.
     They are met in the middle on the first free column j0, split at
@@ -263,49 +324,25 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     is one lookup; each u found there that is disjoint from s makes the
     candidate t = s + u, which then must pass every other free column.
     That is perm(n, h) + |W| * perm(n, k - h) lookups and table entries
-    in place of n!/(n-k)! candidates.  The accepted images of I are
-    collected first, with their blocks of exchangeable columns, so that
-    |Per(C)|, the sum of the products of |block|!, is checked against
-    SEARCH_CAP before any member is listed.
+    in place of n!/(n-k)! candidates.  A block (js, cs) holds free
+    columns js with equal targets and the positions cs outside t holding
+    that column; every bijection between the two makes a member, so the
+    order is the sum over t of the products of |block|!.
 
-    Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
-    time, read from the rref's index rows: the products g * G[:, c] are
-    packed once per code and distinct scalar g, and every sum is one
-    Packing.key over those packed lists.  The table and the lookups sum
-    the terms they share once: Packing.keys adds each x in W to the sum
-    over a suffix u, and each last prefix image c to the sum over the
-    first h - 1.
+    The table and the lookups sum the terms they share once:
+    Packing.keys adds each x in W to the sum over a suffix u, and each
+    last prefix image c to the sum over the first h - 1.
     """
-    field, n, rows = code.field, code.n, code.index_rows
+    n, rows, packing, where = cols.n, cols.rows, cols.packing, cols.where
+    free, checks, products = cols.free, cols.checks, cols.products
     k = len(rows)
-    if k in (0, n):
-        # The zero code and the whole space are fixed by every permutation.
-        _check_cap(math.factorial(n), "members")
-        return list(iter_permutations(range(n)))
-    packing = Packing(field, k, k + 1)
     image = packing.key
-    cols = list(zip(*rows))
-    where: dict[int, list[int]] = {}
-    for c, col in enumerate(cols):
-        where.setdefault(packing.pack(col), []).append(c)
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-    free = [j for j in range(n) if j not in pivots]
-
-    scaled: dict[int, list[int]] = {}
-
-    def products(g):
-        """The packed g * G[:, c] for every column c, once per distinct g."""
-        if g not in scaled:
-            scaled[g] = [packing.pack(col, g) for col in cols]
-        return scaled[g]
-
-    checks = [[(i, products(g)) for i, g in enumerate(cols[j]) if g] for j in free]
     keys = list(where)
     h = _split(n, k, len(keys))
     j0 = free[0]
     # u indexes the tail, u_{i-h} for row i >= h, and each x in W is then
     # added to its sum.
-    neg = field.ops.neg
+    neg = cols.field.ops.neg
     tail = [(i - h, products(neg(rows[i][j0]))) for i, _ in checks[0] if i >= h]
     table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for u in iter_permutations(range(n), k - h):
@@ -322,7 +359,7 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
         if c not in s
     )
     rest = checks[1:]
-    accepted = []
+    accepted: _Accepted = []
     for s, total in lookups:
         hits = table.get(total)
         if hits is None:
@@ -355,7 +392,12 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     order = sum(
         math.prod(math.factorial(len(js)) for js, _ in blocks) for _, blocks in accepted
     )
-    _check_cap(order, "members")
+    return accepted, order
+
+
+def _listed(n: int, pivots: list[int], accepted: _Accepted) -> list[tuple[int, ...]]:
+    """Every member of the accepted images: pivot p_i goes to t_i, and each
+    block's free columns go to its positions in every order; sorted."""
     members = []
     images = [0] * n
     for t, blocks in accepted:
@@ -368,6 +410,69 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
             members.append(tuple(images))
     members.sort()
     return members
+
+
+def _match(code: LinearCode) -> list[tuple[int, ...]]:
+    """Every pi whose column permutation G[:, pi] spans the code again.
+
+    With G the k x n rref, pivot columns I and free columns J, such a pi
+    is fixed up to equal columns by the images t = pi(I): G[:, pi] is
+    M * G for M = G[:, t], so each free column j must go to a column
+    equal to sum_i G[i][j] * G[:, t_i].  Free columns with equal targets
+    can be exchanged among the positions holding that column, so every
+    bijection between the two is a member.  The accepted images of I
+    are collected first (_accepted), with their blocks of exchangeable
+    columns, so that |Per(C)| is checked against SEARCH_CAP before any
+    member is listed (_listed).
+    """
+    n, k = code.n, code.k
+    if k in (0, n):
+        # The zero code and the whole space are fixed by every permutation.
+        _check_cap(math.factorial(n), "members")
+        return list(iter_permutations(range(n)))
+    cols = _Columns(code)
+    accepted, order = _accepted(cols)
+    _check_cap(order, "members")
+    return _listed(n, cols.pivots, accepted)
+
+
+def _square_dual(code: LinearCode) -> LinearCode:
+    """D = (C * C)^perp, C * C spanned by the products of C's rref rows."""
+    field, rows = code.field, code.index_rows
+    mul, els = field.ops.mul, field.ops.elements
+    products = [
+        tuple(els[x] for x in map(mul, r, s)) for i, r in enumerate(rows) for s in rows[i:]
+    ]
+    return LinearCode(field, products, n=code.n).dual
+
+
+def _search(code: LinearCode) -> list[tuple[int, ...]]:
+    """Per(C), through the smaller code D = (C * C)^perp when that pays.
+
+    Coordinate permutations commute with products and duals, so every
+    member of Per(C) fixes D.  When 2k <= n, D can be smaller than C only
+    if n < k + k(k+1)/2 (C * C has at most k(k+1)/2 dimensions); for
+    RS(A, k) it is RS(A, 2k-1)^perp, of dimension n - 2k + 1.  If
+    _square_pays, D is built, and if 0 < dim D < k its accepted images
+    give |Per(D)| before any is listed.  When that is at most _match's
+    cost on C, Per(D) is listed and only the members fixing C are kept
+    (_Columns.fixes), in the same sorted order.  Otherwise _match
+    searches C itself: when D = 0 (its group is S_n), when D is not
+    smaller than C, or when Per(D) has more members than that cost.
+    """
+    n, k = code.n, code.k
+    if 2 * k <= n < k + k * (k + 1) // 2:
+        cost = _cost(n, k, len(set(zip(*code.index_rows))))
+        if _square_pays(n, k, cost):
+            square = _square_dual(code)
+            if 0 < square.k < k:
+                cols = _Columns(square)
+                accepted, order = _accepted(cols)
+                # Listing Per(D) then costs no more than searching C would.
+                if order <= cost:
+                    fixes = _Columns(code).fixes
+                    return [pi for pi in _listed(n, cols.pivots, accepted) if fixes(pi)]
+    return _match(code)
 
 
 def _scan_backtrack(code: LinearCode) -> list[tuple[int, ...]]:
@@ -433,10 +538,14 @@ def exhaustive_permutations(
     of the pivots, the first h are enumerated and the other k - h tabled,
     perm(n, h) + |W| * perm(n, k-h) lookups and entries for the |W|
     distinct columns (see _match and _split).  Use search_side to pick
-    the cheaper of a code and its dual.  Raises ValueError, before
-    searching, when the n!/(n-k)! candidates exceed SEARCH_CAP, and
-    before listing any member when Per(C) has more than SEARCH_CAP
-    members.
+    the cheaper of a code and its dual.  When 2k <= n and that cost
+    exceeds the k(k+1)/2 * n^2 steps of building D = (C * C)^perp
+    (_square_pays), and 0 < dim D < k, Per(D) is searched first; if it
+    has at most that many members they are listed and filtered down to
+    those fixing C, and otherwise C is searched (see _search).  Raises
+    ValueError, before searching, when the n!/(n-k)! candidates exceed
+    SEARCH_CAP, and before listing any member when Per(C) has more than
+    SEARCH_CAP members; a large Per(D) never raises.
 
     method="backtrack" runs _scan_backtrack instead.  It remains only
     for the benchmark's permgroup.backtrack_s probe, which times it;
@@ -444,7 +553,7 @@ def exhaustive_permutations(
     """
     _check_cap(math.perm(code.n, code.k), "candidates")
     if method == "scan":
-        raw = _match(code)
+        raw = _search(code)
     elif method == "backtrack":
         raw = _scan_backtrack(code)
     else:

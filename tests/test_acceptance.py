@@ -323,7 +323,8 @@ def test_criterion_11_over_the_search_cap_exits_2():
 def test_criterion_12_information_set_searches_are_fast():
     # 12!/6! = 665,280 and 16!/11! = 524,160 candidates, which the meet in
     # the middle on a free column turns into 13,464 and 7,200 lookups and
-    # table entries.
+    # table entries.  The first is searched through its 1-dimensional
+    # square dual (C * C)^perp instead, whose 12 members all fix C.
     cases = (
         (["verify", "--field", "13", "--points", ",".join(str(a) for a in range(12)),
           "--k", "6"], lambda d: d["group"]["order"] == d["group"]["affine_order"] == 12

@@ -218,6 +218,38 @@ def test_sweep_duality_check_searches_the_other_side(monkeypatch):
     assert sorted(len(rref) for rref in seen) == sorted([k, n - k])
 
 
+def test_sweep_duality_check_builds_no_square(monkeypatch):
+    """A sweep builds no square dual D = (C * C)^perp: on its shapes
+    (n <= 8) searching C costs less than building D.  And the side with
+    2k > n never goes through D, even with the cost gate forced open, so
+    duality_ok never compares two searches of one D."""
+    built = []
+    square_dual = rsperm.permgroup._square_dual
+
+    def spy(code):
+        built.append(code.k)
+        return square_dual(code)
+
+    monkeypatch.setattr(rsperm.permgroup, "_square_dual", spy)
+    trials = list(run_sweep(seed=42, trials=40))
+    assert all(t.duality_ok for t in trials)
+    assert built == []
+    monkeypatch.setattr(rsperm.permgroup, "_square_pays", lambda n, k, cost: True)
+    larger = [
+        code if 2 * code.k > code.n else code.dual
+        for code in (t.result.code for t in trials)
+        if 2 * code.k != code.n
+    ]
+    assert len(larger) >= 20
+    for code in larger:
+        rsperm.permgroup.exhaustive_permutations(code)
+    assert built == []
+    # With the gate open, some of the smaller sides do build one.
+    for code in larger:
+        rsperm.permgroup.exhaustive_permutations(code.dual)
+    assert built
+
+
 def test_sweep_builds_each_field_once(monkeypatch):
     """A run builds one Field per order it draws, however many trials."""
     built = []

@@ -9,6 +9,10 @@ Likewise every --json report goes through one writer, rsperm.cli.json_text:
 json.dumps appears in src/rsperm only in that writer's fallback.  And a
 field makes its element objects in one place: FieldElement is called in
 src/rsperm only inside Field.tables, which interns one per index.
+
+And the two computations of a permutation group stay independent:
+nothing that exhaustive_permutations reaches in permgroup.py names the
+affine enumeration, the evaluation points or interpolation.
 """
 
 import ast
@@ -174,4 +178,78 @@ def test_the_element_guard_sees_what_it_forbids(tmp_path):
         "line 2: FieldElement in module",
         "line 5: FieldElement in Field.element",
         "line 7: FieldElement in Field.tables",
+    ]
+
+
+# -- the search stays independent of the points --------------------------------
+
+# What the search must not reach: the affine enumeration, the points and
+# interpolation make up the other computation of the group.
+NOT_IN_SEARCH = {"affine_group", "EvaluationSet", "perm_to_poly", "interpolate"}
+SEARCH_HELPERS = {
+    "exhaustive_permutations", "_search", "_match", "_accepted", "_listed",
+    "_Columns", "_square_dual", "_square_pays", "_cost", "_split", "_check_cap",
+}
+
+
+def reached_from(path: Path, root: str) -> dict[str, set[str]]:
+    """The module-level functions and classes of the file that root reaches
+    by name, each with every name and attribute it uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    reached: dict[str, set[str]] = {}
+    todo = [root]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        used = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        reached[name] = used
+        todo.extend(used)
+    return reached
+
+
+def independence_breaches(path: Path, root: str) -> list[str]:
+    return sorted(
+        f"{name} names {bad}"
+        for name, used in reached_from(path, root).items()
+        for bad in used & NOT_IN_SEARCH
+    )
+
+
+def test_the_search_never_names_the_points():
+    path = PACKAGE / "permgroup.py"
+    assert SEARCH_HELPERS <= set(reached_from(path, "exhaustive_permutations"))
+    assert independence_breaches(path, "exhaustive_permutations") == []
+
+
+def test_the_independence_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def exhaustive_permutations(code):\n"
+        "    return _helper(code) + [affine_group]\n"
+        "def _helper(code):\n"
+        "    return Aux(code).run()\n"
+        "class Aux:\n"
+        "    def run(self):\n"
+        "        return self.points.interpolate(EvaluationSet)\n"
+        "def unrelated():\n"
+        "    return perm_to_poly\n"
+    )
+    assert set(reached_from(sample, "exhaustive_permutations")) == {
+        "exhaustive_permutations", "_helper", "Aux"
+    }
+    assert independence_breaches(sample, "exhaustive_permutations") == [
+        "Aux names EvaluationSet",
+        "Aux names interpolate",
+        "exhaustive_permutations names affine_group",
     ]

@@ -224,6 +224,92 @@ def test_brute_force_respects_cap():
     assert str(math.factorial(10)) in message
 
 
+class SquareSpy:
+    """Records, while installed, the dimension of every square dual D that
+    exhaustive_permutations builds, (dimension, order) of every code whose
+    accepted images it collects, and the dimension of every code whose
+    members it lists."""
+
+    def __init__(self, monkeypatch, gate=None):
+        self.built, self.accepted, self.listed = [], [], []
+        square_dual, accepted, listed = (
+            permgroup._square_dual, permgroup._accepted, permgroup._listed
+        )
+
+        def spy_square(code):
+            square = square_dual(code)
+            self.built.append(square.k)
+            return square
+
+        def spy_accepted(cols):
+            found, order = accepted(cols)
+            self.accepted.append((len(cols.rows), order))
+            return found, order
+
+        def spy_listed(n, pivots, found):
+            self.listed.append(len(pivots))
+            return listed(n, pivots, found)
+
+        monkeypatch.setattr(permgroup, "_square_dual", spy_square)
+        monkeypatch.setattr(permgroup, "_accepted", spy_accepted)
+        monkeypatch.setattr(permgroup, "_listed", spy_listed)
+        if gate is not None:
+            monkeypatch.setattr(permgroup, "_square_pays", lambda n, k, cost: gate)
+
+
+def test_cap_is_checked_before_any_square_is_built(monkeypatch):
+    """Criterion 11's inputs: 16!/8! candidates are refused before a square
+    is built, even with the cost gate open, and k = 1 never has a square
+    dual smaller than the code, so its 10! members are refused as before."""
+    spy = SquareSpy(monkeypatch, gate=True)
+    points = EvaluationSet(Field(17), list(range(16)))
+    message = _refused_quickly(exhaustive_permutations, rs_code(points, 8))
+    assert str(math.perm(16, 8)) in message
+    points = EvaluationSet(Field(11), list(range(10)))
+    message = _refused_quickly(exhaustive_permutations, rs_code(points, 1))
+    assert str(math.factorial(10)) in message
+    assert spy.built == spy.listed == []
+
+
+def test_a_large_square_group_falls_back_to_the_direct_search(monkeypatch):
+    """All of GF(8) with k = 4: D = RS(A, 7)^perp is the repetition code,
+    whose 8! members exceed the 400 lookups and entries of searching C.
+    With the gate forced open the search builds D, raises nothing, lists
+    no member of D and answers with C's own search: AGL(1, 8)."""
+    points = EvaluationSet.full_field(Field(8))
+    code = rs_code(points, 4)
+    direct = permgroup._match(code)
+    assert permgroup._cost(8, 4, 8) == 400
+    spy = SquareSpy(monkeypatch, gate=True)
+    got = [p.images for p in exhaustive_permutations(code)]
+    assert got == direct
+    assert len(got) == 56
+    assert got == sorted(p.images for _, p in affine_group(points))
+    assert spy.built == [1]
+    assert spy.accepted == [(1, math.factorial(8)), (4, 56)]
+    assert spy.listed == [4]
+
+
+def test_criterion_12_inputs_and_the_square_dual(monkeypatch):
+    """GF(13) points 0..11 with k = 6 is searched through a 1-dimensional
+    D whose 12 members all fix C.  All of GF(16) with k = 5 builds D, but
+    its dimension 7 is not below k, so C is searched.  Either way the
+    members are those of the direct search of C."""
+    cases = (
+        (EvaluationSet(Field(13), list(range(12))), 6, [1], [1]),
+        (EvaluationSet.full_field(Field(16)), 5, [7], [5]),
+    )
+    for points, k, built, listed in cases:
+        code = rs_code(points, k)
+        direct = permgroup._match(code)
+        with monkeypatch.context() as patch:
+            spy = SquareSpy(patch)
+            report = brute_force_perm_group(code, points)
+        assert [m.perm.images for m in report.elements] == direct
+        assert (spy.built, spy.listed) == (built, listed), points.field.q
+        assert report.is_affine_equal
+
+
 def test_brute_force_members_fix_the_code(pts13):
     code = rs_code(pts13, 3)
     report = brute_force_perm_group(code, pts13)

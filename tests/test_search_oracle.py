@@ -5,9 +5,10 @@ the coordinates and keeps pi when each rref row, pulled back by pi,
 passes the code's own parity check; it uses no search routine from
 rsperm.permgroup, so it shares no code with the column matching it
 checks.  The comparison is list equality: the same members in the same
-(lexicographic) order, on a code and on its dual, with the split of the
-pivot images that the search picks and with every split 1 <= h <= k
-that it may pick forced on it.
+(lexicographic) order, on a code and on its dual, along the path the
+search picks, along the reduced path through D = (C * C)^perp with its
+cost gate forced open, and along the direct path with the gate forced
+shut and every split 1 <= h <= k that it may pick forced on it.
 """
 
 import math
@@ -67,7 +68,29 @@ def codes(field: Field, rng: random.Random) -> dict[str, LinearCode]:
         out["RS with a repeated column"] = LinearCode(
             field, [r + (r[0],) for r in base.rref], n=n
         )
+    # Codes whose square dual D = (C * C)^perp has 0 < dim D < k: RS codes
+    # with n = 2k and n = 2k + 1 (dim D = 1 and 2), and random codes with
+    # 2k <= n < k + k(k+1)/2.
+    for k in (2, 3):
+        for n in (2 * k, 2 * k + 1):
+            if n <= min(q, MAX_N):
+                points = EvaluationSet(field, rng.sample(field.elements(), n))
+                out[f"RS n={n} k={k} (square)"] = rs_code(points, k)
+    for k, n in ((2, 4), (3, 6), (3, 7)):
+        out[f"random n={n} k={k} (square)"] = LinearCode(
+            field, random_rows(rng, field, n, k), n=n
+        )
+    out["square is the whole space"] = whole_square_code(field)
+    if q % 2 == 0 and q <= MAX_N:
+        # n = 2k on all of GF(q): D is the repetition code, so Per(D) = S_n.
+        out["all of GF(q), n = 2k"] = rs_code(EvaluationSet.full_field(field), q // 2)
     return out
+
+
+def whole_square_code(field: Field) -> LinearCode:
+    """A code with k = 3, n = 6 whose six row products span all of F_q^6."""
+    rows = ((1, 0, 0, 1, 1, 1), (0, 1, 0, 1, 1, 0), (0, 0, 1, 1, 0, 1))
+    return LinearCode(field, [[field.from_index(x) for x in r] for r in rows])
 
 
 def first_free_has_zero(code: LinearCode) -> bool:
@@ -77,27 +100,68 @@ def first_free_has_zero(code: LinearCode) -> bool:
     return bool(free) and any(r[free[0]].is_zero() for r in code.rref)
 
 
+def gate(is_open: bool):
+    """A stand-in for permgroup._square_pays, always open or always shut."""
+    return lambda n, k, cost: is_open
+
+
 @pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_search_matches_reference(q, monkeypatch):
     field = Field(q)
     rng = random.Random(2000 + q)
     cases = codes(field, rng)
     assert len(cases) >= 20
-    sparse = 0
+    # The dimension of each code whose members are listed.
+    listed = []
+    listing = permgroup._listed
+
+    def spy(n, pivots, accepted):
+        listed.append(len(pivots))
+        return listing(n, pivots, accepted)
+
+    monkeypatch.setattr(permgroup, "_listed", spy)
+    sparse = reduced = 0
     for name, code in cases.items():
         for side, c in (("C", code), ("dual", code.dual)):
             want = reference_members(c)
             got = [p.images for p in exhaustive_permutations(c)]
             assert got == want, f"GF({q}) {name} {side} k={c.k}"
+            with monkeypatch.context() as patch:
+                patch.setattr(permgroup, "_square_pays", gate(True))
+                listed.clear()
+                got = [p.images for p in exhaustive_permutations(c)]
+            assert got == want, f"GF({q}) {name} {side} k={c.k} reduced"
+            # Per(D) was listed and filtered, D smaller than C.
+            reduced += any(d < c.k for d in listed)
             for h in range(1, c.k + 1):
                 with monkeypatch.context() as patch:
+                    patch.setattr(permgroup, "_square_pays", gate(False))
                     patch.setattr(permgroup, "_split", lambda n, k, keys, h=h: h)
+                    listed.clear()
                     got = [p.images for p in exhaustive_permutations(c)]
                 assert got == want, f"GF({q}) {name} {side} k={c.k} h={h}"
+                assert all(d == c.k for d in listed), f"GF({q}) {name} {side} h={h}"
             sparse += first_free_has_zero(c)
     # Some searches split on a column with zero entries, where a prefix
     # or a suffix of the pivot images contributes nothing to the lookup.
     assert sparse >= 5
+    # Some listed a proper Per(D) and filtered it.  Over GF(2) the one
+    # proper D of these codes has more members than searching C costs.
+    assert reduced >= (0 if q == 2 else 4), reduced
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_oracle_codes_reach_each_square_case(q):
+    """The oracle codes include a square that is the whole space (D = 0)
+    and, over GF(4), a D whose group S_4 exceeds the direct cost."""
+    field = Field(q)
+    assert permgroup._square_dual(whole_square_code(field)).k == 0
+    if q == 4:
+        code = codes(field, random.Random(2000 + q))["all of GF(q), n = 2k"]
+        square = permgroup._square_dual(code)
+        _, order = permgroup._accepted(permgroup._Columns(square))
+        assert (square.k, order) == (1, 24)
+        assert order > permgroup._cost(4, 2, 4)
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
