@@ -2,7 +2,7 @@
 
 A LinearCode is canonicalized at construction to the reduced row echelon
 form of its generator matrix, so two codes are equal exactly when their
-rref fields are identical.  Reed-Solomon codes, duals, star products and
+rref rows are identical.  Reed-Solomon codes, duals, star products and
 coordinate permutations are built on top of that canonical form.
 """
 
@@ -20,15 +20,29 @@ Row = tuple[FieldElement, ...]
 def rref(field: Field, rows: Iterable[Sequence[FieldElement]]) -> tuple[Row, ...]:
     """Reduced row echelon form over F_q; zero rows are dropped.
 
-    The elimination runs on index lists with the field's index
-    operations, and the rows come back as interned elements.
+    The entries are checked to be elements of the field, the elimination
+    runs on their indices (_reduced), and the rows come back as interned
+    elements.
     """
+    els = field.ops.elements
+    return tuple(tuple(els[x] for x in r) for r in _reduced(field, _indices(field, rows)))
+
+
+def _indices(field: Field, rows: Iterable[Sequence[FieldElement]]) -> list[list[int]]:
+    """The rows as index lists, once every entry is known to be in the field."""
     work = []
     for r in rows:
         for x in r:
             if x.field is not field and x.field != field:
                 raise FieldMismatchError(f"{x!r} is not in {field}")
         work.append([x.index for x in r])
+    return work
+
+
+def _reduced(field: Field, rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rref of rows of element indices, with the field's index
+    operations; zero rows are dropped and the input is not modified."""
+    work = list(rows)
     if not work:
         return ()
     n = len(work[0])
@@ -54,12 +68,12 @@ def rref(field: Field, rows: Iterable[Sequence[FieldElement]]) -> tuple[Row, ...
         pivot_row += 1
         if pivot_row == len(work):
             break
-    els = ops.elements
-    return tuple(tuple(els[x] for x in r) for r in work[:pivot_row] if any(r))
+    return tuple(tuple(r) for r in work[:pivot_row] if any(r))
 
 
 class LinearCode:
-    """A k-dimensional subspace of F_q^n, stored as its rref basis."""
+    """A k-dimensional subspace of F_q^n, stored as its rref basis on
+    element indices (index_rows)."""
 
     def __init__(
         self,
@@ -67,7 +81,21 @@ class LinearCode:
         rows: Iterable[Sequence[FieldElement]],
         n: int | None = None,
     ):
-        canon = rref(field, rows)
+        self._canonical(field, _reduced(field, _indices(field, rows)), n)
+
+    @classmethod
+    def _from_indices(
+        cls, field: Field, rows: Sequence[Sequence[int]], n: int
+    ) -> "LinearCode":
+        """Internal constructor from rows of indices of the field's elements,
+        which are not checked."""
+        code = object.__new__(cls)
+        code._canonical(field, _reduced(field, rows), n)
+        return code
+
+    def _canonical(
+        self, field: Field, canon: tuple[tuple[int, ...], ...], n: int | None
+    ) -> None:
         if canon:
             length = len(canon[0])
             if n is not None and n != length:
@@ -78,12 +106,13 @@ class LinearCode:
         self.field = field
         self.n = n
         self.k = len(canon)
-        self.rref = canon
+        self.index_rows = canon
 
     @cached_property
-    def index_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The rref as rows of element indices."""
-        return tuple(tuple(x.index for x in row) for row in self.rref)
+    def rref(self) -> tuple[Row, ...]:
+        """The rref basis as rows of interned elements."""
+        els = self.field.ops.elements
+        return tuple(tuple(els[x] for x in row) for row in self.index_rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
@@ -91,11 +120,11 @@ class LinearCode:
         return (
             self.field == other.field
             and self.n == other.n
-            and self.rref == other.rref
+            and self.index_rows == other.index_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.rref))
+        return hash((self.field, self.n, self.index_rows))
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k}, field={self.field})"
@@ -104,7 +133,7 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The (n-k)-dimensional code orthogonal to every codeword."""
         field, n = self.field, self.n
-        neg, els = field.ops.neg, field.ops.elements
+        neg = field.ops.neg
         rows = self.index_rows
         pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
         pivot_set = set(pivots)
@@ -116,8 +145,8 @@ class LinearCode:
             w[f] = 1
             for r, p in zip(rows, pivots):
                 w[p] = neg(r[f])
-            dual_rows.append(tuple(els[x] for x in w))
-        return LinearCode(field, dual_rows, n=n)
+            dual_rows.append(w)
+        return LinearCode._from_indices(field, dual_rows, n)
 
     def contains(self, vector: Sequence) -> bool:
         """Membership via the parity check H * v^T = 0."""
@@ -173,14 +202,14 @@ def rs_code(points: EvaluationSet, k: int) -> LinearCode:
     if not 1 <= k <= points.n:
         raise ValueError(f"dimension k must be in 1..{points.n}, got {k}")
     field = points.field
-    mul, els = field.ops.mul, field.ops.elements
+    mul = field.ops.mul
     pts = [a.index for a in points]
     row = [1] * points.n
     rows = []
     for _ in range(k):
-        rows.append(tuple(els[x] for x in row))
+        rows.append(row)
         row = list(map(mul, row, pts))
-    return LinearCode(field, rows, n=points.n)
+    return LinearCode._from_indices(field, rows, points.n)
 
 
 def rs_dual_multiplier(points: EvaluationSet) -> tuple[FieldElement, ...]:

@@ -166,7 +166,7 @@ def perm_to_poly(perm: Permutation, points: EvaluationSet) -> Polynomial:
     """The unique degree < n polynomial with p(a_i) = a_pi(i)."""
     if perm.n != points.n:
         raise ValueError("permutation degree does not match the point set")
-    return points.interpolate([points[j] for j in perm.images])
+    return points.interpolate(list(map(points.points.__getitem__, perm.images)))
 
 
 def poly_to_perm(f: Polynomial, points: EvaluationSet) -> Permutation:
@@ -194,34 +194,48 @@ def permutes(f: Polynomial, points: EvaluationSet) -> bool:
 def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
     """All degree-1 polynomials permuting the point set, with their permutations.
 
-    A map a*x + b is fixed by the images a_i, a_j of the first two points:
-    a = (a_j - a_i) / (a_1 - a_0) and b = a_i - a*a_0.  So the n(n-1)
-    ordered pairs i != j give every candidate exactly once, whatever q
-    is, and each is checked on the other n - 2 points.  The result is
+    A map a*x + b that permutes the points keeps their sum S, so
+    a*S + n*b = S.  With a base point a_r whose d = S - n*a_r is nonzero,
+    the map sending a_r to a_i then has a = (S - n*a_i) / d and
+    b = a_i - a*a_r, so the n images of a_r give every candidate exactly
+    once (a = 0 is skipped).  Such a base point exists unless p divides n
+    and S = 0, as for all of GF(q); then a map is fixed by the images
+    a_i, a_j of the first two points, a = (a_j - a_i) / (a_1 - a_0) and
+    b = a_i - a*a_0, and the n(n-1) ordered pairs i != j are the
+    candidates.  Each candidate is checked on every point.  The result is
     sorted by (a, b) in enumeration order, so the identity map x comes
     first, and is closed under composition modulo the point set.
     """
     ops = points.field.ops
-    add, sub, mul, els = ops.add, ops.sub, ops.mul, ops.elements
+    add, sub, mul, inv, els = ops.add, ops.sub, ops.mul, ops.inv, ops.elements
     pts = [x.index for x in points]
     where = {x: i for i, x in enumerate(pts)}
-    a0, a1, rest = pts[0], pts[1], pts[2:]
-    scale = ops.inv(sub(a1, a0))
+    # n as a field element: the prime field's n mod p has index n mod p.
+    n = points.n % points.field.p
+    total = 0
+    for x in pts:
+        total = add(total, x)
+    base = next((x for x in pts if sub(total, mul(n, x))), None)
+    # Each candidate as the image ai of the origin and the slope a.
+    if base is not None:
+        origin, scale = base, inv(sub(total, mul(n, base)))
+        slopes = ((ai, mul(sub(total, mul(n, ai)), scale)) for ai in pts)
+    else:
+        origin, scale = pts[0], inv(sub(pts[1], pts[0]))
+        slopes = ((ai, mul(sub(aj, ai), scale)) for ai in pts for aj in pts if ai != aj)
     found = []
-    for i, ai in enumerate(pts):
-        for j, aj in enumerate(pts):
-            if i == j:
-                continue
-            a = mul(sub(aj, ai), scale)
-            b = sub(ai, mul(a, a0))
-            images = [i, j]
-            for x in rest:
-                pos = where.get(add(mul(a, x), b))
-                if pos is None:
-                    break
-                images.append(pos)
-            else:
-                found.append((a, b, images))
+    for ai, a in slopes:
+        if not a:
+            continue
+        b = sub(ai, mul(a, origin))
+        images = []
+        for x in pts:
+            pos = where.get(add(mul(a, x), b))
+            if pos is None:
+                break
+            images.append(pos)
+        else:
+            found.append((a, b, images))
     found.sort(key=lambda member: member[:2])
     return [(AffineMap(els[a], els[b]), Permutation(images)) for a, b, images in found]
 
@@ -439,11 +453,9 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
 def _square_dual(code: LinearCode) -> LinearCode:
     """D = (C * C)^perp, C * C spanned by the products of C's rref rows."""
     field, rows = code.field, code.index_rows
-    mul, els = field.ops.mul, field.ops.elements
-    products = [
-        tuple(els[x] for x in map(mul, r, s)) for i, r in enumerate(rows) for s in rows[i:]
-    ]
-    return LinearCode(field, products, n=code.n).dual
+    mul = field.ops.mul
+    products = [list(map(mul, r, s)) for i, r in enumerate(rows) for s in rows[i:]]
+    return LinearCode._from_indices(field, products, code.n).dual
 
 
 def _search(code: LinearCode) -> list[tuple[int, ...]]:

@@ -7,21 +7,28 @@ factor is zero).  Also holds ordered evaluation sets with their Lagrange
 machinery: vanishing polynomial, indicator functions, interpolation and
 composition modulo the set.
 
-Interpolation is one int kernel on indices.  f = sum_i v_i * L_i over
+Interpolation tries the line first.  The line through (a_0, v_0) and
+(a_1, v_1) is memoised per evaluation set under the indices of v_0 and
+v_1, with its values on every point; when those are the given values,
+the line is the unique interpolant of degree < n.  That is one lookup
+and one identity comparison of n objects, so an affine member costs
+O(n), and each line is computed once per pair (v_0, v_1).  Any other
+values go through one int kernel on indices.  f = sum_i v_i * L_i over
 the indicators L_i, and each term v_i * L_i depends only on i and the
 index of v_i, so every evaluation set memoises, per indicator, the
-term's coefficients packed into one int by a gf.Packing.  A call sums
-n memoised ints with Packing.key and unpacks the sum once.  The
-indicators are the vanishing polynomial divided by each x - a_i and
-scaled by its barycentric weight, computed on indices with the field's
-index operations (gf.Field.ops).  Arithmetic inside the module builds
-results through a constructor that skips the per-coefficient check of
-the public one.
+term's coefficients packed into one int by a gf.Packing, filled when a
+sum first misses it.  A call sums n memoised ints with Packing.key and
+unpacks the sum once.  The indicators are the vanishing polynomial
+divided by each x - a_i and scaled by its barycentric weight, computed
+on indices with the field's index operations (gf.Field.ops).  Arithmetic
+inside the module builds results through a constructor that skips the
+per-coefficient check of the public one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import is_
 from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement, Packing
@@ -346,28 +353,68 @@ class EvaluationSet:
         """(i, memo) per indicator L_i, the memo from v.index to the packed v * L_i."""
         return tuple((i, {}) for i in range(self.n))
 
+    @cached_property
+    def _lines(self) -> dict[tuple[int, int], tuple[list[FieldElement], Polynomial]]:
+        """Memo from (v_0.index, v_1.index) to the line through (a_0, v_0)
+        and (a_1, v_1): its values on the points, and the line itself."""
+        return {}
+
+    def _line(self, v0: int, v1: int) -> tuple[list[FieldElement], Polynomial]:
+        """The line a*x + b with a_0 -> v0 and a_1 -> v1, on indices."""
+        ops = self.field.ops
+        add, sub, mul, els = ops.add, ops.sub, ops.mul, ops.elements
+        a0, a1 = self.points[0].index, self.points[1].index
+        a = mul(sub(v1, v0), ops.inv(sub(a1, a0)))
+        b = sub(v0, mul(a, a0))
+        images = [els[add(mul(a, x.index), b)] for x in self.points]
+        line = Polynomial._trusted(self.field, _stripped([els[b], els[a]]))
+        self._lines[v0, v1] = images, line
+        return images, line
+
     def interpolate(self, values: Sequence[FieldElement]) -> Polynomial:
         """The unique polynomial of degree < n matching the values on the points.
 
         Any elements of the field are accepted; anything else raises
-        ValueError.  The memoised terms v_i * L_i are summed by one
-        Packing.key and the key is unpacked into interned elements once.
+        ValueError.  The line through the first two values is tried
+        first: when its values on the points are the given ones, it is
+        the interpolant.  Otherwise the memoised terms v_i * L_i are
+        summed by one Packing.key, and the key is unpacked into interned
+        elements once.
         """
-        field, n, packing, terms = self.field, self.n, self._packing, self._terms
+        field, n = self.field, self.n
         if len(values) != n:
             raise ValueError(f"expected {n} values, got {len(values)}")
+        v0, v1 = values[0], values[1]
+        if (
+            isinstance(v0, FieldElement)
+            and isinstance(v1, FieldElement)
+            and v0.field is field
+            and v1.field is field
+        ):
+            line = self._lines.get((v0.index, v1.index))
+            if line is None:
+                line = self._line(v0.index, v1.index)
+            # The line's values are interned elements: values that are
+            # not those objects, even equal ones of an equal field, are
+            # left to the sum below.
+            if all(map(is_, values, line[0])):
+                return line[1]
         choice = []
-        for (i, memo), v in zip(terms, values):
+        for v in values:
             if not isinstance(v, FieldElement) or (
                 v.field is not field and v.field != field
             ):
                 raise ValueError(f"value {v!r} is not an element of {field}")
-            x = v.index
-            if x not in memo:
-                memo[x] = packing.pack([c.index for c in self.indicators[i].coeffs], x)
-            choice.append(x)
-        cs = _stripped(packing.unpack(packing.key(choice, terms)))
-        return Polynomial._trusted(field, cs)
+            choice.append(v.index)
+        packing, terms = self._packing, self._terms
+        try:
+            key = packing.key(choice, terms)
+        except KeyError:
+            for (i, memo), x in zip(terms, choice):
+                if x not in memo:
+                    memo[x] = packing.pack([c.index for c in self.indicators[i].coeffs], x)
+            key = packing.key(choice, terms)
+        return Polynomial._trusted(field, _stripped(packing.unpack(key)))
 
 
 def compose_mod(p1: Polynomial, p2: Polynomial, points: EvaluationSet) -> Polynomial:

@@ -4,15 +4,19 @@ For values v_0..v_{n-1} on points a_0..a_{n-1} there is exactly one
 polynomial f with deg f < n and f(a_i) = v_i for every i.  The oracle
 checks those two facts with its own Horner loop over the returned
 coefficients, plus the Polynomial invariants (elements of the field, no
-trailing zero).  It never reads the indicators, so it shares no code
-with the packed Lagrange kernel it checks.
+trailing zero).  It never reads the indicators or the memoised lines,
+so it shares no code with the two paths it checks: the line through
+the first two values, and the packed Lagrange kernel.  Values of a line
+must come back as that line, and on GF(251)* the affine members are
+checked against their closed form.
 """
 
 import random
+from time import perf_counter
 
 import pytest
 
-from rsperm import EvaluationSet, Field
+from rsperm import EvaluationSet, Field, affine_group, perm_to_poly
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
 
@@ -92,6 +96,10 @@ def test_values_of_an_equal_field_object_are_accepted():
     twin = Field(9)
     values = [twin.from_index(i) for i in (3, 1, 4, 1, 5)]
     assert_interpolant(points, values)
+    # A line's values, which are not the field's own objects.
+    values, coeffs = line(twin.from_index(4), twin.from_index(7), points)
+    assert all(v.field is twin for v in values)
+    assert list(points.interpolate(values).coeffs) == coeffs
 
 
 def test_values_from_another_field_are_rejected():
@@ -103,3 +111,53 @@ def test_values_from_another_field_are_rejected():
         points.interpolate([other.zero] * 3)
     with pytest.raises(ValueError):
         points.interpolate([1, 2, 3])
+
+
+def line(a, b, points):
+    """The values of a*x + b on the points, and its coefficients, zeros stripped."""
+    coeffs = [b, a]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return [a * x + b for x in points], coeffs
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_values_on_a_line_give_that_line(q):
+    """f of degree <= 1, constants and the zero polynomial included: f is
+    its own interpolant.  A line's first two values with any other value
+    after them must leave the line."""
+    field = Field(q)
+    rng = random.Random(3000 + q)
+    elements, zero = field.elements(), field.zero
+    for points in point_sets(field, rng):
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(6)]
+        pairs += [(zero, rng.choice(field.nonzero_elements())), (zero, zero)]
+        for a, b in pairs:
+            values, coeffs = line(a, b, points)
+            assert_interpolant(points, values)
+            assert list(points.interpolate(values).coeffs) == coeffs
+            assert list(points.interpolate(tuple(values)).coeffs) == coeffs
+            if points.n > 2:
+                i = rng.randrange(2, points.n)
+                values[i] = rng.choice([v for v in elements if v != values[i]])
+                assert_interpolant(points, values)
+                assert len(points.interpolate(values).coeffs) > 2
+
+
+def test_units_of_gf251_have_the_scalings_as_members():
+    """On GF(251)* the affine maps permuting the points are exactly the
+    250 scalings u*x (a translation would move the sum of the points,
+    which is 0, to 250*b), and each member's polynomial is u*x.  Both
+    computations together take well under a second."""
+    field = Field(251)
+    points = EvaluationSet.multiplicative_group(field)
+    t0 = perf_counter()
+    group = affine_group(points)
+    polys = [perm_to_poly(perm, points) for _, perm in group]
+    elapsed = perf_counter() - t0
+    assert [(m.a.index, m.b.index) for m, _ in group] == [(u, 0) for u in range(1, 251)]
+    for u, (_, perm), f in zip(range(1, 251), group, polys):
+        assert perm.images == tuple(points.position(field.element(u) * x) for x in points)
+        assert f.degree == 1
+        assert [c.index for c in f.coeffs] == [0, u]
+    assert elapsed < 1.0

@@ -71,6 +71,20 @@ def test_rref_matches_the_reference(field):
         assert all(x is field.one * x for row in got for x in row)
 
 
+def test_codes_built_from_index_rows_match_the_reference(field):
+    """The constructor the square dual and the dual use, which skips the
+    element check: same rref, same code, and index_rows beside it."""
+    ref = Reference(field)
+    rng = random.Random(field.q * 17)
+    for rows in matrices(ref, rng):
+        n = len(rows[0])
+        elements = as_elements(field, rows)
+        code = LinearCode._from_indices(field, [[x.index for x in r] for r in elements], n)
+        assert coefficient_rows(code.rref) == ref.rref(rows), rows
+        assert code == LinearCode(field, elements, n=n)
+        assert code.index_rows == tuple(tuple(x.index for x in r) for r in code.rref)
+
+
 def test_rref_of_no_rows_is_empty(field):
     assert rref(field, []) == ()
 
