@@ -245,7 +245,7 @@ def run_sweep(seed: int, trials: int) -> Iterator[SweepTrial]:
     fields: dict[int, Field] = {}
     for t in range(trials):
         q = rng.choice(SWEEP_FIELD_POOL)
-        # One Field per q for the run: its modulus search and tables once.
+        # One Field per q for the run, so its tables are built once.
         if q not in fields:
             fields[q] = Field(q)
         field = fields[q]

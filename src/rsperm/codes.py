@@ -8,7 +8,7 @@ coordinate permutations are built on top of that canonical form.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement, FieldMismatchError
@@ -150,34 +150,31 @@ class LinearCode:
 
     def contains(self, vector: Sequence) -> bool:
         """Membership via the parity check H * v^T = 0."""
-        v = [self.field.element(x) for x in vector]
+        v = [self.field.element(x).index for x in vector]
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != code length {self.n}")
-        for h in self.dual.rref:
-            s = self.field.zero
-            for hi, vi in zip(h, v):
-                s = s + hi * vi
-            if not s.is_zero():
-                return False
-        return True
+        ops = self.field.ops
+        checks = (reduce(ops.add, map(ops.mul, h, v), 0) for h in self.dual.index_rows)
+        return not any(checks)
 
     def permuted(self, images: Sequence[int]) -> "LinearCode":
         """The code {pi(c)} with pi(c)_i = c_{images[i]} (0-based pull-back)."""
         images = list(images)
         if sorted(images) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {images}")
-        rows = [tuple(row[i] for i in images) for row in self.rref]
-        return LinearCode(self.field, rows, n=self.n)
+        rows = [[row[i] for i in images] for row in self.index_rows]
+        return LinearCode._from_indices(self.field, rows, self.n)
 
     def star(self, multiplier: Sequence[FieldElement]) -> "LinearCode":
         """Componentwise rescaling {v * c : c in C}; v must have no zero entry."""
-        v = [self.field.element(x) for x in multiplier]
+        v = [self.field.element(x).index for x in multiplier]
         if len(v) != self.n:
             raise ValueError(f"multiplier length {len(v)} != code length {self.n}")
-        if any(x.is_zero() for x in v):
+        if not all(v):
             raise ValueError("star multiplier must have no zero entries")
-        rows = [tuple(vi * ri for vi, ri in zip(v, row)) for row in self.rref]
-        return LinearCode(self.field, rows, n=self.n)
+        mul = self.field.ops.mul
+        rows = [list(map(mul, v, row)) for row in self.index_rows]
+        return LinearCode._from_indices(self.field, rows, self.n)
 
     def frobenius_image(self, j: int = 1) -> "LinearCode":
         """The code generated by applying y -> y**(p**j) to every entry.

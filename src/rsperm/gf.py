@@ -18,10 +18,10 @@ makes the q interned elements, which every accessor and operator
 returns, and Field.terms keeps each element's literal, under its index,
 beside the polynomial term strings.  Field.ops, the one kernel for
 scalars, is add, sub, neg, mul and inv on indices, plus scale on index
-lists; FieldElement operators wrap it, and code, interpolation and
-affine enumeration run on it directly.  Packing, the one kernel for
-vectors of indices, packs them into ints with one slot per base-p
-digit, sums them and unpacks a sum into interned elements; the
+lists; FieldElement operators wrap it, and codes, polynomials,
+interpolation and affine enumeration run on it directly.  Packing, the
+one kernel for vectors of indices, packs them into ints with one slot
+per base-p digit, sums them and unpacks a sum back into indices; the
 permutation search and interpolation both run on it.  Over odd p a
 slot is one byte whenever the sum of all terms fits in it, so a sum is
 reduced mod p in every slot at once by one bytes.translate.
@@ -385,20 +385,18 @@ class Field:
         return IndexOps(self)
 
     @cached_property
-    def byte_digits(self) -> tuple[list[bytes], dict[bytes, FieldElement], bytes]:
-        """(digits, element, mod_p) for packings with one byte per digit (odd p).
+    def byte_digits(self) -> tuple[list[bytes], bytes]:
+        """(digits, mod_p) for packings with one byte per digit (odd p).
 
         digits[x] holds the m base-p digits of index x, least significant
-        first, and element maps each such string to its interned element;
-        mod_p is the bytes.translate table taking every byte value to its
-        residue mod p.
+        first; mod_p is the bytes.translate table taking every byte value
+        to its residue mod p.
         """
         p = self.p
         # product() counts with its last place fastest, the reverse of
         # index order.
         digits = [bytes(ds[::-1]) for ds in product(range(p), repeat=self.m)]
-        element = dict(zip(digits, self.tables[3]))
-        return digits, element, _scaled_digits(1, p)
+        return digits, _scaled_digits(1, p)
 
 
 class IndexOps:
@@ -493,13 +491,13 @@ class Packing:
     def __init__(self, field: Field, count: int, terms: int):
         p, m = field.p, field.m
         self.field, self.count = field, count
-        self._digits = self._element = None
+        self._digits = None
         if p == 2:
             self.width = 1
             self.key, self.keys = _xor_keys()
         elif terms * (p - 1) < 256:
             self.width = 8
-            self._digits, self._element, mod_p = field.byte_digits
+            self._digits, mod_p = field.byte_digits
             self.key, self.keys = _translated_keys(m * count, mod_p)
         else:
             self.width = w = (terms * (p - 1)).bit_length()
@@ -523,27 +521,23 @@ class Packing:
             for b in range(m)
         )
 
-    def unpack(self, key: int) -> list[FieldElement]:
-        """The `count` entries of a key, as the field's interned elements."""
+    def unpack(self, key: int) -> list[int]:
+        """The `count` entries of a key, as indices read from their m digits."""
         field, count, w = self.field, self.count, self.width
         p, m = field.p, field.m
-        els = field.ops.elements
-        if self._element is not None:
-            digits = key.to_bytes(m * count, "little")
-            if m == 1:
-                return [els[d] for d in digits]
-            element = self._element
-            return [element[digits[i : i + m]] for i in range(0, m * count, m)]
         if p == 2:
             mask = field.q - 1
-            return [els[key >> (m * r) & mask] for r in range(count)]
-        slot = (1 << w) - 1
-        digits = [key >> s & slot for s in range(0, w * m * count, w)]
+            return [key >> (m * r) & mask for r in range(count)]
+        if self._digits is not None:
+            digits = key.to_bytes(m * count, "little")
+        else:
+            slot = (1 << w) - 1
+            digits = [key >> s & slot for s in range(0, w * m * count, w)]
         # Entry r is digits[m*r : m*(r+1)] read base p, most significant last.
-        out = digits[m - 1 :: m]
+        out = list(digits[m - 1 :: m])
         for b in range(m - 2, -1, -1):
             out = [x * p + d for x, d in zip(out, digits[b::m])]
-        return [els[x] for x in out]
+        return out
 
 
 def _xor_keys():

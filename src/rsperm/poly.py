@@ -1,9 +1,10 @@
 """Univariate polynomial algebra over a finite field.
 
-Dense ascending coefficient vectors with no trailing zeros; the zero
-polynomial is the empty vector and its degree is the NEG_INF sentinel,
-so degree arithmetic stays honest (deg(f*g) = deg f + deg g even when a
-factor is zero).  Also holds ordered evaluation sets with their Lagrange
+Dense ascending vectors of coefficient indices with no trailing zeros,
+run on the field's index operations (gf.Field.ops); the zero polynomial
+is the empty vector and its degree is the NEG_INF sentinel, so degree
+arithmetic stays honest (deg(f*g) = deg f + deg g even when a factor is
+zero).  Also holds ordered evaluation sets with their Lagrange
 machinery: vanishing polynomial, indicator functions, interpolation and
 composition modulo the set.
 
@@ -18,36 +19,38 @@ the indicators L_i, and each term v_i * L_i depends only on i and the
 index of v_i, so every evaluation set memoises, per indicator, the
 term's coefficients packed into one int by a gf.Packing, filled when a
 sum first misses it.  A call sums n memoised ints with Packing.key and
-unpacks the sum once.  The indicators are the vanishing polynomial
-divided by each x - a_i and scaled by its barycentric weight, computed
-on indices with the field's index operations (gf.Field.ops).  Arithmetic
-inside the module builds results through a constructor that skips the
-per-coefficient check of the public one.
+unpacks the sum once, straight into the coefficient indices.  The
+indicators are the vanishing polynomial divided by each x - a_i and
+scaled by its barycentric weight.  Arithmetic inside the module builds
+results through a constructor that skips the per-coefficient check of
+the public one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import zip_longest
 from operator import is_
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, Packing
+from .gf import Field, FieldElement, FieldMismatchError, IndexOps, Packing
 
 # Degree of the zero polynomial.  A float so that NEG_INF + d == NEG_INF
 # and NEG_INF < d hold for every integer degree d.
 NEG_INF = float("-inf")
 
 
-def _stripped(cs: list[FieldElement]) -> tuple[FieldElement, ...]:
-    while cs and not cs[-1].index:
+def _stripped(cs: list[int]) -> tuple[int, ...]:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
 class Polynomial:
-    """Polynomial over a Field, ascending coefficients, trailing zeros stripped."""
+    """Polynomial over a Field, ascending coefficient indices (index_coeffs),
+    trailing zeros stripped."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "index_coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement] = ()):
         cs = list(coeffs)
@@ -55,15 +58,15 @@ class Polynomial:
             if not isinstance(c, FieldElement) or c.field != field:
                 raise ValueError(f"coefficient {c!r} is not an element of {field}")
         self.field = field
-        self.coeffs = _stripped(cs)
+        self.index_coeffs = _stripped([c.index for c in cs])
 
     @classmethod
-    def _trusted(cls, field: Field, coeffs: tuple[FieldElement, ...]) -> "Polynomial":
-        """Internal constructor without checks: the coefficients are elements
-        of the field and the last one is nonzero."""
+    def _trusted(cls, field: Field, index_coeffs: tuple[int, ...]) -> "Polynomial":
+        """Internal constructor without checks: the coefficients are indices
+        of elements of the field and the last one is nonzero."""
         f = object.__new__(cls)
         f.field = field
-        f.coeffs = coeffs
+        f.index_coeffs = index_coeffs
         return f
 
     # -- constructors ---------------------------------------------------
@@ -101,60 +104,61 @@ class Polynomial:
     # -- basics ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as the field's interned elements."""
+        els = self.field.ops.elements
+        return tuple(els[c] for c in self.index_coeffs)
+
+    @property
     def degree(self):
         """Integer degree, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.index_coeffs) - 1 if self.index_coeffs else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.index_coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.index_coeffs == other.index_coeffs
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.index_coeffs))
 
     def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        return self.coeffs[i] if i < len(self.index_coeffs) else self.field.zero
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic on indices ---------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial._trusted(
-            self.field,
-            _stripped([self.coefficient(i) + other.coefficient(i) for i in range(n)]),
-        )
+        add = _ops(self.field, other).add
+        pairs = zip_longest(self.index_coeffs, other.index_coeffs, fillvalue=0)
+        return Polynomial._trusted(self.field, _stripped([add(a, b) for a, b in pairs]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial._trusted(
-            self.field,
-            _stripped([self.coefficient(i) - other.coefficient(i) for i in range(n)]),
-        )
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.field, tuple(-c for c in self.coeffs))
+        neg = self.field.ops.neg
+        return Polynomial._trusted(self.field, tuple(map(neg, self.index_coeffs)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial._trusted(self.field, ())
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        ops = _ops(self.field, other)
+        f, g = self.index_coeffs, other.index_coeffs
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, ab in enumerate(ops.scale(a, g), i):
+                    out[j] = ops.add(out[j], ab)
         return Polynomial._trusted(self.field, _stripped(out))
 
     def scale(self, c: FieldElement) -> "Polynomial":
-        return Polynomial._trusted(
-            self.field, _stripped([c * a for a in self.coeffs])
-        )
+        scaled = _ops(self.field, c, FieldElement).scale(c.index, self.index_coeffs)
+        return Polynomial._trusted(self.field, _stripped(scaled))
 
     def __pow__(self, e: int) -> "Polynomial":
+        if e < 0:
+            raise ValueError(f"polynomials have no negative powers, got {e}")
         result = Polynomial.one(self.field)
         base = self
         while e:
@@ -168,21 +172,18 @@ class Polynomial:
         """Schoolbook long division; divisor must be nonzero."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        d = len(divisor.coeffs) - 1
-        inv_lead = divisor.coeffs[-1].inverse()
+        field, ops = self.field, _ops(self.field, divisor)
+        rem, div = list(self.index_coeffs), divisor.index_coeffs
+        d = len(div) - 1
         if len(rem) - 1 < d:
             return Polynomial._trusted(field, ()), self
-        quot = [field.zero] * (len(rem) - d)
+        inv_lead = ops.inv(div[-1])
+        quot = [0] * (len(rem) - d)
         for top in range(len(rem) - 1, d - 1, -1):
-            c = rem[top]
-            if c.is_zero():
-                continue
-            f = c * inv_lead
-            quot[top - d] = f
-            for i, b in enumerate(divisor.coeffs):
-                rem[top - d + i] = rem[top - d + i] - f * b
+            if rem[top]:
+                f = quot[top - d] = ops.mul(rem[top], inv_lead)
+                for i, fb in enumerate(ops.scale(f, div), top - d):
+                    rem[i] = ops.sub(rem[i], fb)
         return (
             Polynomial._trusted(field, _stripped(quot)),
             Polynomial._trusted(field, _stripped(rem)),
@@ -194,45 +195,55 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             raise ValueError("the zero polynomial has no monic form")
-        return self.scale(self.coeffs[-1].inverse())
+        ops, cs = self.field.ops, self.index_coeffs
+        return Polynomial._trusted(self.field, tuple(ops.scale(ops.inv(cs[-1]), cs)))
 
     # -- evaluation and composition ----------------------------------------
 
     def evaluate(self, a: FieldElement) -> FieldElement:
         """Horner evaluation."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        ops, acc = _ops(self.field, a, FieldElement), 0
+        for c in reversed(self.index_coeffs):
+            acc = ops.add(ops.mul(acc, a.index), c)
+        return ops.elements[acc]
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Usual composition self(inner(x)), Horner style over polynomials."""
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
+        acc = Polynomial._trusted(self.field, ())
+        for c in reversed(self.index_coeffs):
+            acc = acc * inner + Polynomial._trusted(self.field, (c,) if c else ())
         return acc
 
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
         """Nonzero terms in ascending powers, read from Field.terms."""
-        if not self.coeffs:
+        if not self.index_coeffs:
             return "0"
         terms, q = self.field.terms, self.field.q
         return " + ".join(
-            [terms[i * q + c.index] for i, c in enumerate(self.coeffs) if c.index]
+            [terms[i * q + c] for i, c in enumerate(self.index_coeffs) if c]
         )
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field!r}, {self})"
 
 
+def _ops(field: Field, other, kind: type = Polynomial) -> IndexOps:
+    """The field's index operations, once other is known to be an instance
+    of kind over the same field."""
+    if not isinstance(other, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(other).__name__}")
+    if field is not other.field and field != other.field:
+        raise FieldMismatchError(f"{field} and {other.field} cannot be combined")
+    return field.ops
+
+
 def affine_str(f: Polynomial) -> str:
     """Degree <= 1 polynomials in a*x + b style, as in group listings."""
     if f.degree > 1:
         return str(f)
-    a = f.coefficient(1).index
-    b = f.coefficient(0).index
+    b, a = (f.index_coeffs + (0, 0))[:2]
     terms = f.field.terms
     if not a:
         return terms[b]
@@ -307,7 +318,7 @@ class EvaluationSet:
             acc = [mul(na, acc[0])] + [
                 add(hi, mul(na, lo)) for hi, lo in zip(acc, acc[1:] + [0])
             ]
-        return Polynomial._trusted(self.field, tuple(ops.elements[c] for c in acc))
+        return Polynomial._trusted(self.field, tuple(acc))
 
     @cached_property
     def indicators(self) -> tuple[Polynomial, ...]:
@@ -320,8 +331,8 @@ class EvaluationSet:
         indices.
         """
         ops = self.field.ops
-        add, mul, els = ops.add, ops.mul, ops.elements
-        v = [c.index for c in self.vanishing.coeffs]
+        add, mul = ops.add, ops.mul
+        v = self.vanishing.index_coeffs
         out = []
         for a in [x.index for x in self.points]:
             # Synthetic division: q_{n-1} = v_n and q_{i-1} = v_i + a * q_i;
@@ -334,9 +345,7 @@ class EvaluationSet:
                 value = add(mul(value, a), c)
             q.reverse()
             out.append(
-                Polynomial._trusted(
-                    self.field, tuple(els[c] for c in ops.scale(ops.inv(value), q))
-                )
+                Polynomial._trusted(self.field, tuple(ops.scale(ops.inv(value), q)))
             )
         return tuple(out)
 
@@ -367,7 +376,7 @@ class EvaluationSet:
         a = mul(sub(v1, v0), ops.inv(sub(a1, a0)))
         b = sub(v0, mul(a, a0))
         images = [els[add(mul(a, x.index), b)] for x in self.points]
-        line = Polynomial._trusted(self.field, _stripped([els[b], els[a]]))
+        line = Polynomial._trusted(self.field, _stripped([b, a]))
         self._lines[v0, v1] = images, line
         return images, line
 
@@ -378,8 +387,8 @@ class EvaluationSet:
         ValueError.  The line through the first two values is tried
         first: when its values on the points are the given ones, it is
         the interpolant.  Otherwise the memoised terms v_i * L_i are
-        summed by one Packing.key, and the key is unpacked into interned
-        elements once.
+        summed by one Packing.key, and the key is unpacked into
+        coefficient indices once.
         """
         field, n = self.field, self.n
         if len(values) != n:
@@ -412,7 +421,7 @@ class EvaluationSet:
         except KeyError:
             for (i, memo), x in zip(terms, choice):
                 if x not in memo:
-                    memo[x] = packing.pack([c.index for c in self.indicators[i].coeffs], x)
+                    memo[x] = packing.pack(self.indicators[i].index_coeffs, x)
             key = packing.key(choice, terms)
         return Polynomial._trusted(field, _stripped(packing.unpack(key)))
 

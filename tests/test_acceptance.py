@@ -292,9 +292,9 @@ def test_criterion_10_algebraic_property_suites():
 
 def test_criterion_11_over_the_search_cap_exits_2():
     # SEARCH_CAP counts the 16!/8! candidates of the first input before
-    # searching, so it is refused, though the search would answer it in
-    # about a second.  The second has a group of 10! members, more than
-    # the cap lets a search list.
+    # searching, so it is refused, though `group` would answer it in
+    # under 10 ms through the dual of the Schur square.  The second has a
+    # group of 10! members, more than the cap lets a search list.
     inputs = (
         ("17", ",".join(str(a) for a in range(16)), "8"),
         ("11", ",".join(str(a) for a in range(10)), "1"),

@@ -124,6 +124,18 @@ def test_rref_rejects_entries_of_another_field(f13):
         LinearCode(f13, [[f16.from_index(15), f16.one]])
 
 
+def test_contains_and_star_check_the_field(pts13, f13):
+    code = rs_code(pts13, 2)
+    f11 = Field(11)
+    with pytest.raises(FieldMismatchError):
+        code.contains([f11.one] * 4)
+    with pytest.raises(FieldMismatchError):
+        code.star([f11.one] * 4)
+    # Ints are read as elements of the prime field: all ones is f = 1.
+    assert code.contains([1, 1, 1, 1])
+    assert code.star([1, 2, 3, 4]).contains([1, 2, 3, 4])
+
+
 def test_rs_code_k_out_of_range(pts13):
     with pytest.raises(ValueError):
         rs_code(pts13, 0)

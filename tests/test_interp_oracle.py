@@ -161,3 +161,24 @@ def test_units_of_gf251_have_the_scalings_as_members():
         assert f.degree == 1
         assert [c.index for c in f.coeffs] == [0, u]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("q", (7, 8, 9, 27, 257))
+def test_coefficients_are_the_fields_interned_elements(q):
+    """coeffs, coefficient, evaluate and interpolate hand out the objects
+    of field.ops.elements, on the line path and the Lagrange path.  On 7
+    points the packed sums decode by byte (GF(7)), by bit (GF(8)), by
+    digit planes (GF(9), GF(27)) and by wide slots (GF(257))."""
+    field = Field(q)
+    els = field.ops.elements
+    rng = random.Random(q)
+    points = EvaluationSet(field, rng.sample(els, 7))
+    a, b = rng.choice(els[1:]), rng.choice(els)
+    line = [a * x + b for x in points]
+    for values in (line, [rng.choice(els) for _ in points]):
+        f = points.interpolate(values)
+        assert (f.degree == 1) == (values is line)
+        assert all(c is els[c.index] for c in f.coeffs)
+        assert all(f.coefficient(i) is els[f.coefficient(i).index] for i in range(9))
+        for x, v in zip(points, values):
+            assert f.evaluate(x) is v

@@ -119,11 +119,7 @@ def test_unpack_inverts_pack_into_interned_elements(field):
         for vector in [widest(field, count), [0] * count] + [
             random_vector(field, count, rng) for _ in range(20)
         ]:
-            out = packing.unpack(packing.pack(vector))
-            assert [x.index for x in out] == vector
-            assert all(x.field is field for x in out)
-            # The elements the field's operators return, not fresh copies.
-            assert all(x is field.one * field.from_index(x.index) for x in out)
+            assert packing.unpack(packing.pack(vector)) == vector
 
 
 @pytest.mark.parametrize("terms", (1, 2, 3, 5, 8))
@@ -135,7 +131,7 @@ def test_key_of_a_full_sum_of_widest_vectors(field, terms):
     key = packing.key([0] * terms, [(i, packed) for i in range(terms)])
     want = ref_sum(field, [widest(field, count)] * terms)
     assert key == ref_pack(field, terms, want)
-    assert [x.index for x in packing.unpack(key)] == want
+    assert packing.unpack(key) == want
 
 
 @pytest.mark.parametrize("terms", (1, 2, 3, 6))
@@ -161,7 +157,7 @@ def test_key_of_scaled_sums(field, terms):
         )
         key = packing.key(choice, table)
         assert key == ref_pack(field, terms, want)
-        assert [x.index for x in packing.unpack(key)] == want
+        assert packing.unpack(key) == want
 
 
 @pytest.mark.parametrize("terms", (1, 3, 6))
@@ -219,4 +215,4 @@ def test_gf17_on_each_side_of_the_byte_cutover(terms):
     want = ref_sum(field, [ref_scale(field, g, v) for v, g in zip(vectors, scales)])
     key = packing.key([0] * terms, table)
     assert key == ref_pack(field, terms, want)
-    assert [x.index for x in packing.unpack(key)] == want
+    assert packing.unpack(key) == want

@@ -1,9 +1,10 @@
+import operator
 import random
 
 import pytest
 
 from conftest import random_points, random_polynomial
-from rsperm import NEG_INF, EvaluationSet, Field, Polynomial, compose_mod
+from rsperm import NEG_INF, EvaluationSet, Field, FieldMismatchError, Polynomial, compose_mod
 from rsperm.poly import affine_str
 
 
@@ -241,3 +242,33 @@ def test_evaluation_set_validation(f13):
     small = Field(3)
     with pytest.raises(ValueError):
         EvaluationSet(small, [0, 1, 2, 0])
+
+
+def test_negative_power_raises_at_once(f13):
+    f = Polynomial.from_ints(f13, [1, 1])
+    with pytest.raises(ValueError):
+        f**-1
+    assert f**0 == Polynomial.one(f13)
+    assert f**3 == f * f * f
+
+
+@pytest.mark.parametrize(
+    "combine",
+    (operator.add, operator.sub, operator.mul, divmod, operator.mod, Polynomial.compose),
+    ids=("add", "sub", "mul", "divmod", "mod", "compose"),
+)
+def test_polynomials_over_two_fields_do_not_combine(f13, combine):
+    f = Polynomial.from_ints(f13, [1, 2, 3])
+    g = Polynomial.from_ints(Field(11), [4, 5])
+    with pytest.raises(FieldMismatchError):
+        combine(f, g)
+
+
+def test_evaluate_and_scale_take_elements_of_the_field_only(f13):
+    f = Polynomial.from_ints(f13, [1, 2, 3])
+    other = Field(11).element(3)
+    for method in (f.evaluate, f.scale):
+        with pytest.raises(FieldMismatchError):
+            method(other)
+        with pytest.raises(TypeError):
+            method(3)
