@@ -11,8 +11,8 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, FieldMismatchError
-from .poly import EvaluationSet
+from .gf import Field, FieldElement
+from .poly import EvaluationSet, _indices
 
 Row = tuple[FieldElement, ...]
 
@@ -24,19 +24,9 @@ def rref(field: Field, rows: Iterable[Sequence[FieldElement]]) -> tuple[Row, ...
     runs on their indices (_reduced), and the rows come back as interned
     elements.
     """
+    rows = [_indices(field, r, "entry") for r in rows]
     els = field.ops.elements
-    return tuple(tuple(els[x] for x in r) for r in _reduced(field, _indices(field, rows)))
-
-
-def _indices(field: Field, rows: Iterable[Sequence[FieldElement]]) -> list[list[int]]:
-    """The rows as index lists, once every entry is known to be in the field."""
-    work = []
-    for r in rows:
-        for x in r:
-            if x.field is not field and x.field != field:
-                raise FieldMismatchError(f"{x!r} is not in {field}")
-        work.append([x.index for x in r])
-    return work
+    return tuple(tuple(els[x] for x in r) for r in _reduced(field, rows))
 
 
 def _reduced(field: Field, rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -81,7 +71,8 @@ class LinearCode:
         rows: Iterable[Sequence[FieldElement]],
         n: int | None = None,
     ):
-        self._canonical(field, _reduced(field, _indices(field, rows)), n)
+        rows = [_indices(field, r, "entry") for r in rows]
+        self._canonical(field, _reduced(field, rows), n)
 
     @classmethod
     def _from_indices(
@@ -198,15 +189,13 @@ def rs_code(points: EvaluationSet, k: int) -> LinearCode:
     """
     if not 1 <= k <= points.n:
         raise ValueError(f"dimension k must be in 1..{points.n}, got {k}")
-    field = points.field
-    mul = field.ops.mul
-    pts = [a.index for a in points]
+    mul = points.field.ops.mul
     row = [1] * points.n
     rows = []
     for _ in range(k):
         rows.append(row)
-        row = list(map(mul, row, pts))
-    return LinearCode._from_indices(field, rows, points.n)
+        row = list(map(mul, row, points.index_points))
+    return LinearCode._from_indices(points.field, rows, points.n)
 
 
 def rs_dual_multiplier(points: EvaluationSet) -> tuple[FieldElement, ...]:

@@ -179,7 +179,7 @@ def poly_to_perm(f: Polynomial, points: EvaluationSet) -> Permutation:
         images.append(pos)
     if len(set(images)) != points.n:
         raise NotAPermutationError(f"{f} is not injective on the point set")
-    return Permutation(images)
+    return Permutation._trusted(tuple(images))
 
 
 def permutes(f: Polynomial, points: EvaluationSet) -> bool:
@@ -208,7 +208,7 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
     """
     ops = points.field.ops
     add, sub, mul, inv, els = ops.add, ops.sub, ops.mul, ops.inv, ops.elements
-    pts = [x.index for x in points]
+    pts = points.index_points
     where = {x: i for i, x in enumerate(pts)}
     # n as a field element: the prime field's n mod p has index n mod p.
     n = points.n % points.field.p
@@ -235,9 +235,13 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
                 break
             images.append(pos)
         else:
-            found.append((a, b, images))
+            found.append((a, b, tuple(images)))
     found.sort(key=lambda member: member[:2])
-    return [(AffineMap(els[a], els[b]), Permutation(images)) for a, b, images in found]
+    # Each images tuple is a bijection: a != 0 makes the map injective.
+    return [
+        (AffineMap(els[a], els[b]), Permutation._trusted(images))
+        for a, b, images in found
+    ]
 
 
 # -- exhaustive group computation ------------------------------------------

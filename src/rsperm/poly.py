@@ -8,29 +8,33 @@ zero).  Also holds ordered evaluation sets with their Lagrange
 machinery: vanishing polynomial, indicator functions, interpolation and
 composition modulo the set.
 
-Interpolation tries the line first.  The line through (a_0, v_0) and
-(a_1, v_1) is memoised per evaluation set under the indices of v_0 and
-v_1, with its values on every point; when those are the given values,
-the line is the unique interpolant of degree < n.  That is one lookup
-and one identity comparison of n objects, so an affine member costs
+An evaluation set keeps its points as elements and as indices, and
+compares, hashes and looks up positions on the indices.  Its Lagrange
+basis is plain Polynomial arithmetic: the vanishing polynomial is the
+product of the factors x - a_i, and each indicator is the vanishing
+polynomial divided by x - a_i, scaled by the inverse of the quotient's
+value at a_i.
+
+Interpolation checks the values once into indices, then tries the line
+first.  The line through (a_0, v_0) and (a_1, v_1) is memoised per
+evaluation set under the indices of v_0 and v_1, with the indices of
+its values on every point; when those are the given values, the line
+is the unique interpolant of degree < n.  So an affine member costs
 O(n), and each line is computed once per pair (v_0, v_1).  Any other
 values go through one int kernel on indices.  f = sum_i v_i * L_i over
 the indicators L_i, and each term v_i * L_i depends only on i and the
 index of v_i, so every evaluation set memoises, per indicator, the
 term's coefficients packed into one int by a gf.Packing, filled when a
 sum first misses it.  A call sums n memoised ints with Packing.key and
-unpacks the sum once, straight into the coefficient indices.  The
-indicators are the vanishing polynomial divided by each x - a_i and
-scaled by its barycentric weight.  Arithmetic inside the module builds
-results through a constructor that skips the per-coefficient check of
-the public one.
+unpacks the sum once, straight into the coefficient indices.
+Arithmetic inside the module builds results through a constructor that
+skips the per-coefficient check of the public one.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import zip_longest
-from operator import is_
 from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement, FieldMismatchError, IndexOps, Packing
@@ -46,6 +50,19 @@ def _stripped(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
+def _indices(field: Field, values: Iterable, what: str) -> list[int]:
+    """The indices of the values, once each is known to be an element of
+    the field; anything else raises ValueError naming it."""
+    out = []
+    for v in values:
+        if not isinstance(v, FieldElement):
+            raise ValueError(f"{what} {v!r} is not an element of {field}")
+        if v.field is not field and v.field != field:
+            raise FieldMismatchError(f"{what} {v!r} is not an element of {field}")
+        out.append(v.index)
+    return out
+
+
 class Polynomial:
     """Polynomial over a Field, ascending coefficient indices (index_coeffs),
     trailing zeros stripped."""
@@ -53,12 +70,8 @@ class Polynomial:
     __slots__ = ("field", "index_coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement] = ()):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, FieldElement) or c.field != field:
-                raise ValueError(f"coefficient {c!r} is not an element of {field}")
         self.field = field
-        self.index_coeffs = _stripped([c.index for c in cs])
+        self.index_coeffs = _stripped(_indices(field, coeffs, "coefficient"))
 
     @classmethod
     def _trusted(cls, field: Field, index_coeffs: tuple[int, ...]) -> "Polynomial":
@@ -252,18 +265,19 @@ def affine_str(f: Polynomial) -> str:
 
 
 class EvaluationSet:
-    """Ordered tuple of n >= 2 pairwise-distinct field elements."""
+    """Ordered tuple of n >= 2 pairwise-distinct field elements, kept as
+    the elements (points) and as their indices (index_points)."""
 
     def __init__(self, field: Field, points: Iterable):
-        pts = tuple(field.element(a) for a in points)
-        if len(pts) < 2:
+        self.index_points = tuple(field.element(a).index for a in points)
+        self.n = len(self.index_points)
+        if self.n < 2:
             raise ValueError("evaluation sets need at least two points")
-        if len(set(pts)) != len(pts):
+        self._position = {x: i for i, x in enumerate(self.index_points)}
+        if len(self._position) != self.n:
             raise ValueError("evaluation points must be pairwise distinct")
         self.field = field
-        self.points = pts
-        self.n = len(pts)
-        self._position = {a: i for i, a in enumerate(pts)}
+        self.points = tuple(map(field.ops.elements.__getitem__, self.index_points))
 
     @classmethod
     def full_field(cls, field: Field) -> "EvaluationSet":
@@ -285,17 +299,19 @@ class EvaluationSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvaluationSet):
             return NotImplemented
-        return self.field == other.field and self.points == other.points
+        return self.field == other.field and self.index_points == other.index_points
 
     def __hash__(self) -> int:
-        return hash((self.field, self.points))
+        return hash((self.field, self.index_points))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.points) + ")"
 
     def position(self, a: FieldElement) -> int | None:
-        """Index of a point, or None when the element is not in the set."""
-        return self._position.get(a)
+        """Index of a point, or None when a is not a point of the set."""
+        if isinstance(a, FieldElement) and a.field == self.field:
+            return self._position.get(a.index)
+        return None
 
     def permuted(self, images: Sequence[int]) -> "EvaluationSet":
         """The tuple (a_pi(1), ..., a_pi(n)) for 0-based images."""
@@ -304,21 +320,17 @@ class EvaluationSet:
     # -- Lagrange machinery ---------------------------------------------
 
     @cached_property
-    def vanishing(self) -> Polynomial:
-        """Monic degree-n polynomial with roots exactly the points.
+    def _factors(self) -> tuple[Polynomial, ...]:
+        """The linear factors x - a_i, one per point."""
+        field, neg = self.field, self.field.ops.neg
+        return tuple(Polynomial._trusted(field, (neg(a), 1)) for a in self.index_points)
 
-        The product of the x - a, one factor at a time on indices.
-        """
-        ops = self.field.ops
-        add, mul = ops.add, ops.mul
-        acc = [1]
-        for a in [x.index for x in self.points]:
-            # (x - a) * acc: coefficient i is acc[i-1] - a * acc[i].
-            na = ops.neg(a)
-            acc = [mul(na, acc[0])] + [
-                add(hi, mul(na, lo)) for hi, lo in zip(acc, acc[1:] + [0])
-            ]
-        return Polynomial._trusted(self.field, tuple(acc))
+    @cached_property
+    def vanishing(self) -> Polynomial:
+        """Monic degree-n polynomial with roots exactly the points: the
+        product of the x - a_i, each factor on the left so that a step
+        scales the product so far twice."""
+        return reduce(lambda acc, f: f * acc, self._factors, Polynomial.one(self.field))
 
     @cached_property
     def indicators(self) -> tuple[Polynomial, ...]:
@@ -327,27 +339,11 @@ class EvaluationSet:
         L_i is Q_i = vanishing / (x - a_i) scaled by 1/Q_i(a_i), so its
         leading coefficient is the barycentric weight 1/prod_{j != i}
         (a_i - a_j) (Berrut and Trefethen, SIAM Review 46(3), 2004).
-        Q_i is one synthetic division and Q_i(a_i) one Horner pass, on
-        indices.
         """
-        ops = self.field.ops
-        add, mul = ops.add, ops.mul
-        v = self.vanishing.index_coeffs
-        out = []
-        for a in [x.index for x in self.points]:
-            # Synthetic division: q_{n-1} = v_n and q_{i-1} = v_i + a * q_i;
-            # the remainder v(a) is zero and is not formed.
-            q = [1]
-            for c in v[-2:0:-1]:
-                q.append(add(c, mul(a, q[-1])))
-            value = 0
-            for c in q:
-                value = add(mul(value, a), c)
-            q.reverse()
-            out.append(
-                Polynomial._trusted(self.field, tuple(ops.scale(ops.inv(value), q)))
-            )
-        return tuple(out)
+        quotients = [divmod(self.vanishing, f)[0] for f in self._factors]
+        return tuple(
+            q.scale(q.evaluate(a).inverse()) for q, a in zip(quotients, self.points)
+        )
 
     def evaluate(self, f: Polynomial) -> tuple[FieldElement, ...]:
         """The vector (f(a_1), ..., f(a_n))."""
@@ -363,19 +359,20 @@ class EvaluationSet:
         return tuple((i, {}) for i in range(self.n))
 
     @cached_property
-    def _lines(self) -> dict[tuple[int, int], tuple[list[FieldElement], Polynomial]]:
+    def _lines(self) -> dict[tuple[int, int], tuple[list[int], Polynomial]]:
         """Memo from (v_0.index, v_1.index) to the line through (a_0, v_0)
-        and (a_1, v_1): its values on the points, and the line itself."""
+        and (a_1, v_1): the indices of its values on the points, and the
+        line itself."""
         return {}
 
-    def _line(self, v0: int, v1: int) -> tuple[list[FieldElement], Polynomial]:
+    def _line(self, v0: int, v1: int) -> tuple[list[int], Polynomial]:
         """The line a*x + b with a_0 -> v0 and a_1 -> v1, on indices."""
         ops = self.field.ops
-        add, sub, mul, els = ops.add, ops.sub, ops.mul, ops.elements
-        a0, a1 = self.points[0].index, self.points[1].index
+        add, sub, mul = ops.add, ops.sub, ops.mul
+        a0, a1 = self.index_points[:2]
         a = mul(sub(v1, v0), ops.inv(sub(a1, a0)))
         b = sub(v0, mul(a, a0))
-        images = [els[add(mul(a, x.index), b)] for x in self.points]
+        images = [add(ax, b) for ax in ops.scale(a, self.index_points)]
         line = Polynomial._trusted(self.field, _stripped([b, a]))
         self._lines[v0, v1] = images, line
         return images, line
@@ -393,28 +390,11 @@ class EvaluationSet:
         field, n = self.field, self.n
         if len(values) != n:
             raise ValueError(f"expected {n} values, got {len(values)}")
-        v0, v1 = values[0], values[1]
-        if (
-            isinstance(v0, FieldElement)
-            and isinstance(v1, FieldElement)
-            and v0.field is field
-            and v1.field is field
-        ):
-            line = self._lines.get((v0.index, v1.index))
-            if line is None:
-                line = self._line(v0.index, v1.index)
-            # The line's values are interned elements: values that are
-            # not those objects, even equal ones of an equal field, are
-            # left to the sum below.
-            if all(map(is_, values, line[0])):
-                return line[1]
-        choice = []
-        for v in values:
-            if not isinstance(v, FieldElement) or (
-                v.field is not field and v.field != field
-            ):
-                raise ValueError(f"value {v!r} is not an element of {field}")
-            choice.append(v.index)
+        choice = _indices(field, values, "value")
+        v0, v1 = choice[0], choice[1]
+        images, line = self._lines.get((v0, v1)) or self._line(v0, v1)
+        if images == choice:
+            return line
         packing, terms = self._packing, self._terms
         try:
             key = packing.key(choice, terms)

@@ -9,14 +9,16 @@ is list equality: the same maps, the same permutations and the same
 order.  That enumeration takes its candidates from the sum S of the
 points and a base point a_r with n*a_r != S, or from pairs of points
 when p divides n and S = 0, so the point sets cover each of those
-cases, with and without maps other than the identity.
+cases, with and without maps other than the identity.  Each member, and
+poly_to_perm of its polynomial, skips the checked Permutation
+constructor, so both must equal what that constructor builds.
 """
 
 import random
 
 import pytest
 
-from rsperm import EvaluationSet, Field, affine_group
+from rsperm import EvaluationSet, Field, Permutation, affine_group, poly_to_perm
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64)
 
@@ -75,8 +77,12 @@ def test_affine_group_matches_reference(q):
         if len(pts) < 2:
             continue
         points = EvaluationSet(field, pts)
-        got = [(m.a.index, m.b.index, perm.images) for m, perm in affine_group(points)]
+        group = affine_group(points)
+        got = [(m.a.index, m.b.index, perm.images) for m, perm in group]
         assert got == reference_affine(points), f"GF({q}) {name}"
+        for m, perm in group:
+            for p in (perm, poly_to_perm(m.polynomial, points)):
+                assert type(p.images) is tuple and Permutation(p.images) == perm
 
 
 def test_gf4_inside_gf16_and_its_cosets():

@@ -124,6 +124,16 @@ def test_rref_rejects_entries_of_another_field(f13):
         LinearCode(f13, [[f16.from_index(15), f16.one]])
 
 
+def test_rref_rejects_entries_that_are_not_elements(f13):
+    """Ints are not elements here, as for Polynomial coefficients."""
+    with pytest.raises(ValueError, match="^entry 1 is not an element of GF"):
+        LinearCode(f13, [[1, 2]])
+    with pytest.raises(ValueError, match="^entry 1 is not an element of GF"):
+        rref(f13, [[1]])
+    with pytest.raises(ValueError, match="^entry None is not an element of GF"):
+        rref(f13, [[f13.one, None]])
+
+
 def test_contains_and_star_check_the_field(pts13, f13):
     code = rs_code(pts13, 2)
     f11 = Field(11)

@@ -244,6 +244,36 @@ def test_evaluation_set_validation(f13):
         EvaluationSet(small, [0, 1, 2, 0])
 
 
+def test_evaluation_set_semantics():
+    """Equality, hashing and positions go by field and point indices: sets
+    over equal Field objects are equal, and anything that is not a point
+    of the set, an element of another field included, has no position."""
+    pts = [[0, 0], [1, 0], [2, 0], [1, 1], [2, 2]]
+    a, b = EvaluationSet(Field(9), pts), EvaluationSet(Field(9), pts)
+    assert a.field is not b.field
+    assert a == b and hash(a) == hash(b)
+    assert a != EvaluationSet(Field(9), pts[::-1])
+    assert a != EvaluationSet(Field(9, modulus=(2, 2, 1)), pts)
+    assert a.index_points == (0, 1, 2, 4, 8)
+    twin = b.field.element([1, 1])
+    assert a.position(twin) == 3
+    small = EvaluationSet(Field(13), [0, 1, 4, 6])
+    assert small.position(Field(13).element(6)) == 3
+    assert small.position(Field(11).element(6)) is None
+    assert small.position(Field(13).element(5)) is None
+    for not_an_element in (6, "6", None, [6]):
+        assert small.position(not_an_element) is None
+
+
+def test_duplicate_points_raise_the_same_error(f13):
+    distinct = "^evaluation points must be pairwise distinct$"
+    for pts in ([0, 0], [0, 1, 4, 1], [0, 1, 14]):
+        with pytest.raises(ValueError, match=distinct):
+            EvaluationSet(f13, pts)
+    with pytest.raises(ValueError, match="^evaluation sets need at least two points$"):
+        EvaluationSet(f13, [5])
+
+
 def test_negative_power_raises_at_once(f13):
     f = Polynomial.from_ints(f13, [1, 1])
     with pytest.raises(ValueError):
