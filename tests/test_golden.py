@@ -60,6 +60,16 @@ CASES = {
         "group", "--field", "9", "--points", vector_literals(3, 2, [0, 1, 2, 4, 5, 7, 8]),
         "--k", "1", "--json",
     ],
+    # The same S_7 reports nested two levels deep in a verify report: one
+    # with the out-of-range warning text over a prime field, one with
+    # bracketed odd-p literals.
+    "verify-gf7-full-k6": [
+        "verify", "--field", "7", "--points", "0,1,2,3,4,5,6", "--k", "6", "--json",
+    ],
+    "verify-gf9-seven-k1": [
+        "verify", "--field", "9", "--points", vector_literals(3, 2, [0, 1, 2, 4, 5, 7, 8]),
+        "--k", "1", "--json",
+    ],
     "sweep-42-30": ["sweep", "--seed", "42", "--trials", "30", "--json"],
     # The headline run: every field of the sweep pool, 200 trials.
     "sweep-42-200": ["sweep", "--seed", "42", "--trials", "200", "--json"],
@@ -77,6 +87,8 @@ DIGESTS = {
     "paper-examples": "5f06041a64d5cccb7bb9295726c8b6374eefda84ade5456605369774f25a9f7f",
     "sweep-42-30": "4179d3b5b9f3efaf8bbcb458a926c75100186a5a2bfa5f3636cb89702755aca5",
     "sweep-42-200": "b73164eb7d6c933ed4e0631060d0e1de695a03376f2098a871762a975f6d9be8",
+    "verify-gf7-full-k6": "37574c3cc772eda36e0451161e9f6314b427aa8523ca632b35c6d894fa46f64f",
+    "verify-gf9-seven-k1": "c2ba73acfd72e2aa246be87d21c5f1c2d5b228e83eecce7ce1e651070715f9a1",
     "verify-gf256": "bdb606de42bef5a6300fa522829977c24f061d12d7e1e14b5392115225caf005",
 }
 
