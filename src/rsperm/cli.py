@@ -75,7 +75,9 @@ def json_text(value) -> str:
     json.dumps runs its pure-Python encoder whenever indent is set; this
     writer does the same layout with one call per container.  Dicts with
     str keys, lists, str, int, bool and None are written here, by exact
-    type; anything else is left to json.dumps.
+    type, and so is a GroupReport, as the text of its to_json_dict(): its
+    members are written by template, with no dict or call per member.
+    Anything else is left to json.dumps.
     """
     out: list[str] = []
     _write_json(value, "\n", out)
@@ -112,10 +114,53 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             out.append(f"{',' if i else ''}{inner}{encode_basestring_ascii(k)}: ")
             _write_json(x, inner, out)
         out.append(newline + "}")
+    elif kind is GroupReport:
+        _write_group(value, newline, out)
     else:
         # Empty containers, floats, tuples, other keys: the stdlib's text,
         # its line breaks moved to this depth (JSON strings hold none).
         out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
+def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
+    """Append the text of report.to_json_dict(), its members by template.
+
+    The text around each member's images and polynomial is made once for
+    this depth, every "perm" list reads one table of the labels 1..n (the
+    members of a group all act on the same n points), and the text after
+    "poly" depends on the member's degree alone.
+    """
+    inner = newline + "  "
+    out.append("{")
+    for key, x in (
+        ("order", report.order),
+        ("affine_order", report.affine_order),
+        ("equal", report.is_affine_equal),
+    ):
+        out.append(f'{inner}"{key}": ')
+        _write_json(x, inner, out)
+        out.append(",")
+    members = report.elements
+    line = inner + "  "
+    field = line + "  "
+    image = field + "  "
+    head = f'{{{field}"perm": [{image}'
+    image_sep = "," + image
+    poly_key = f'{field}],{field}"poly": '
+    labels = [str(i) for i in range(1, members[0].perm.n + 1)] if members else []
+    tails: dict[int, str] = {}
+    texts = []
+    for member in members:
+        degree = member.degree
+        tail = tails.get(degree)
+        if tail is None:
+            affine = "true" if degree == 1 else "false"
+            tail = tails[degree] = f',{field}"degree": {degree},{field}"affine": {affine}{line}}}'
+        perm = image_sep.join(map(labels.__getitem__, member.perm.images))
+        poly = encode_basestring_ascii(affine_str(member.poly))
+        texts.append(f"{head}{perm}{poly_key}{poly}{tail}")
+    elements = f"[{line}{(',' + line).join(texts)}{inner}]" if texts else "[]"
+    out.append(f'{inner}"elements": {elements}{newline}}}')
 
 
 def _print_json(obj) -> None:
@@ -167,7 +212,7 @@ def cmd_group(args) -> int:
     points = parse_points(field, args.points)
     result = check_theorem(points, args.k)
     if args.json:
-        _print_json(result.group.to_json_dict())
+        _print_json(result.group)
         return 0
     code = result.code
     print(f"field {field}")
@@ -184,7 +229,7 @@ def cmd_verify(args) -> int:
     points = parse_points(field, args.points)
     result = check_theorem(points, args.k)
     if args.json:
-        _print_json(result.to_json_dict())
+        _print_json(result._json_dict(result.group))
     else:
         print(f"field {field}")
         print(f"points {points}  k={args.k}")

@@ -734,6 +734,12 @@ class TheoremReport:
         return (self.equal and self.all_degree_one) if self.in_range else True
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(self.group.to_json_dict())
+
+    def _json_dict(self, group) -> dict:
+        """The report's JSON fields, with group as the value of "group":
+        to_json_dict gives the group's dict, and the CLI the GroupReport
+        itself, whose members its writer writes by template."""
         return {
             "q": self.points.field.q,
             "n": self.points.n,
@@ -742,7 +748,7 @@ class TheoremReport:
             "equal": self.equal,
             "all_degree_one": self.all_degree_one,
             "warning": self.warning,
-            "group": self.group.to_json_dict(),
+            "group": group,
         }
 
 

@@ -5,7 +5,8 @@ Outside gf.py no module of src/rsperm reads the field's exp/log tables
 2 (`.p` or `p` compared with 2): packed vectors go through gf.Packing
 and elements through FieldElement.
 
-Likewise every --json report goes through one writer, rsperm.cli.json_text:
+Likewise every --json report goes through one writer, rsperm.cli.json_text,
+which also writes the members of a group report itself, by template:
 json.dumps appears in src/rsperm only in that writer's fallback.  And a
 field makes its element objects in one place: FieldElement is called in
 src/rsperm only inside Field.tables, which interns one per index.
