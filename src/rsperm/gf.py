@@ -21,8 +21,9 @@ scalars, is add, sub, neg, mul and inv on indices, plus scale on index
 lists; FieldElement operators wrap it, and codes, polynomials,
 interpolation and affine enumeration run on it directly.  Packing, the
 one kernel for vectors of indices, packs them into ints with one slot
-per base-p digit, sums them and unpacks a sum back into indices; the
-permutation search and interpolation both run on it.  Over odd p a
+per base-p digit, scales a list of them by one element in a few
+whole-int operations, sums them and unpacks a sum back into indices;
+the permutation search and interpolation both run on it.  Over odd p a
 slot is one byte whenever the sum of all terms fits in it, so a sum is
 reduced mod p in every slot at once by one bytes.translate.
 """
@@ -35,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -485,7 +486,10 @@ class Packing:
     packed[choice[i]] over the (i, packed) pairs, packed being a list
     or a memo dict; equal vectors have equal keys.  keys(choice, terms,
     last) is the list of keys of that sum plus each packed vector in
-    last, the sum taken once.
+    last, the sum taken once.  scaler(vectors) packs a list of vectors
+    times any element g at once, as one int cut into one per vector: by
+    m multiplications of bit planes for p = 2, and by one scale of all
+    their entries for odd p.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
@@ -505,11 +509,55 @@ class Packing:
 
     def pack(self, indices: Iterable[int], scale: int = 1) -> int:
         """The vector of indices times the element of index `scale`, packed."""
-        p, m, w = self.field.p, self.field.m, self.width
         if scale != 1:
             if not scale:
                 return 0
             indices = self.field.ops.scale(scale, indices)
+        return self._laid_out(indices)
+
+    def scaler(self, vectors: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
+        """The function g -> [pack(v, g) for v in vectors], for vectors of
+        `count` indices, at a fixed number of whole-int operations per g.
+
+        The vectors are laid out end to end as one packed int, scaled by g
+        at once and cut back into one int per vector.  For p = 2, bit
+        plane b (bit b of every entry, at the entry's lowest slot) times
+        the index of g * 2**b puts that element's m bits in the entry's m
+        slots: a plane holds 0 or 1 per entry and the index is below 2**m,
+        so nothing carries from one entry into the next, and the XOR of
+        the m products is g times every entry.  For odd p the entries are
+        scaled by one ops.scale and laid out as one vector.
+        """
+        p, m, ops = self.field.p, self.field.m, self.field.ops
+        flat = [x for v in vectors for x in v]
+        span = self.width * m * self.count
+        mask = (1 << span) - 1
+        cuts = range(0, span * len(vectors), span)
+        if p == 2:
+            laid = self._laid_out(flat)
+            # One 1 at the lowest slot of every entry: the base-2**m repunit.
+            ones = ((1 << m * len(flat)) - 1) // ((1 << m) - 1)
+            planes = [(laid >> b & ones, 1 << b) for b in range(m)]
+            mul = ops.mul
+
+            def scaled(g: int) -> list[int]:
+                s = 0
+                for plane, t in planes:
+                    s ^= plane * mul(g, t)
+                return [s >> c & mask for c in cuts]
+
+        else:
+            scale = ops.scale
+
+            def scaled(g: int) -> list[int]:
+                s = self._laid_out(scale(g, flat))
+                return [s >> c & mask for c in cuts]
+
+        return scaled
+
+    def _laid_out(self, indices: Iterable[int]) -> int:
+        """The indices packed as they are, however many there are."""
+        p, m, w = self.field.p, self.field.m, self.width
         if self._digits is not None:
             digits = self._digits
             return int.from_bytes(b"".join([digits[x] for x in indices]), "little")

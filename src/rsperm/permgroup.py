@@ -4,7 +4,11 @@ The permutation group Per(C) of a length-n code is computed exactly from
 its generator matrix alone, by column matching on an information set:
 a member is fixed, up to exchanging equal columns, by the images of the
 k pivot columns of the rref, and every other column's image is then one
-lookup.  Per(C) = Per(C^perp), so the smaller of the two is searched,
+lookup.  The columns are packed into ints by gf.Packing, and all of
+them are scaled by a coefficient g in one Packing.scaler call per
+distinct g.  An accepted image of the pivots that leaves no two columns
+to exchange is kept as its one member's image tuple alone.
+Per(C) = Per(C^perp), so the smaller of the two is searched,
 whose n!/(n-d)! candidate images, d = min(k, n-k), are met in the
 middle on one free column: perm(n, h) lookups of the first h images
 against a table of the other d - h, |W| * perm(n, d-h) entries for the
@@ -288,8 +292,10 @@ class _Columns:
     """A code's rref with its columns packed for column matching.
 
     Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
-    time, read from the rref's index rows.  `where` maps each key to the
-    positions holding that column.  For the f-th free column j,
+    time, read from the rref's index rows.  products(g) is the packed
+    g * G[:, c] of every column c, made by one call of the columns'
+    Packing.scaler per distinct g; `where` maps each key of products(1)
+    to the positions holding that column.  For the f-th free column j,
     checks[f] pairs each row i with G[i][j] != 0 with products(G[i][j]),
     so that packing.key(t, checks[f]) is the key of
     sum_i G[i][j] * G[:, t_i].
@@ -299,13 +305,14 @@ class _Columns:
         self.field, self.n, self.rows = code.field, code.n, code.index_rows
         k = len(self.rows)
         self.packing = packing = Packing(self.field, k, k + 1)
-        self.cols = cols = list(zip(*self.rows))
+        cols = list(zip(*self.rows))
+        self._scaler = packing.scaler(cols)
+        self._scaled: dict[int, list[int]] = {}
         self.where: dict[int, list[int]] = {}
-        for c, col in enumerate(cols):
-            self.where.setdefault(packing.pack(col), []).append(c)
+        for c, key in enumerate(self.products(1)):
+            self.where.setdefault(key, []).append(c)
         self.pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
         self.free = [j for j in range(self.n) if j not in self.pivots]
-        self._scaled: dict[int, list[int]] = {}
         self.checks = [
             [(i, self.products(g)) for i, g in enumerate(cols[j]) if g] for j in self.free
         ]
@@ -313,7 +320,7 @@ class _Columns:
     def products(self, g: int) -> list[int]:
         """The packed g * G[:, c] for every column c, once per distinct g."""
         if g not in self._scaled:
-            self._scaled[g] = [self.packing.pack(col, g) for col in self.cols]
+            self._scaled[g] = self._scaler(g)
         return self._scaled[g]
 
     def fixes(self, pi: tuple[int, ...]) -> bool:
@@ -326,12 +333,15 @@ class _Columns:
         )
 
 
-_Accepted = list[tuple[tuple[int, ...], list[tuple[list[int], list[int]]]]]
+_Blocks = list[tuple[list[int], list[int]]]
+# The members of accepted t whose blocks are all singletons, and every
+# other accepted t with its blocks.
+_Accepted = tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], _Blocks]]]
 
 
 def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
-    """The images t of the pivots that pass every free column, each with
-    its blocks of exchangeable columns, and the order they give.
+    """The images t of the pivots that pass every free column, with
+    their blocks of exchangeable columns, and the order they give.
 
     The n!/(n-k)! injective images t of I are not enumerated one by one.
     They are met in the middle on the first free column j0, split at
@@ -345,14 +355,17 @@ def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
     in place of n!/(n-k)! candidates.  A block (js, cs) holds free
     columns js with equal targets and the positions cs outside t holding
     that column; every bijection between the two makes a member, so the
-    order is the sum over t of the products of |block|!.
+    order is the sum over t of the products of |block|!.  A t whose
+    blocks are all singletons, as every t of an affine group is, makes
+    one member, kept as its image tuple alone; only the other t keep
+    their blocks.
 
     The table and the lookups sum the terms they share once:
     Packing.keys adds each x in W to the sum over a suffix u, and each
     last prefix image c to the sum over the first h - 1.
     """
     n, rows, packing, where = cols.n, cols.rows, cols.packing, cols.where
-    free, checks, products = cols.free, cols.checks, cols.products
+    pivots, free, checks, products = cols.pivots, cols.free, cols.checks, cols.products
     k = len(rows)
     image = packing.key
     keys = list(where)
@@ -377,7 +390,8 @@ def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
         if c not in s
     )
     rest = checks[1:]
-    accepted: _Accepted = []
+    whole: list[tuple[int, ...]] = []
+    grouped: list[tuple[tuple[int, ...], _Blocks]] = []
     for s, total in lookups:
         hits = table.get(total)
         if hits is None:
@@ -399,26 +413,36 @@ def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
                     classes.setdefault(key, []).append(j)
                 # The free columns must fill the n - k positions outside t,
                 # each class exactly the positions holding its target.
-                blocks = []
+                blocks: _Blocks = []
                 for key, js in classes.items():
                     spare = [c for c in where[key] if c not in t]
                     if len(spare) != len(js):
                         break
                     blocks.append((js, spare))
                 else:
-                    accepted.append((t, blocks))
-    order = sum(
-        math.prod(math.factorial(len(js)) for js, _ in blocks) for _, blocks in accepted
+                    if len(blocks) < len(free):
+                        grouped.append((t, blocks))
+                    else:
+                        images = [0] * n
+                        for i, c in zip(pivots, t):
+                            images[i] = c
+                        for (j,), (c,) in blocks:
+                            images[j] = c
+                        whole.append(tuple(images))
+    order = len(whole) + sum(
+        math.prod(math.factorial(len(js)) for js, _ in blocks) for _, blocks in grouped
     )
-    return accepted, order
+    return (whole, grouped), order
 
 
 def _listed(n: int, pivots: list[int], accepted: _Accepted) -> list[tuple[int, ...]]:
-    """Every member of the accepted images: pivot p_i goes to t_i, and each
-    block's free columns go to its positions in every order; sorted."""
-    members = []
+    """Every member of the accepted images, sorted: the whole members as
+    they are, and for each other t, pivot p_i goes to t_i and each block's
+    free columns go to its positions in every order."""
+    whole, grouped = accepted
+    members = list(whole)
     images = [0] * n
-    for t, blocks in accepted:
+    for t, blocks in grouped:
         for i, c in zip(pivots, t):
             images[i] = c
         for choice in product(*(iter_permutations(cs) for _, cs in blocks)):

@@ -254,9 +254,10 @@ def _ops(field: Field, other, kind: type = Polynomial) -> IndexOps:
 
 def affine_str(f: Polynomial) -> str:
     """Degree <= 1 polynomials in a*x + b style, as in group listings."""
-    if f.degree > 1:
+    coeffs = f.index_coeffs
+    if len(coeffs) > 2:
         return str(f)
-    b, a = (f.index_coeffs + (0, 0))[:2]
+    b, a = (coeffs + (0, 0))[:2]
     terms = f.field.terms
     if not a:
         return terms[b]

@@ -101,6 +101,23 @@ def test_scaled_pack_is_field_multiplication(field):
             assert packing.pack(vector, g) == want, (g, vector)
 
 
+@pytest.mark.parametrize("terms", (2, 7))
+def test_scaler_packs_every_vector_times_every_element(field, terms):
+    """scaler(vectors)(g) is every vector times g, packed, for each g
+    (zero packs to zero), on many vectors with a zero and a widest one
+    among them, and on a single vector."""
+    rng = random.Random(field.q * 43 + terms)
+    for count in (1, 4):
+        packing = Packing(field, count, terms)
+        vectors = [[0] * count, widest(field, count)]
+        vectors += [random_vector(field, count, rng) for _ in range(8)]
+        for chosen in (vectors, vectors[-1:]):
+            scaled = packing.scaler(chosen)
+            for g in range(field.q):
+                want = [ref_pack(field, terms, ref_scale(field, g, v)) for v in chosen]
+                assert scaled(g) == want, (count, g)
+
+
 def test_special_scales(field):
     count = min(field.q, 6)
     packing = Packing(field, count, 2)
