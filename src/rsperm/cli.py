@@ -287,13 +287,9 @@ def run_sweep(seed: int, trials: int) -> Iterator[SweepTrial]:
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     rng = random.Random(seed)
-    fields: dict[int, Field] = {}
     for t in range(trials):
         q = rng.choice(SWEEP_FIELD_POOL)
-        # One Field per q for the run, so its tables are built once.
-        if q not in fields:
-            fields[q] = Field(q)
-        field = fields[q]
+        field = Field(q)
         n = rng.randint(4, min(8, q))
         pts = rng.sample(field.elements(), n)
         k = rng.randint(2, n - 2)

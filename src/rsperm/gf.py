@@ -13,10 +13,14 @@ by linearity over the digits of x: XOR for p = 2, sums in one-byte
 digit slots reduced a block at a time by one bytes.translate for odd
 p < 131, and the two digits reduced directly for larger p.
 
-A field hands out one object and one string per element: Field.tables
-makes the q interned elements, which every accessor and operator
-returns, and Field.terms keeps each element's literal, under its index,
-beside the polynomial term strings.  Field.ops, the one kernel for
+A process holds one Field object per field, and a field hands out one
+object and one string per element.  Field(q, modulus) returns the field
+already made for that order and modulus, however the modulus is
+spelled, and keeps it for the life of the process, so each field's
+tables are built at most once per process.  Field.tables makes the q
+interned elements, which every accessor and operator returns, and
+Field.terms keeps each element's literal, under its index, beside the
+polynomial term strings.  Field.ops, the one kernel for
 scalars, is add, sub, neg, mul and inv on indices, plus scale on index
 lists; FieldElement operators wrap it, and codes, polynomials,
 interpolation and affine enumeration run on it directly.  Packing, the
@@ -39,6 +43,11 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 MAX_FIELD_SIZE = 1 << 16
+
+# (q, modulus) -> the process's one Field of that order and modulus, the
+# modulus being the checked tuple, or None for the default modulus (and
+# for prime fields, which take none).
+_FIELDS: dict[tuple[int, tuple[int, ...] | None], "Field"] = {}
 
 
 class FieldMismatchError(ValueError):
@@ -234,31 +243,67 @@ class Field:
     The modulus (monic irreducible of degree m, ascending coefficients)
     is validated at construction; for m == 1 it is implicit.  A default
     modulus is searched for when none is given.
+
+    There is one Field object per field in a process: Field(q, modulus)
+    returns the field already made for that q and checked modulus, in
+    whatever form the modulus is given (None for the default, a list, a
+    tuple or any iterable), so its tables, ops and strings are built at
+    most once.  Fields are held for the life of the process; built
+    tables take O(q) memory, about 10.8 MB for a field near 2**16.
     """
 
-    def __init__(self, q: int, modulus: Sequence[int] | None = None):
+    def __new__(cls, q: int, modulus: Iterable[int] | None = None) -> "Field":
+        # A plain int order and the default modulus, the common call, is
+        # one lookup; any other form is checked by __init__ first.  The
+        # type test keeps 7.0, which hashes and compares like 7, out.
+        if modulus is None and type(q) is int:
+            field = _FIELDS.get((q, None))
+            if field is not None:
+                return field
+        field = super().__new__(cls)
+        field.__init__(q, modulus)
+        return _FIELDS[field.q, field.modulus]
+
+    def __init__(self, q: int, modulus: Iterable[int] | None = None):
+        """Check q and the modulus, then register the field unless an
+        equal one is registered already.  Python also calls it on the
+        field that __new__ returns; a field already checked is left as
+        it is."""
+        if "q" in self.__dict__:
+            return
+        try:
+            q = operator.index(q)
+        except TypeError:
+            raise TypeError(f"field order must be an int, got {q!r}") from None
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
         p, m = factor_prime_power(q)
-        self.p = p
-        self.m = m
-        self.q = q
         if m == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
-            self.modulus: tuple[int, ...] | None = None
+            mod = None
+        elif modulus is None:
+            mod = default_modulus(p, m)
         else:
-            if modulus is None:
-                self.modulus = default_modulus(p, m)
-            else:
-                mod = tuple(c % p for c in modulus)
-                if len(mod) != m + 1 or mod[-1] != 1:
-                    raise ValueError(
-                        f"modulus must be monic of degree {m} (got {list(modulus)})"
-                    )
-                if not is_irreducible(mod, p):
-                    raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
-                self.modulus = mod
+            given = list(modulus)
+            try:
+                mod = tuple(operator.index(c) % p for c in given)
+            except TypeError:
+                raise TypeError(f"modulus coefficients must be ints, got {given}") from None
+            if len(mod) != m + 1 or mod[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {m} (got {given})")
+            # A registered modulus was found irreducible when it was registered.
+            if (q, mod) not in _FIELDS and not is_irreducible(mod, p):
+                raise ValueError(f"modulus {given} is reducible over F_{p}")
+        self.p, self.m, self.q = p, m, q
+        self.modulus: tuple[int, ...] | None = mod
+        field = _FIELDS.setdefault((q, mod), self)
+        if modulus is None:
+            _FIELDS.setdefault((q, None), field)
+
+    def __reduce__(self):
+        """Pickle, copy and deepcopy give back the process's one field."""
+        return Field, (self.q, self.modulus)
 
     def __eq__(self, other: object) -> bool:
         if self is other:

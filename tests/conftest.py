@@ -13,6 +13,21 @@ from rsperm import EvaluationSet, Field, LinearCode, Permutation, Polynomial, co
 SRC = str(Path(rsperm.__file__).resolve().parent.parent)
 
 
+def fresh_field(q, modulus=None) -> Field:
+    """A Field equal to Field(q, modulus) that is not that object and
+    shares none of its tables or strings.
+
+    Field(q, modulus) hands out the process's one field; this runs
+    Field.__init__ on a new object once that field exists, so the new
+    object is checked like any field but not registered in its place.
+    """
+    shared = Field(q, modulus)
+    field = object.__new__(Field)
+    field.__init__(q, modulus)
+    assert field is not shared and field == shared
+    return field
+
+
 @pytest.fixture
 def f13():
     return Field(13)

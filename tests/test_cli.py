@@ -9,6 +9,7 @@ import pytest
 
 import rsperm
 import rsperm.cli
+import rsperm.gf
 import rsperm.permgroup
 from conftest import run_process, vector_literals
 from rsperm.cli import main, run_sweep, split_top_level
@@ -250,19 +251,40 @@ def test_sweep_duality_check_builds_no_square(monkeypatch):
     assert built
 
 
-def test_sweep_builds_each_field_once(monkeypatch):
-    """A run builds one Field per order it draws, however many trials."""
+def count_table_builds(monkeypatch) -> list[int]:
+    """The order of every field whose tables are built from now on, in a
+    process that has made no field yet (the registry is emptied for the
+    test and put back after)."""
+    monkeypatch.setattr(rsperm.gf, "_FIELDS", {})
     built = []
-    field_class = rsperm.cli.Field
+    primitive_powers = rsperm.gf._primitive_powers
 
-    def counting_field(q, *args, **kwargs):
-        built.append(q)
-        return field_class(q, *args, **kwargs)
+    def counting(field):
+        built.append(field.q)
+        return primitive_powers(field)
 
-    monkeypatch.setattr(rsperm.cli, "Field", counting_field)
+    monkeypatch.setattr(rsperm.gf, "_primitive_powers", counting)
+    return built
+
+
+def test_sweep_builds_each_field_once(monkeypatch):
+    """A run uses one Field per order it draws and builds its tables
+    once, however many trials draw it."""
+    built = count_table_builds(monkeypatch)
     trials = list(run_sweep(seed=42, trials=30))
-    assert sorted(built) == sorted({t.result.points.field.q for t in trials})
+    fields = {t.result.points.field.q: t.result.points.field for t in trials}
+    assert all(t.result.points.field is fields[t.result.points.field.q] for t in trials)
+    assert sorted(built) == sorted(fields)
     assert len(trials) > len(built)
+
+
+def test_verify_calls_in_one_process_build_the_tables_once(capsys, monkeypatch):
+    built = count_table_builds(monkeypatch)
+    points = vector_literals(2, 8, (1, 2, 3, 5, 8, 13))
+    for k in ("2", "3"):
+        code, out, _ = run(capsys, "verify", "--field", "256", "--points", points, "--k", k)
+        assert code == 0, out
+    assert built == [256]
 
 
 def test_sweep_reports_a_failed_duality_check(capsys, monkeypatch):

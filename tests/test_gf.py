@@ -1,7 +1,11 @@
+import copy
+import pickle
 import time
 
 import pytest
 
+import rsperm.gf
+from conftest import fresh_field
 from rsperm import Field, FieldMismatchError
 from rsperm.gf import default_modulus
 
@@ -139,12 +143,105 @@ def test_reducible_modulus_rejected_after_the_default_is_remembered():
     same field is still tested for irreducibility."""
     default = Field(256).modulus
     hits = default_modulus.cache_info().hits
-    assert Field(256).modulus == default
+    # A fresh field, since Field(256) now returns the one already made.
+    assert fresh_field(256).modulus == default
     assert default_modulus.cache_info().hits == hits + 1
     # t^8 + 1 = (t + 1)^8 over F_2
     with pytest.raises(ValueError, match="reducible"):
         Field(256, modulus=(1, 0, 0, 0, 0, 0, 0, 0, 1))
     assert Field(256).modulus == default
+
+
+# -- one Field object per field ------------------------------------------------
+
+
+def registry_snapshot() -> dict:
+    return {key: id(field) for key, field in rsperm.gf._FIELDS.items()}
+
+
+def test_every_form_of_a_field_gives_one_object():
+    field = Field(9)
+    default = field.modulus
+    forms = [
+        Field(q=9),
+        Field(9, modulus=default),
+        Field(9, list(default)),
+        Field(9, (c for c in default)),
+        # Coefficients are read mod p.
+        Field(9, [c + 3 for c in default]),
+    ]
+    assert all(f is field for f in forms)
+    other = Field(9, modulus=(2, 2, 1))
+    assert other is not field and other != field
+    assert Field(9, [2, 2, 1]) is other
+    assert Field(13) is Field(13)
+
+
+def test_a_default_modulus_given_first_is_the_default_field(monkeypatch):
+    monkeypatch.setattr(rsperm.gf, "_FIELDS", {})
+    field = Field(25, modulus=list(default_modulus(5, 2)))
+    assert Field(25) is field
+    assert Field(25, modulus=default_modulus(5, 2)) is field
+
+
+def test_a_reducible_modulus_raises_every_time_and_caches_nothing(monkeypatch):
+    tested = []
+    is_irreducible = rsperm.gf.is_irreducible
+
+    def spy(modulus, p):
+        tested.append(modulus)
+        return is_irreducible(modulus, p)
+
+    monkeypatch.setattr(rsperm.gf, "is_irreducible", spy)
+    before = registry_snapshot()
+    for form in ((2, 0, 1), [2, 0, 1], [5, 3, 4]):
+        with pytest.raises(ValueError, match="reducible"):
+            Field(9, modulus=form)
+    assert tested == [(2, 0, 1)] * 3
+    assert registry_snapshot() == before
+    assert (9, (2, 0, 1)) not in rsperm.gf._FIELDS
+
+
+@pytest.mark.parametrize("q", [7.0, "7", 7.5, None])
+def test_an_order_that_is_not_an_int_raises_at_construction(q):
+    Field(7)
+    before = registry_snapshot()
+    with pytest.raises(TypeError, match="field order must be an int, got " + repr(q)):
+        Field(q)
+    assert registry_snapshot() == before
+
+
+def test_modulus_coefficients_must_be_ints():
+    with pytest.raises(TypeError, match="modulus coefficients must be ints"):
+        Field(9, modulus=(2.0, 2, 1))
+
+
+def test_an_integer_like_order_is_read_as_an_int(monkeypatch):
+    numpy = pytest.importorskip("numpy")
+    monkeypatch.setattr(rsperm.gf, "_FIELDS", {})
+    field = Field(numpy.int64(7))
+    assert type(field.q) is int and field.q == 7
+    assert Field(7) is field and Field(numpy.int64(7)) is field
+    assert str(field) == "GF(7)"
+
+
+@pytest.mark.parametrize("q, modulus", [(13, None), (9, (2, 2, 1)), (256, None)])
+def test_pickle_and_copies_give_back_the_one_field(q, modulus):
+    field = Field(q, modulus)
+    assert pickle.loads(pickle.dumps(field)) is field
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+    x = field.from_index(q - 1)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert twin == x and twin.field is field
+
+
+def test_init_still_checks_a_new_object():
+    """Field.__init__, which the benchmark tracer wraps, is the check."""
+    with pytest.raises(ValueError, match="not a prime power"):
+        object.__new__(Field).__init__(6)
+    with pytest.raises(ValueError, match="reducible"):
+        object.__new__(Field).__init__(9, (2, 0, 1))
 
 
 def test_non_prime_power_rejected():
@@ -206,7 +303,7 @@ def _reference_literal(p: int, m: int, index: int) -> str:
     "q, modulus", [(2, None), (13, None), (9, (2, 2, 1)), (16, None), (27, None), (256, None)]
 )
 def test_element_literals_are_base_p_digits(q, modulus):
-    field = Field(q, modulus=modulus)
+    field = fresh_field(q, modulus)
     assert "terms" not in vars(field)
     # The second pass reads what the first stored.
     for _ in range(2):
@@ -216,7 +313,7 @@ def test_element_literals_are_base_p_digits(q, modulus):
 
 
 def test_element_literals_are_stored_only_when_printed():
-    field = Field(1 << 16)
+    field = fresh_field(1 << 16)
     assert "terms" not in vars(field)
     xs = [field.from_index(6553 * i + 1) for i in range(10)]
     assert [str(x) for x in xs] == [_reference_literal(2, 16, x.index) for x in xs]
@@ -232,7 +329,7 @@ def test_every_accessor_returns_the_interned_element(q):
     returns field.ops.elements[i] itself, never a new equal object."""
     field = Field(q)
     interned = field.ops.elements
-    twin = Field(q, modulus=field.modulus)
+    twin = fresh_field(q, field.modulus)
     assert twin is not field and twin == field
     p, m = field.p, field.m
     assert field.zero is interned[0]

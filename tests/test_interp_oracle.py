@@ -16,6 +16,7 @@ from time import perf_counter
 
 import pytest
 
+from conftest import fresh_field
 from rsperm import EvaluationSet, Field, affine_group, perm_to_poly
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
@@ -93,7 +94,8 @@ def test_repeated_calls_hit_the_memo(q):
 
 def test_values_of_an_equal_field_object_are_accepted():
     points = EvaluationSet(Field(9), Field(9).elements()[:5])
-    twin = Field(9)
+    twin = fresh_field(9)
+    assert twin is not points.field
     values = [twin.from_index(i) for i in (3, 1, 4, 1, 5)]
     assert_interpolant(points, values)
     # A line's values, which are not the field's own objects.

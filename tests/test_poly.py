@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_points, random_polynomial
+from conftest import fresh_field, random_points, random_polynomial
 from rsperm import NEG_INF, EvaluationSet, Field, FieldMismatchError, Polynomial, compose_mod
 from rsperm.poly import affine_str
 
@@ -249,7 +249,7 @@ def test_evaluation_set_semantics():
     over equal Field objects are equal, and anything that is not a point
     of the set, an element of another field included, has no position."""
     pts = [[0, 0], [1, 0], [2, 0], [1, 1], [2, 2]]
-    a, b = EvaluationSet(Field(9), pts), EvaluationSet(Field(9), pts)
+    a, b = EvaluationSet(Field(9), pts), EvaluationSet(fresh_field(9), pts)
     assert a.field is not b.field
     assert a == b and hash(a) == hash(b)
     assert a != EvaluationSet(Field(9), pts[::-1])
