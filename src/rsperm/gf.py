@@ -13,12 +13,13 @@ by linearity over the digits of x: XOR for p = 2, sums in one-byte
 digit slots reduced a block at a time by one bytes.translate for odd
 p < 131, and the two digits reduced directly for larger p.
 
-A process holds one Field object per field, and a field hands out one
-object and one string per element.  Field(q, modulus) returns the field
-already made for that order and modulus, however the modulus is
-spelled, and keeps it for the life of the process, so each field's
-tables are built at most once per process.  Field.tables makes the q
-interned elements, which every accessor and operator returns, and
+A process holds one Field object per live field, and a field hands out
+one object and one string per element.  Field(q, modulus) returns the
+field already made for that order and modulus, however the modulus is
+spelled, while that field is alive, and the registry keeps the
+KEPT_FIELDS most recently used fields alive, so a process that keeps
+asking about a few fields builds their tables once.  Field.tables makes
+the q interned elements, which every accessor and operator returns, and
 Field.terms keeps each element's literal, under its index, beside the
 polynomial term strings.  Field.ops, the one kernel for
 scalars, is add, sub, neg, mul and inv on indices, plus scale on index
@@ -37,17 +38,25 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Sequence
+from weakref import WeakValueDictionary
 
 MAX_FIELD_SIZE = 1 << 16
 
-# (q, modulus) -> the process's one Field of that order and modulus, the
-# modulus being the checked tuple, or None for the default modulus (and
-# for prime fields, which take none).
-_FIELDS: dict[tuple[int, tuple[int, ...] | None], "Field"] = {}
+# How many of the most recently used fields the registry keeps alive.
+KEPT_FIELDS = 8
+
+# (q, checked modulus or None) -> the Field of that order and modulus, for
+# as long as the field is alive anywhere; _KEPT, least recently used
+# first, is what keeps a field alive between calls.
+_FIELDS: WeakValueDictionary[tuple[int, tuple[int, ...] | None], "Field"] = (
+    WeakValueDictionary()
+)
+_KEPT: OrderedDict[tuple[int, tuple[int, ...] | None], "Field"] = OrderedDict()
 
 
 class FieldMismatchError(ValueError):
@@ -244,31 +253,31 @@ class Field:
     is validated at construction; for m == 1 it is implicit.  A default
     modulus is searched for when none is given.
 
-    There is one Field object per field in a process: Field(q, modulus)
-    returns the field already made for that q and checked modulus, in
-    whatever form the modulus is given (None for the default, a list, a
-    tuple or any iterable), so its tables, ops and strings are built at
-    most once.  Fields are held for the life of the process; built
-    tables take O(q) memory, about 10.8 MB for a field near 2**16.
+    There is one Field object per live field in a process:
+    Field(q, modulus) returns the field already made for that q and
+    checked modulus, in whatever form the modulus is given (None for the
+    default, a list, a tuple or any iterable), so its tables, ops and
+    strings are built once for as long as it lives.  Besides what
+    callers hold, the registry keeps only the KEPT_FIELDS (8) most
+    recently used fields alive.  Built tables take O(q) memory, about
+    10.8 MB for a field near 2**16 and 0.15 MB for GF(1024), so the
+    registry keeps at most about 86 MB of them alive.
     """
 
     def __new__(cls, q: int, modulus: Iterable[int] | None = None) -> "Field":
-        # A plain int order and the default modulus, the common call, is
-        # one lookup; any other form is checked by __init__ first.  The
-        # type test keeps 7.0, which hashes and compares like 7, out.
-        if modulus is None and type(q) is int:
-            field = _FIELDS.get((q, None))
-            if field is not None:
-                return field
         field = super().__new__(cls)
         field.__init__(q, modulus)
-        return _FIELDS[field.q, field.modulus]
+        key = (field.q, field.modulus)
+        field = _FIELDS.setdefault(key, field)
+        _KEPT[key] = field
+        _KEPT.move_to_end(key)
+        if len(_KEPT) > KEPT_FIELDS:
+            _KEPT.popitem(last=False)
+        return field
 
     def __init__(self, q: int, modulus: Iterable[int] | None = None):
-        """Check q and the modulus, then register the field unless an
-        equal one is registered already.  Python also calls it on the
-        field that __new__ returns; a field already checked is left as
-        it is."""
+        """Check q and the modulus.  Python also calls it on the field
+        that __new__ returns; a field already checked is left as it is."""
         if "q" in self.__dict__:
             return
         try:
@@ -297,9 +306,6 @@ class Field:
                 raise ValueError(f"modulus {given} is reducible over F_{p}")
         self.p, self.m, self.q = p, m, q
         self.modulus: tuple[int, ...] | None = mod
-        field = _FIELDS.setdefault((q, mod), self)
-        if modulus is None:
-            _FIELDS.setdefault((q, None), field)
 
     def __reduce__(self):
         """Pickle, copy and deepcopy give back the process's one field."""

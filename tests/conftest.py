@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rsperm
+import rsperm.gf
 from rsperm import EvaluationSet, Field, LinearCode, Permutation, Polynomial, compose_mod, perm_to_poly
 
 SRC = str(Path(rsperm.__file__).resolve().parent.parent)
@@ -26,6 +27,14 @@ def fresh_field(q, modulus=None) -> Field:
     field.__init__(q, modulus)
     assert field is not shared and field == shared
     return field
+
+
+@pytest.fixture
+def no_fields(monkeypatch):
+    """A field registry with nothing in it, for the test; the process's
+    own registry is put back after."""
+    for name in ("_FIELDS", "_KEPT"):
+        monkeypatch.setattr(rsperm.gf, name, type(getattr(rsperm.gf, name))())
 
 
 @pytest.fixture

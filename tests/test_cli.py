@@ -253,9 +253,7 @@ def test_sweep_duality_check_builds_no_square(monkeypatch):
 
 def count_table_builds(monkeypatch) -> list[int]:
     """The order of every field whose tables are built from now on, in a
-    process that has made no field yet (the registry is emptied for the
-    test and put back after)."""
-    monkeypatch.setattr(rsperm.gf, "_FIELDS", {})
+    process that has made no field yet (with the no_fields fixture)."""
     built = []
     primitive_powers = rsperm.gf._primitive_powers
 
@@ -267,7 +265,7 @@ def count_table_builds(monkeypatch) -> list[int]:
     return built
 
 
-def test_sweep_builds_each_field_once(monkeypatch):
+def test_sweep_builds_each_field_once(monkeypatch, no_fields):
     """A run uses one Field per order it draws and builds its tables
     once, however many trials draw it."""
     built = count_table_builds(monkeypatch)
@@ -278,7 +276,7 @@ def test_sweep_builds_each_field_once(monkeypatch):
     assert len(trials) > len(built)
 
 
-def test_verify_calls_in_one_process_build_the_tables_once(capsys, monkeypatch):
+def test_verify_calls_in_one_process_build_the_tables_once(capsys, monkeypatch, no_fields):
     built = count_table_builds(monkeypatch)
     points = vector_literals(2, 8, (1, 2, 3, 5, 8, 13))
     for k in ("2", "3"):

@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import time
+import tracemalloc
 
 import pytest
 
@@ -143,8 +145,7 @@ def test_reducible_modulus_rejected_after_the_default_is_remembered():
     same field is still tested for irreducibility."""
     default = Field(256).modulus
     hits = default_modulus.cache_info().hits
-    # A fresh field, since Field(256) now returns the one already made.
-    assert fresh_field(256).modulus == default
+    assert Field(256).modulus == default
     assert default_modulus.cache_info().hits == hits + 1
     # t^8 + 1 = (t + 1)^8 over F_2
     with pytest.raises(ValueError, match="reducible"):
@@ -155,8 +156,9 @@ def test_reducible_modulus_rejected_after_the_default_is_remembered():
 # -- one Field object per field ------------------------------------------------
 
 
-def registry_snapshot() -> dict:
-    return {key: id(field) for key, field in rsperm.gf._FIELDS.items()}
+def registry_snapshot() -> tuple[dict, list]:
+    fields = {key: id(field) for key, field in rsperm.gf._FIELDS.items()}
+    return fields, list(rsperm.gf._KEPT)
 
 
 def test_every_form_of_a_field_gives_one_object():
@@ -177,8 +179,7 @@ def test_every_form_of_a_field_gives_one_object():
     assert Field(13) is Field(13)
 
 
-def test_a_default_modulus_given_first_is_the_default_field(monkeypatch):
-    monkeypatch.setattr(rsperm.gf, "_FIELDS", {})
+def test_a_default_modulus_given_first_is_the_default_field(no_fields):
     field = Field(25, modulus=list(default_modulus(5, 2)))
     assert Field(25) is field
     assert Field(25, modulus=default_modulus(5, 2)) is field
@@ -216,9 +217,8 @@ def test_modulus_coefficients_must_be_ints():
         Field(9, modulus=(2.0, 2, 1))
 
 
-def test_an_integer_like_order_is_read_as_an_int(monkeypatch):
+def test_an_integer_like_order_is_read_as_an_int(no_fields):
     numpy = pytest.importorskip("numpy")
-    monkeypatch.setattr(rsperm.gf, "_FIELDS", {})
     field = Field(numpy.int64(7))
     assert type(field.q) is int and field.q == 7
     assert Field(7) is field and Field(numpy.int64(7)) is field
@@ -234,6 +234,52 @@ def test_pickle_and_copies_give_back_the_one_field(q, modulus):
     x = field.from_index(q - 1)
     for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
         assert twin == x and twin.field is field
+
+
+def test_only_the_most_recently_used_fields_are_kept(no_fields):
+    """The registry keeps KEPT_FIELDS fields alive; a field let go of is
+    freed once nothing else holds it, and one a caller still holds is
+    still the one handed out."""
+    kept = rsperm.gf.KEPT_FIELDS
+    held = Field(2)
+    moduli = irreducible_moduli(2, 7)[: 2 * kept]
+    first = (128, moduli[0])
+    for modulus in moduli:
+        Field(*first)  # used before each new field, so it stays kept
+        Field(128, modulus)
+        assert first in rsperm.gf._KEPT
+    gc.collect()
+    assert len(rsperm.gf._KEPT) == kept
+    assert set(rsperm.gf._FIELDS) == set(rsperm.gf._KEPT) | {(2, None)}
+    assert Field(2) is held
+
+
+def test_fields_over_many_moduli_do_not_pile_up(no_fields):
+    """Building fields over ever new moduli holds the tables of at most
+    KEPT_FIELDS of them."""
+    kept = rsperm.gf.KEPT_FIELDS
+    moduli = irreducible_moduli(2, 10)[: 4 * kept]
+
+    def traced_after(count: int) -> int:
+        for modulus in moduli[:count]:
+            Field(1024, modulus).ops
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        one_set = traced_after(kept) - start
+        four_sets = traced_after(4 * kept) - start
+    finally:
+        tracemalloc.stop()
+    assert one_set > 0
+    assert four_sets < 1.5 * one_set, (one_set, four_sets)
+
+
+def irreducible_moduli(p: int, m: int) -> list[tuple[int, ...]]:
+    moduli = (tuple(c) for c in rsperm.gf._monic_polys_of_degree(m, p))
+    return [mod for mod in moduli if rsperm.gf.is_irreducible(mod, p)]
 
 
 def test_init_still_checks_a_new_object():
