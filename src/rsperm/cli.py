@@ -345,7 +345,7 @@ def _paper_example_f13(checks: list[tuple[str, bool, str]]) -> None:
     checks.append(
         (
             "F_13 group is non-abelian (S_3)",
-            report.hint.abelian is False and report.hint.label == "S_3",
+            report.is_abelian is False and report.hint.endswith("(S_3)"),
             f"got {report.hint}",
         )
     )

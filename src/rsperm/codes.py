@@ -121,16 +121,19 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k}, field={self.field})"
 
     @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each rref row: its first nonzero entry."""
+        return tuple(next(j for j, x in enumerate(r) if x) for r in self.index_rows)
+
+    @cached_property
     def dual(self) -> "LinearCode":
         """The (n-k)-dimensional code orthogonal to every codeword."""
         field, n = self.field, self.n
         neg = field.ops.neg
-        rows = self.index_rows
-        pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-        pivot_set = set(pivots)
+        rows, pivots = self.index_rows, self.pivots
         dual_rows = []
         for f in range(n):
-            if f in pivot_set:
+            if f in pivots:
                 continue
             w = [0] * n
             w[f] = 1
@@ -167,17 +170,15 @@ class LinearCode:
         rows = [list(map(mul, v, row)) for row in self.index_rows]
         return LinearCode._from_indices(self.field, rows, self.n)
 
-    def frobenius_image(self, j: int = 1) -> "LinearCode":
-        """The code generated by applying y -> y**(p**j) to every entry.
+    def frobenius_image(self) -> "LinearCode":
+        """The code generated by applying y -> y**p to every entry.
 
-        Only defined for extension fields, 1 <= j < m.
+        Only defined for extension fields.
         """
         if self.field.m == 1:
             raise ValueError("prime fields have no nontrivial field automorphism")
-        if not 1 <= j < self.field.m:
-            raise ValueError(f"automorphism power must be in 1..{self.field.m - 1}")
-        e = self.field.p**j
-        rows = [tuple(x**e for x in row) for row in self.rref]
+        p = self.field.p
+        rows = [tuple(x**p for x in row) for row in self.rref]
         return LinearCode(self.field, rows, n=self.n)
 
 

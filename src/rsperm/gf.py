@@ -23,7 +23,8 @@ the q interned elements, which every accessor and operator returns, and
 Field.terms keeps each element's literal, under its index, beside the
 polynomial term strings.  Field.ops, the one kernel for
 scalars, is add, sub, neg, mul and inv on indices, plus scale on index
-lists; FieldElement operators wrap it, and codes, polynomials,
+lists; FieldElement operators wrap it, behind the operand check _ops
+that Polynomial arithmetic shares, and codes, polynomials,
 interpolation and affine enumeration run on it directly.  Packing, the
 one kernel for vectors of indices, packs them into ints with one slot
 per base-p digit, scales a list of them by one element in a few
@@ -150,6 +151,17 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+def _ops(field: Field, other, kind: type) -> IndexOps:
+    """The field's index operations, once other is known to be an instance
+    of kind (an element or a polynomial) over the same field: the one
+    operand check of FieldElement and Polynomial arithmetic."""
+    if not isinstance(other, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(other).__name__}")
+    if field is not other.field and field != other.field:
+        raise FieldMismatchError(f"{field} and {other.field} cannot be combined")
+    return field.ops
+
+
 @dataclass(frozen=True, slots=True)
 class FieldElement:
     """An element of GF(p^m), stored as its index in the field enumeration."""
@@ -157,22 +169,12 @@ class FieldElement:
     field: "Field"
     index: int
 
-    def _check(self, other: "FieldElement") -> "IndexOps":
-        """The field's index operations, once other is known to share the field."""
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError(
-                f"elements of {self.field} and {other.field} cannot be combined"
-            )
-        return self.field.ops
-
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        ops = self._check(other)
+        ops = _ops(self.field, other, FieldElement)
         return ops.elements[ops.add(self.index, other.index)]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        ops = self._check(other)
+        ops = _ops(self.field, other, FieldElement)
         return ops.elements[ops.sub(self.index, other.index)]
 
     def __neg__(self) -> "FieldElement":
@@ -180,11 +182,11 @@ class FieldElement:
         return ops.elements[ops.neg(self.index)]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        ops = self._check(other)
+        ops = _ops(self.field, other, FieldElement)
         return ops.elements[ops.mul(self.index, other.index)]
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        ops = self._check(other)
+        ops = _ops(self.field, other, FieldElement)
         return ops.elements[ops.mul(self.index, ops.inv(other.index))]
 
     def __pow__(self, e: int) -> "FieldElement":

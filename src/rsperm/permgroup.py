@@ -76,10 +76,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
-    @classmethod
-    def from_one_based(cls, images: Sequence[int]) -> "Permutation":
-        return cls(tuple(i - 1 for i in images))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -105,29 +101,8 @@ class Permutation:
             inv[j] = i
         return Permutation(inv)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def one_based(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in self.images)
-
-    def cycle_string(self) -> str:
-        """Disjoint cycle notation on 1-based points; fixed points omitted."""
-        seen = [False] * len(self.images)
-        parts = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-        return "".join(parts) if parts else "()"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -259,7 +234,7 @@ def _check_cap(count: int, what: str) -> None:
 
 
 def _split(n: int, k: int, keys: int) -> int:
-    """How many of the k pivot images _match enumerates; the rest are tabled.
+    """How many of the k pivot images _search enumerates; the rest are tabled.
 
     Enumerating the first h images costs perm(n, h) lookups, and the
     table of the other k - h, one entry per suffix and distinct column,
@@ -274,13 +249,13 @@ def _split(n: int, k: int, keys: int) -> int:
 
 
 def _cost(n: int, k: int, keys: int) -> int:
-    """The lookups and table entries of _match at the split _split picks."""
+    """The lookups and table entries of _search at the split _split picks."""
     h = _split(n, k, keys)
     return math.perm(n, h) + keys * math.perm(n, k - h)
 
 
 def _square_pays(n: int, k: int, cost: int) -> bool:
-    """Whether building (C * C)^perp costs less than _match's cost on C.
+    """Whether building (C * C)^perp costs less than _search's cost on C.
 
     The square is spanned by the k(k+1)/2 products of C's rref rows, and
     eliminating them takes about k(k+1)/2 * n^2 steps.
@@ -311,7 +286,7 @@ class _Columns:
         self.where: dict[int, list[int]] = {}
         for c, key in enumerate(self.products(1)):
             self.where.setdefault(key, []).append(c)
-        self.pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
+        self.pivots = code.pivots
         self.free = [j for j in range(self.n) if j not in self.pivots]
         self.checks = [
             [(i, self.products(g)) for i, g in enumerate(cols[j]) if g] for j in self.free
@@ -435,7 +410,7 @@ def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
     return (whole, grouped), order
 
 
-def _listed(n: int, pivots: list[int], accepted: _Accepted) -> list[tuple[int, ...]]:
+def _listed(n: int, pivots: Sequence[int], accepted: _Accepted) -> list[tuple[int, ...]]:
     """Every member of the accepted images, sorted: the whole members as
     they are, and for each other t, pivot p_i goes to t_i and each block's
     free columns go to its positions in every order."""
@@ -454,8 +429,16 @@ def _listed(n: int, pivots: list[int], accepted: _Accepted) -> list[tuple[int, .
     return members
 
 
-def _match(code: LinearCode) -> list[tuple[int, ...]]:
-    """Every pi whose column permutation G[:, pi] spans the code again.
+def _square_dual(code: LinearCode) -> LinearCode:
+    """D = (C * C)^perp, C * C spanned by the products of C's rref rows."""
+    field, rows = code.field, code.index_rows
+    mul = field.ops.mul
+    products = [list(map(mul, r, s)) for i, r in enumerate(rows) for s in rows[i:]]
+    return LinearCode._from_indices(field, products, code.n).dual
+
+
+def _search(code: LinearCode) -> list[tuple[int, ...]]:
+    """Every pi whose column permutation G[:, pi] spans the code again, sorted.
 
     With G the k x n rref, pivot columns I and free columns J, such a pi
     is fixed up to equal columns by the images t = pi(I): G[:, pi] is
@@ -466,6 +449,19 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
     are collected first (_accepted), with their blocks of exchangeable
     columns, so that |Per(C)| is checked against SEARCH_CAP before any
     member is listed (_listed).
+
+    The search can go through the smaller code D = (C * C)^perp.
+    Coordinate permutations commute with products and duals, so every
+    member of Per(C) fixes D.  When 2k <= n, D can be smaller than C only
+    if n < k + k(k+1)/2 (C * C has at most k(k+1)/2 dimensions); for
+    RS(A, k) it is RS(A, 2k-1)^perp, of dimension n - 2k + 1.  If
+    _square_pays, D is built, and if 0 < dim D < k its accepted images
+    give |Per(D)| before any is listed.  When that is at most the cost of
+    searching C (_cost, on the |W| distinct columns of C), Per(D) is
+    listed and only the members fixing C are kept (_Columns.fixes), in
+    the same sorted order.  Otherwise C is searched itself: when D = 0
+    (its group is S_n), when D is not smaller than C, or when Per(D) has
+    more members than that cost.
     """
     n, k = code.n, code.k
     if k in (0, n):
@@ -473,46 +469,20 @@ def _match(code: LinearCode) -> list[tuple[int, ...]]:
         _check_cap(math.factorial(n), "members")
         return list(iter_permutations(range(n)))
     cols = _Columns(code)
-    accepted, order = _accepted(cols)
-    _check_cap(order, "members")
-    return _listed(n, cols.pivots, accepted)
-
-
-def _square_dual(code: LinearCode) -> LinearCode:
-    """D = (C * C)^perp, C * C spanned by the products of C's rref rows."""
-    field, rows = code.field, code.index_rows
-    mul = field.ops.mul
-    products = [list(map(mul, r, s)) for i, r in enumerate(rows) for s in rows[i:]]
-    return LinearCode._from_indices(field, products, code.n).dual
-
-
-def _search(code: LinearCode) -> list[tuple[int, ...]]:
-    """Per(C), through the smaller code D = (C * C)^perp when that pays.
-
-    Coordinate permutations commute with products and duals, so every
-    member of Per(C) fixes D.  When 2k <= n, D can be smaller than C only
-    if n < k + k(k+1)/2 (C * C has at most k(k+1)/2 dimensions); for
-    RS(A, k) it is RS(A, 2k-1)^perp, of dimension n - 2k + 1.  If
-    _square_pays, D is built, and if 0 < dim D < k its accepted images
-    give |Per(D)| before any is listed.  When that is at most _match's
-    cost on C, Per(D) is listed and only the members fixing C are kept
-    (_Columns.fixes), in the same sorted order.  Otherwise _match
-    searches C itself: when D = 0 (its group is S_n), when D is not
-    smaller than C, or when Per(D) has more members than that cost.
-    """
-    n, k = code.n, code.k
     if 2 * k <= n < k + k * (k + 1) // 2:
-        cost = _cost(n, k, len(set(zip(*code.index_rows))))
+        cost = _cost(n, k, len(cols.where))
         if _square_pays(n, k, cost):
             square = _square_dual(code)
             if 0 < square.k < k:
-                cols = _Columns(square)
-                accepted, order = _accepted(cols)
+                square_cols = _Columns(square)
+                accepted, order = _accepted(square_cols)
                 # Listing Per(D) then costs no more than searching C would.
                 if order <= cost:
-                    fixes = _Columns(code).fixes
-                    return [pi for pi in _listed(n, cols.pivots, accepted) if fixes(pi)]
-    return _match(code)
+                    fixes = cols.fixes
+                    return [pi for pi in _listed(n, square_cols.pivots, accepted) if fixes(pi)]
+    accepted, order = _accepted(cols)
+    _check_cap(order, "members")
+    return _listed(n, cols.pivots, accepted)
 
 
 def _scan_backtrack(code: LinearCode) -> list[tuple[int, ...]]:
@@ -577,12 +547,12 @@ def exhaustive_permutations(
     is set by that code's dimension k: of the n!/(n-k)! candidate images
     of the pivots, the first h are enumerated and the other k - h tabled,
     perm(n, h) + |W| * perm(n, k-h) lookups and entries for the |W|
-    distinct columns (see _match and _split).  Use search_side to pick
+    distinct columns (see _search and _split).  Use search_side to pick
     the cheaper of a code and its dual.  When 2k <= n and that cost
     exceeds the k(k+1)/2 * n^2 steps of building D = (C * C)^perp
     (_square_pays), and 0 < dim D < k, Per(D) is searched first; if it
     has at most that many members they are listed and filtered down to
-    those fixing C, and otherwise C is searched (see _search).  Raises
+    those fixing C, and otherwise C is searched.  Raises
     ValueError, before searching, when the n!/(n-k)! candidates exceed
     SEARCH_CAP, and before listing any member when Per(C) has more than
     SEARCH_CAP members; a large Per(D) never raises.
@@ -628,18 +598,6 @@ class GroupMember:
 
 
 @dataclass(frozen=True)
-class IsomorphismHint:
-    order: int
-    abelian: bool
-    label: str | None
-
-    def __str__(self) -> str:
-        kind = "abelian" if self.abelian else "non-abelian"
-        tag = f" ({self.label})" if self.label else ""
-        return f"order {self.order}, {kind}{tag}"
-
-
-@dataclass(frozen=True)
 class GroupReport:
     elements: tuple[GroupMember, ...]
     affine_order: int
@@ -650,12 +608,19 @@ class GroupReport:
         return len(self.elements)
 
     @cached_property
-    def hint(self) -> IsomorphismHint:
-        """The order and whether the group is abelian, tested on the first
-        read only: |G| * n + n^3 steps (see _is_abelian)."""
-        abelian = _is_abelian([m.perm for m in self.elements])
-        label = "S_3" if self.order == 6 and not abelian else None
-        return IsomorphismHint(self.order, abelian, label)
+    def is_abelian(self) -> bool:
+        """Whether the members commute, tested on the first read only:
+        |G| * n + n^3 steps (see _is_abelian)."""
+        return _is_abelian([m.perm for m in self.elements])
+
+    @property
+    def hint(self) -> str:
+        """The order and whether the group is abelian, as text output
+        prints them: "order 6, non-abelian (S_3)"."""
+        if not self.is_abelian:
+            label = " (S_3)" if self.order == 6 else ""
+            return f"order {self.order}, non-abelian{label}"
+        return f"order {self.order}, abelian"
 
     def to_json_dict(self) -> dict:
         return {
@@ -707,7 +672,7 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
     The points, which must match the code's length and field, give every
     member its interpolating polynomial, and the group is compared
     against the affine permutations of the set.  Degrees, the order and
-    the isomorphism hint are derived from the report when they are read.
+    commutativity are derived from the report when they are read.
     """
     if points.n != code.n or points.field != code.field:
         raise ValueError("evaluation set does not match the code")

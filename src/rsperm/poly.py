@@ -1,12 +1,14 @@
 """Univariate polynomial algebra over a finite field.
 
 Dense ascending vectors of coefficient indices with no trailing zeros,
-run on the field's index operations (gf.Field.ops); the zero polynomial
-is the empty vector and its degree is the NEG_INF sentinel, so degree
-arithmetic stays honest (deg(f*g) = deg f + deg g even when a factor is
-zero).  Also holds ordered evaluation sets with their Lagrange
-machinery: vanishing polynomial, indicator functions, interpolation and
-composition modulo the set.
+run on the field's index operations (gf.Field.ops), which gf._ops, the
+operand check shared with field elements, hands out once an operand is
+of the right kind and field.  The zero polynomial is the empty vector
+and its degree is the NEG_INF sentinel, so degree arithmetic stays
+honest (deg(f*g) = deg f + deg g even when a factor is zero).  Also
+holds ordered evaluation sets with their Lagrange machinery: vanishing
+polynomial, indicator functions, interpolation and composition modulo
+the set.
 
 An evaluation set keeps its points as elements and as indices, and
 compares, hashes and looks up positions on the indices.  Its Lagrange
@@ -37,7 +39,7 @@ from functools import cached_property, reduce
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, FieldMismatchError, IndexOps, Packing
+from .gf import Field, FieldElement, FieldMismatchError, Packing, _ops
 
 # Degree of the zero polynomial.  A float so that NEG_INF + d == NEG_INF
 # and NEG_INF < d hold for every integer degree d.
@@ -144,7 +146,7 @@ class Polynomial:
     # -- arithmetic on indices ---------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        add = _ops(self.field, other).add
+        add = _ops(self.field, other, Polynomial).add
         pairs = zip_longest(self.index_coeffs, other.index_coeffs, fillvalue=0)
         return Polynomial._trusted(self.field, _stripped([add(a, b) for a, b in pairs]))
 
@@ -156,7 +158,7 @@ class Polynomial:
         return Polynomial._trusted(self.field, tuple(map(neg, self.index_coeffs)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        ops = _ops(self.field, other)
+        ops = _ops(self.field, other, Polynomial)
         f, g = self.index_coeffs, other.index_coeffs
         out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
@@ -185,7 +187,7 @@ class Polynomial:
         """Schoolbook long division; divisor must be nonzero."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field, ops = self.field, _ops(self.field, divisor)
+        field, ops = self.field, _ops(self.field, divisor, Polynomial)
         rem, div = list(self.index_coeffs), divisor.index_coeffs
         d = len(div) - 1
         if len(rem) - 1 < d:
@@ -240,16 +242,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field!r}, {self})"
-
-
-def _ops(field: Field, other, kind: type = Polynomial) -> IndexOps:
-    """The field's index operations, once other is known to be an instance
-    of kind over the same field."""
-    if not isinstance(other, kind):
-        raise TypeError(f"expected {kind.__name__}, got {type(other).__name__}")
-    if field is not other.field and field != other.field:
-        raise FieldMismatchError(f"{field} and {other.field} cannot be combined")
-    return field.ops
 
 
 def affine_str(f: Polynomial) -> str:

@@ -59,8 +59,8 @@ def test_criterion_01_f13_worked_example():
     }
     ok = (
         report.order == 6
-        and report.hint.abelian is False
-        and report.hint.label == "S_3"
+        and report.is_abelian is False
+        and report.hint == "order 6, non-abelian (S_3)"
         and affine_polys == expected_polys
         and report.affine_order == 3
         and report.is_affine_equal is False

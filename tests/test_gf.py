@@ -1,5 +1,6 @@
 import copy
 import gc
+import operator
 import pickle
 import time
 import tracemalloc
@@ -130,8 +131,13 @@ def test_frobenius_is_additive_and_multiplicative(q):
 
 
 def test_field_mismatch_rejected(f13, f9):
-    with pytest.raises(FieldMismatchError):
-        f13.element(1) + f9.element([1, 0])
+    # The element operators share Polynomial's operand check.
+    x = f13.element(1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatchError):
+            op(x, f9.element([1, 0]))
+        with pytest.raises(TypeError):
+            op(x, 3)
 
 
 def test_reducible_modulus_rejected():

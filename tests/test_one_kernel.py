@@ -188,7 +188,7 @@ def test_the_element_guard_sees_what_it_forbids(tmp_path):
 # interpolation make up the other computation of the group.
 NOT_IN_SEARCH = {"affine_group", "EvaluationSet", "perm_to_poly", "interpolate"}
 SEARCH_HELPERS = {
-    "exhaustive_permutations", "_search", "_match", "_accepted", "_listed",
+    "exhaustive_permutations", "_search", "_accepted", "_listed",
     "_Columns", "_square_dual", "_square_pays", "_cost", "_split", "_check_cap",
 }
 

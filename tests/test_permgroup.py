@@ -3,6 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -42,16 +43,13 @@ def test_permutation_composition_convention():
     # (p1 * p2)(i) = p1(p2(i))
     p1 = Permutation([1, 2, 0, 3])
     p2 = Permutation([2, 0, 1, 3])
-    assert (p1 * p2).is_identity()
+    assert p1 * p2 == Permutation.identity(4)
     assert p1.inverse() == p2
 
 
 def test_permutation_display():
     p = Permutation([1, 2, 0, 3])
     assert p.one_based() == (2, 3, 1, 4)
-    assert p.cycle_string() == "(1 2 3)"
-    assert Permutation.identity(4).cycle_string() == "()"
-    assert Permutation.from_one_based([2, 3, 1, 4]) == p
 
 
 # -- permutation <-> polynomial dictionary ----------------------------------
@@ -63,14 +61,14 @@ def test_perm_to_poly_identity(pts13, f13):
 
 def test_perm_to_poly_three_cycle(pts13, f13):
     # 0 -> 1 -> 4 -> 0 with 6 fixed is realized by 3x + 1
-    perm = Permutation.from_one_based([2, 3, 1, 4])
+    perm = Permutation([1, 2, 0, 3])
     assert perm_to_poly(perm, pts13) == Polynomial.from_ints(f13, [1, 3])
 
 
 def test_perm_to_poly_transposition_not_affine(pts13, f13):
     # swapping the first two points cannot be affine; hand Lagrange
     # interpolation of values (1,0,4,6) gives 6x^2 + 6x + 1
-    perm = Permutation.from_one_based([2, 1, 3, 4])
+    perm = Permutation([1, 0, 2, 3])
     f = perm_to_poly(perm, pts13)
     assert f == Polynomial.from_ints(f13, [1, 6, 6])
     assert f.degree >= 2
@@ -95,8 +93,8 @@ def test_poly_to_perm_identity(pts13, f13):
 def test_poly_to_perm_inverse_pair(pts13, f13):
     p1 = poly_to_perm(Polynomial.from_ints(f13, [1, 3]), pts13)
     p2 = poly_to_perm(Polynomial.from_ints(f13, [4, 9]), pts13)
-    assert p2 == Permutation.from_one_based([3, 1, 2, 4])
-    assert (p1 * p2).is_identity()
+    assert p2 == Permutation([2, 0, 1, 3])
+    assert p1 * p2 == Permutation.identity(4)
 
 
 def test_poly_to_perm_constant_rejected(pts13, f13):
@@ -160,8 +158,8 @@ def test_affine_group_closed_under_composition(pts13):
 def test_brute_force_paper_example(pts13):
     report = brute_force_perm_group(rs_code(pts13, 3), pts13)
     assert report.order == 6
-    assert report.hint.abelian is False
-    assert report.hint.label == "S_3"
+    assert report.is_abelian is False
+    assert report.hint == "order 6, non-abelian (S_3)"
     assert report.affine_order == 3
     assert report.is_affine_equal is False
 
@@ -182,8 +180,8 @@ def test_hint_of_s8_is_decided():
     points = EvaluationSet(Field(11), list(range(8)))
     report = brute_force_perm_group(rs_code(points, 1), points)
     assert report.order == math.factorial(8)
-    assert report.hint.abelian is False
-    assert str(report.hint) == "order 40320, non-abelian"
+    assert report.is_abelian is False
+    assert report.hint == "order 40320, non-abelian"
 
 
 def test_hint_is_computed_once_on_first_read(pts13, monkeypatch):
@@ -228,21 +226,29 @@ def test_brute_force_respects_cap():
 
 
 class SquareSpy:
-    """Records, while installed, the dimension of every square dual D that
-    exhaustive_permutations builds, (dimension, order) of every code whose
-    accepted images it collects, and the dimension of every code whose
-    members it lists."""
+    """Records, while installed, every square dual D that
+    exhaustive_permutations builds (squares) with its dimension (built),
+    every code whose columns it packs into a _Columns (columns),
+    (dimension, order) of every code whose accepted images it collects,
+    and the dimension of every code whose members it lists."""
 
     def __init__(self, monkeypatch, gate=None):
         self.built, self.accepted, self.listed = [], [], []
-        square_dual, accepted, listed = (
-            permgroup._square_dual, permgroup._accepted, permgroup._listed
+        self.squares, self.columns = [], []
+        square_dual, accepted, listed, columns = (
+            permgroup._square_dual, permgroup._accepted, permgroup._listed,
+            permgroup._Columns,
         )
 
         def spy_square(code):
             square = square_dual(code)
             self.built.append(square.k)
+            self.squares.append(square)
             return square
+
+        def spy_columns(code):
+            self.columns.append(code)
+            return columns(code)
 
         def spy_accepted(cols):
             found, order = accepted(cols)
@@ -256,8 +262,21 @@ class SquareSpy:
         monkeypatch.setattr(permgroup, "_square_dual", spy_square)
         monkeypatch.setattr(permgroup, "_accepted", spy_accepted)
         monkeypatch.setattr(permgroup, "_listed", spy_listed)
+        monkeypatch.setattr(permgroup, "_Columns", spy_columns)
         if gate is not None:
             monkeypatch.setattr(permgroup, "_square_pays", lambda n, k, cost: gate)
+
+
+def direct_search(monkeypatch, code):
+    """C's members from _search with the square-dual gate shut: no square
+    is built, and C's columns are built once and searched."""
+    with monkeypatch.context() as patch:
+        spy = SquareSpy(patch, gate=False)
+        direct = permgroup._search(code)
+    assert spy.built == []
+    assert spy.columns == [code]
+    assert spy.accepted == [(code.k, len(direct))]
+    return direct
 
 
 def test_cap_is_checked_before_any_square_is_built(monkeypatch):
@@ -281,7 +300,7 @@ def test_a_large_square_group_falls_back_to_the_direct_search(monkeypatch):
     no member of D and answers with C's own search: AGL(1, 8)."""
     points = EvaluationSet.full_field(Field(8))
     code = rs_code(points, 4)
-    direct = permgroup._match(code)
+    direct = direct_search(monkeypatch, code)
     assert permgroup._cost(8, 4, 8) == 400
     spy = SquareSpy(monkeypatch, gate=True)
     got = [p.images for p in exhaustive_permutations(code)]
@@ -289,7 +308,9 @@ def test_a_large_square_group_falls_back_to_the_direct_search(monkeypatch):
     assert len(got) == 56
     assert got == sorted(p.images for _, p in affine_group(points))
     assert spy.built == [1]
+    # D's accepted images first, then C's; each code's columns built once.
     assert spy.accepted == [(1, math.factorial(8)), (4, 56)]
+    assert Counter(spy.columns) == {code: 1, spy.squares[0]: 1}
     assert spy.listed == [4]
 
 
@@ -297,19 +318,24 @@ def test_criterion_12_inputs_and_the_square_dual(monkeypatch):
     """GF(13) points 0..11 with k = 6 is searched through a 1-dimensional
     D whose 12 members all fix C.  All of GF(16) with k = 5 builds D, but
     its dimension 7 is not below k, so C is searched.  Either way the
-    members are those of the direct search of C."""
+    members are those of the direct search of C, and C's columns are
+    built once, as are D's when D is searched."""
     cases = (
         (EvaluationSet(Field(13), list(range(12))), 6, [1], [1]),
         (EvaluationSet.full_field(Field(16)), 5, [7], [5]),
     )
     for points, k, built, listed in cases:
         code = rs_code(points, k)
-        direct = permgroup._match(code)
+        direct = direct_search(monkeypatch, code)
         with monkeypatch.context() as patch:
             spy = SquareSpy(patch)
             report = brute_force_perm_group(code, points)
         assert [m.perm.images for m in report.elements] == direct
         assert (spy.built, spy.listed) == (built, listed), points.field.q
+        # Only the listed code's accepted images are collected.
+        assert [d for d, _ in spy.accepted] == listed, points.field.q
+        searched = [d for d in spy.squares if 0 < d.k < k]
+        assert Counter(spy.columns) == Counter([code, *searched]), points.field.q
         assert report.is_affine_equal
 
 
@@ -513,7 +539,7 @@ def test_homomorphism_check_affine_pair(pts13, f13):
     p1 = poly_to_perm(Polynomial.from_ints(f13, [1, 3]), pts13)
     p2 = poly_to_perm(Polynomial.from_ints(f13, [4, 9]), pts13)
     assert homomorphism_check(pts13, p1, p2)
-    assert (p1 * p2).is_identity()
+    assert p1 * p2 == Permutation.identity(4)
 
 
 def test_homomorphism_check_random_pairs():
