@@ -70,6 +70,18 @@ CASES = {
         "verify", "--field", "9", "--points", vector_literals(3, 2, [0, 1, 2, 4, 5, 7, 8]),
         "--k", "1", "--json",
     ],
+    # S_5 over GF(257): slots wider than a byte, and term keys i*q + c
+    # past 256.
+    "group-gf257-k1": [
+        "group", "--field", "257", "--points", "0,1,2,3,4", "--k", "1", "--json",
+    ],
+    # S_5 over GF(243): byte slots with m = 5, and members of degree 3
+    # and 4 whose coefficients print as five-digit literals.
+    "group-gf243-k1": [
+        "group", "--field", "243",
+        "--points", "[0,0,0,0,0],[1,0,0,0,0],[0,1,0,0,0],[2,2,1,0,1],[1,1,1,1,1]",
+        "--k", "1", "--json",
+    ],
     "sweep-42-30": ["sweep", "--seed", "42", "--trials", "30", "--json"],
     # The headline run: every field of the sweep pool, 200 trials.
     "sweep-42-200": ["sweep", "--seed", "42", "--trials", "200", "--json"],
@@ -82,6 +94,8 @@ DIGESTS = {
     "group-gf13": "d89f4fd21df2bd1f9f4e865e5964f5774d93d27bdc8adde3f70b4f368a8f818a",
     "group-gf7-full-k6": "c3cc080e3a8f59253bc1b37c89555593419e73fc4f7136ddcef22e1b9f0e6ddf",
     "group-gf8-units-k1": "b56a7516c97c09b9ac0ac46b3240b6120cdace53da561d9547c37722d0b87df0",
+    "group-gf243-k1": "b42db1ab8723dc4f1aabcedfd9e94e9bbecaf88adf6d58f6cc5d443bcb76fd80",
+    "group-gf257-k1": "4e26150d21dc3ec79dbf90050bc6ab7f0ed13eaab79a6205b8134aebe5fbb38d",
     "group-gf9": "672c40b921df854f44afd8a70a1a0d88c29ea54d7bb3e1f0ca6f94b2f1a11712",
     "group-gf9-seven-k1": "699ff9e6bf214994cf64e135c4bf470bac006c5f9003e32f8b8957124f104323",
     "paper-examples": "5f06041a64d5cccb7bb9295726c8b6374eefda84ade5456605369774f25a9f7f",
