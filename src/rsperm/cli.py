@@ -28,7 +28,7 @@ from .permgroup import (
     exhaustive_permutations,
     search_side,
 )
-from .poly import EvaluationSet, Polynomial, affine_str
+from .poly import EvaluationSet, Polynomial, affine_str, terms_text
 
 RNG_NAME = "python-random (Mersenne Twister)"
 SWEEP_FIELD_POOL = (5, 7, 8, 9, 11, 13, 16)
@@ -128,7 +128,11 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     The text around each member's images and polynomial is made once for
     this depth, every "perm" list reads one table of the labels 1..n (the
     members of a group all act on the same n points), and the text after
-    "poly" depends on the member's degree alone.
+    "poly" depends on the member's degree alone.  A member's degree is
+    the length of its polynomial's index_coeffs less one, and its text is
+    affine_str's: poly.terms_text of those indices, with the field's
+    terms and q fetched once per report, from degree 2 on, and
+    affine_str itself below.
     """
     inner = newline + "  "
     out.append("{")
@@ -147,18 +151,22 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     head = f'{{{field}"perm": [{image}'
     image_sep = "," + image
     poly_key = f'{field}],{field}"poly": '
-    labels = [str(i) for i in range(1, members[0].perm.n + 1)] if members else []
-    tails: dict[int, str] = {}
     texts = []
+    if members:
+        labels = [str(i) for i in range(1, members[0].perm.n + 1)]
+        terms, q = members[0].poly.field.terms, members[0].poly.field.q
+    tails: dict[int, str] = {}
     for member in members:
-        degree = member.degree
+        poly = member.poly
+        coeffs = poly.index_coeffs
+        degree = len(coeffs) - 1
         tail = tails.get(degree)
         if tail is None:
             affine = "true" if degree == 1 else "false"
             tail = tails[degree] = f',{field}"degree": {degree},{field}"affine": {affine}{line}}}'
+        text = terms_text(terms, q, coeffs) if degree > 1 else affine_str(poly)
         perm = image_sep.join(map(labels.__getitem__, member.perm.images))
-        poly = encode_basestring_ascii(affine_str(member.poly))
-        texts.append(f"{head}{perm}{poly_key}{poly}{tail}")
+        texts.append(f"{head}{perm}{poly_key}{encode_basestring_ascii(text)}{tail}")
     elements = f"[{line}{(',' + line).join(texts)}{inner}]" if texts else "[]"
     out.append(f'{inner}"elements": {elements}{newline}}}')
 

@@ -574,10 +574,42 @@ def exhaustive_permutations(
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GroupMember:
-    perm: Permutation
-    poly: Polynomial
+    """A member of Per(C): its permutation and interpolating polynomial.
+
+    A plain class with slots that compares, hashes, prints and refuses
+    assignment as the frozen dataclass GroupMember(perm, poly) would, and
+    costs about half as much to build: an S_n-sized report makes n! of
+    them.  The slots' own descriptors fill them, past __setattr__.
+    """
+
+    __slots__ = ("perm", "poly")
+
+    def __init__(self, perm: Permutation, poly: Polynomial):
+        _set_perm(self, perm)
+        _set_poly(self, poly)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.perm, self.poly) == (other.perm, other.poly)
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.poly))
+
+    def __repr__(self) -> str:
+        return f"GroupMember(perm={self.perm!r}, poly={self.poly!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since setting the
+        # slots' state would go through __setattr__.
+        return GroupMember, (self.perm, self.poly)
 
     @property
     def degree(self) -> int:
@@ -595,6 +627,9 @@ class GroupMember:
             "degree": degree,
             "affine": degree == 1,
         }
+
+
+_set_perm, _set_poly = GroupMember.perm.__set__, GroupMember.poly.__set__
 
 
 @dataclass(frozen=True)
@@ -677,12 +712,16 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
     if points.n != code.n or points.field != code.field:
         raise ValueError("evaluation set does not match the code")
     perms = exhaustive_permutations(search_side(code))
-    members = tuple(GroupMember(p, perm_to_poly(p, points)) for p in perms)
-    affine_perms = {perm for _, perm in affine_group(points)}
+    # One interpolate call per member, on the point elements at its images
+    # (n >= 2, so itemgetter hands back a tuple): the poly.interpolate span
+    # of benchmarks/spans.py times and counts interpolation by those calls.
+    interpolate, pts = points.interpolate, points.points
+    members = tuple(GroupMember(p, interpolate(itemgetter(*p.images)(pts))) for p in perms)
+    affine_images = {perm.images for _, perm in affine_group(points)}
     return GroupReport(
         elements=members,
-        affine_order=len(affine_perms),
-        is_affine_equal=affine_perms == set(perms),
+        affine_order=len(affine_images),
+        is_affine_equal=affine_images == {p.images for p in perms},
     )
 
 

@@ -235,25 +235,33 @@ class Polynomial:
         """Nonzero terms in ascending powers, read from Field.terms."""
         if not self.index_coeffs:
             return "0"
-        terms, q = self.field.terms, self.field.q
-        return " + ".join(
-            [terms[i * q + c] for i, c in enumerate(self.index_coeffs) if c]
-        )
+        return terms_text(self.field.terms, self.field.q, self.index_coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field!r}, {self})"
 
 
+def terms_text(terms: dict[int, str], q: int, index_coeffs: tuple[int, ...]) -> str:
+    """The nonzero terms of a nonzero polynomial over a field of order q,
+    ascending and joined by " + ": coefficient index c of x^i is read as
+    terms[i * q + c] from the field's Field.terms.  str, affine_str above
+    degree 1 and the --json writer of group members all print through it,
+    the writer with terms and q fetched once per report."""
+    return " + ".join([terms[i * q + c] for i, c in enumerate(index_coeffs) if c])
+
+
 def affine_str(f: Polynomial) -> str:
-    """Degree <= 1 polynomials in a*x + b style, as in group listings."""
-    coeffs = f.index_coeffs
+    """Degree <= 1 polynomials in a*x + b style, as in group listings, and
+    higher degrees as str(f).  The zero polynomial prints as the literal
+    of the zero element."""
+    coeffs, field = f.index_coeffs, f.field
     if len(coeffs) > 2:
-        return str(f)
+        return terms_text(field.terms, field.q, coeffs)
     b, a = (coeffs + (0, 0))[:2]
-    terms = f.field.terms
+    terms = field.terms
     if not a:
         return terms[b]
-    ax = terms[f.field.q + a]
+    ax = terms[field.q + a]
     return f"{ax} + {terms[b]}" if b else ax
 
 

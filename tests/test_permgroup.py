@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 import time
@@ -10,6 +12,7 @@ import pytest
 from conftest import group_closure_check, homomorphism_check, random_points, reference_members
 from rsperm import permgroup
 from rsperm.gf import Packing
+from rsperm.permgroup import GroupMember
 from rsperm import (
     EvaluationSet,
     Field,
@@ -347,25 +350,84 @@ def test_brute_force_members_fix_the_code(pts13):
 
 
 def test_members_are_interpolated_through_evaluation_set_interpolate(monkeypatch):
-    """The benchmark's traced run times interpolation by wrapping
-    EvaluationSet.interpolate, so every member's polynomial must come
-    from exactly one call of it."""
+    """Every member's polynomial comes from exactly one call of
+    EvaluationSet.interpolate on the report's points, with the images as
+    point elements.  The benchmark's `poly.interpolate` span
+    (benchmarks/spans.py) wraps that method, and a `--trace 1` run of
+    benchmarks/run.py reports `poly.interpolations_per_s` as the span's
+    calls / total_s: polynomials made by any other path, such as one
+    private loop over all members, leave that division at 0 / 0.  Two
+    all-of-S_7 reports (the `boundary-sym` instances' shapes, odd p and
+    p = 2) and a small group are checked."""
     calls = []
     interpolate = EvaluationSet.interpolate
 
     def spy(self, values):
-        calls.append(tuple(values))
+        calls.append((self, tuple(values)))
         return interpolate(self, values)
 
     monkeypatch.setattr(EvaluationSet, "interpolate", spy)
-    field = Field(7)
-    for points, k in ((EvaluationSet.full_field(field), 6),
-                      (EvaluationSet(field, [0, 1, 2, 4]), 2)):
+    f7, f8 = Field(7), Field(8)
+    for points, k in ((EvaluationSet.full_field(f7), 6),
+                      (EvaluationSet(f8, f8.nonzero_elements()), 1),
+                      (EvaluationSet(f7, [0, 1, 2, 4]), 2)):
         calls.clear()
         report = brute_force_perm_group(rs_code(points, k), points)
         assert len(calls) == report.order == len(report.elements)
-        assert calls == [tuple(points[j] for j in m.perm.images)
+        assert calls == [(points, tuple(points[j] for j in m.perm.images))
                          for m in report.elements]
+        assert all(s is points for s, _ in calls)
+
+
+def _member_pair():
+    """Two members built apart from equal parts, and a third that differs."""
+    field = Field(9, modulus=(1, 0, 1))
+    points = EvaluationSet(field, [[0, 0], [1, 0], [2, 0], [1, 1], [2, 2]])
+    member = brute_force_perm_group(rs_code(points, 4), points).elements[1]
+    twin = GroupMember(Permutation(list(member.perm.images)),
+                       Polynomial(field, member.poly.coeffs))
+    other = GroupMember(Permutation.identity(5), Polynomial.x(field))
+    return member, twin, other
+
+
+def test_group_member_compares_and_hashes_as_a_dataclass():
+    member, twin, other = _member_pair()
+    assert member is not twin and member.perm is not twin.perm
+    assert member == twin and hash(member) == hash(twin)
+    assert hash(member) == hash((member.perm, member.poly))
+    assert member != other and len({member, twin, other}) == 2
+    # Like a dataclass, a member equals nothing but a member.
+    assert member != (member.perm, member.poly)
+    assert member.__eq__((member.perm, member.poly)) is NotImplemented
+
+
+def test_group_member_repr_is_the_dataclass_text():
+    member, _, _ = _member_pair()
+    assert repr(member) == (
+        "GroupMember(perm=Permutation([0, 1, 2, 4, 3]), "
+        "poly=Polynomial(Field(9, modulus=[1, 0, 1]), [0,1]*x + [1,2]*x^3))"
+    )
+
+
+def test_group_member_is_immutable_and_has_no_dict():
+    member, _, _ = _member_pair()
+    perm, poly = member.perm, member.poly
+    for name in ("perm", "poly", "degree", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(member, name, None)
+    for name in ("perm", "poly"):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(member, name)
+    assert member.perm is perm and member.poly is poly
+    assert not hasattr(member, "__dict__")
+    assert (member.degree, member.is_affine) == (3, False)
+
+
+def test_group_member_pickles_and_copies():
+    member, _, _ = _member_pair()
+    for twin in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
+        assert twin == member and type(twin) is GroupMember
+        assert repr(twin) == repr(member)
 
 
 def test_columns_scale_every_column_once_per_coefficient(monkeypatch):

@@ -6,7 +6,9 @@ report.to_json_dict() at the depth of `group` (the report alone), of
 `verify` (inside the theorem report) and deeper.  The reports come from
 seeded random point sets over prime and extension fields with every
 dimension, so members of degree 1 and of higher degree, bracketed
-literals and both values of "equal" occur; hand-built reports add
+literals and both values of "equal" occur.  GF(243) gives byte slots
+with m = 5 and five-digit literals, and GF(257) slots wider than a byte
+and term keys i * q + c past 256.  Hand-built reports add
 degree-0 members and an empty list of members.  The CLI's --json
 reports never build a member's dict.
 """
@@ -23,7 +25,7 @@ from rsperm.cli import json_text, main
 from rsperm.permgroup import GroupMember, GroupReport
 from rsperm.poly import affine_str
 
-FIELDS = (4, 5, 7, 8, 9, 13, 16, 25, 27)
+FIELDS = (4, 5, 7, 8, 9, 13, 16, 25, 27, 243, 257)
 
 
 CASES = [
