@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -12,7 +14,7 @@ import rsperm.cli
 import rsperm.gf
 import rsperm.permgroup
 from conftest import run_process, vector_literals
-from rsperm.cli import main, run_sweep, split_top_level
+from rsperm.cli import SweepTrial, main, run_sweep, split_top_level
 
 
 def run(capsys, *argv):
@@ -337,6 +339,26 @@ def test_sweep_json(capsys):
     data = json.loads(out)
     assert data["passed"] == 3 and data["failed"] == 0
     assert len(data["results"]) == 3
+
+
+def test_sweep_trial_behaves_as_a_frozen_dataclass():
+    [trial] = run_sweep(seed=3, trials=1)
+    result = trial.result
+    assert trial == SweepTrial(index=0, result=result, duality_ok=True)
+    assert trial == SweepTrial(0, result, True) and trial != SweepTrial(0, result, False)
+    assert hash(trial) == hash((0, result, True))
+    assert trial.__eq__((0, result, True)) is NotImplemented
+    assert repr(trial) == f"SweepTrial(index=0, result={result!r}, duality_ok=True)"
+    for name in ("index", "result", "duality_ok", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(trial, name, None)
+    for name in ("index", "result", "duality_ok"):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(trial, name)
+    assert copy.copy(trial) == trial
+    for twin in (pickle.loads(pickle.dumps(trial)), copy.deepcopy(trial)):
+        assert type(twin) is SweepTrial
+        assert twin.to_json_dict() == trial.to_json_dict()
 
 
 def test_paper_examples_pass(capsys):

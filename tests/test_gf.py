@@ -9,7 +9,7 @@ import pytest
 
 import rsperm.gf
 from conftest import fresh_field
-from rsperm import Field, FieldMismatchError
+from rsperm import Field, FieldElement, FieldMismatchError
 from rsperm.gf import default_modulus
 
 
@@ -238,8 +238,39 @@ def test_pickle_and_copies_give_back_the_one_field(q, modulus):
     assert copy.copy(field) is field
     assert copy.deepcopy(field) is field
     x = field.from_index(q - 1)
-    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert twin == x and twin.field is field
+
+
+def test_field_element_compares_and_hashes_as_a_dataclass(f9):
+    x, y = f9.from_index(7), f9.from_index(5)
+    assert x == f9.element([1, 2]) and x != y
+    assert hash(x) == hash((f9, 7))
+    # Like a dataclass, an element equals nothing but an element.
+    assert x != (f9, 7) and x != 7
+    assert x.__eq__((f9, 7)) is NotImplemented
+    assert x.__eq__(7) is NotImplemented
+    assert x != Field(13).from_index(7)
+    assert FieldElement(field=f9, index=7) == x
+    assert FieldElement(f9, 7) == x
+
+
+def test_field_element_repr_and_str(f9, f13):
+    assert repr(f9.from_index(7)) == "FieldElement(Field(9, modulus=[2, 2, 1]), [1,2])"
+    assert repr(f13.from_index(12)) == "FieldElement(Field(13), 12)"
+    assert str(f9.from_index(7)) == "[1,2]"
+
+
+def test_field_element_is_immutable_and_has_no_dict(f9):
+    x = f9.from_index(7)
+    for name in ("field", "index"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(x, name, None)
+    for name in ("field", "index"):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(x, name)
+    assert x.field is f9 and x.index == 7
+    assert not hasattr(x, "__dict__")
 
 
 def test_only_the_most_recently_used_fields_are_kept(no_fields):

@@ -14,12 +14,15 @@ from rsperm import permgroup
 from rsperm.gf import Packing
 from rsperm.permgroup import GroupMember
 from rsperm import (
+    AffineMap,
     EvaluationSet,
     Field,
+    GroupReport,
     LinearCode,
     NotAPermutationError,
     Permutation,
     Polynomial,
+    TheoremReport,
     affine_group,
     brute_force_perm_group,
     check_theorem,
@@ -428,6 +431,93 @@ def test_group_member_pickles_and_copies():
     for twin in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
         assert twin == member and type(twin) is GroupMember
         assert repr(twin) == repr(member)
+
+
+def _refuses_assignment(value, fields, others=("other",)):
+    """Every field, and any other name, refuses assignment; every field
+    refuses deletion; the messages are the frozen dataclass's."""
+    before = [getattr(value, name) for name in fields]
+    for name in (*fields, *others):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert [getattr(value, name) for name in fields] == before
+
+
+def _round_trips(value):
+    """pickle, copy and deepcopy give back an equal value of the same class."""
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value)
+        assert hash(twin) == hash(value)
+
+
+def test_affine_map_behaves_as_a_frozen_dataclass(f13):
+    two, three = f13.element(2), f13.element(3)
+    f = AffineMap(two, three)
+    assert f == AffineMap(a=two, b=three) and f != AffineMap(three, two)
+    assert hash(f) == hash((two, three))
+    assert f.__eq__((two, three)) is NotImplemented and f != (two, three)
+    assert repr(f) == "AffineMap(a=FieldElement(Field(13), 2), b=FieldElement(Field(13), 3))"
+    assert str(f) == "2*x + 3"
+    _refuses_assignment(f, ("a", "b"), others=("polynomial", "other"))
+    _round_trips(f)
+
+
+def test_affine_map_needs_a_nonzero_linear_coefficient(f13):
+    for args in ((f13.zero, f13.one), (f13.zero, f13.zero)):
+        with pytest.raises(ValueError, match="nonzero linear coefficient"):
+            AffineMap(*args)
+    with pytest.raises(ValueError, match="nonzero linear coefficient"):
+        AffineMap(a=f13.zero, b=f13.one)
+
+
+def _small_report():
+    points = EvaluationSet(Field(13), [0, 1, 3, 9])
+    return points, check_theorem(points, 2)
+
+
+def test_group_report_behaves_as_a_frozen_dataclass():
+    _, theorem = _small_report()
+    report = theorem.group
+    members = report.elements
+    twin = GroupReport(members, affine_order=report.affine_order,
+                       is_affine_equal=report.is_affine_equal)
+    assert twin == report and twin is not report
+    assert GroupReport(elements=members, affine_order=3, is_affine_equal=True) == report
+    assert twin != GroupReport(members, 3, False) and twin != GroupReport(members[:1], 3, True)
+    assert hash(report) == hash((members, 3, True))
+    assert report.__eq__((members, 3, True)) is NotImplemented
+    assert repr(report) == (
+        f"GroupReport(elements={members!r}, affine_order=3, is_affine_equal=True)"
+    )
+    assert repr(report).startswith(
+        "GroupReport(elements=(GroupMember(perm=Permutation([0, 1, 2, 3]), "
+        "poly=Polynomial(Field(13), x)), "
+    )
+    _refuses_assignment(report, ("elements", "affine_order", "is_affine_equal"),
+                        others=("order", "hint", "is_abelian", "other"))
+    _round_trips(report)
+    assert report.is_abelian is True
+    _round_trips(report)
+    assert pickle.loads(pickle.dumps(report)).is_abelian is True
+
+
+def test_theorem_report_behaves_as_a_frozen_dataclass():
+    points, report = _small_report()
+    group, code = report.group, report.code
+    assert report == TheoremReport(points=points, k=2, group=group, code=code)
+    assert report == TheoremReport(points, 2, group, code)
+    assert report != TheoremReport(points, 2, group, rs_code(points, 3))
+    assert hash(report) == hash((points, 2, group, code))
+    assert report.__eq__((points, 2, group, code)) is NotImplemented
+    assert repr(report) == (
+        f"TheoremReport(points={points!r}, k=2, group={group!r}, code={code!r})"
+    )
+    _refuses_assignment(report, ("points", "k", "group", "code"),
+                        others=("holds", "other"))
+    _round_trips(report)
 
 
 def test_columns_scale_every_column_once_per_coefficient(monkeypatch):
