@@ -12,16 +12,16 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
 
 from .codes import format_matrix, rs_code
 from .gf import Field
 from .permgroup import (
     GroupReport,
     TheoremReport,
+    _Frozen,
     affine_group,
     brute_force_perm_group,
     check_theorem,
@@ -256,11 +256,14 @@ def cmd_verify(args) -> int:
     return 0 if result.holds else 1
 
 
-@dataclass(frozen=True)
-class SweepTrial:
-    index: int
-    result: TheoremReport
-    duality_ok: bool
+class SweepTrial(_Frozen):
+    """One sweep trial: its number, its report and whether Per(C) and
+    Per(C^perp) came out equal."""
+
+    __slots__ = __match_args__ = ("index", "result", "duality_ok")
+
+    def __init__(self, index: int, result: TheoremReport, duality_ok: bool):
+        super().__init__(index, result, duality_ok)
 
     def to_json_dict(self) -> dict:
         r = self.result

@@ -8,8 +8,8 @@ coordinate permutations are built on top of that canonical form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement
 from .poly import EvaluationSet, _indices

@@ -40,10 +40,9 @@ import operator
 import sys
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import cache, cached_property
 from itertools import product
-from typing import Callable, Iterable, Sequence
 from weakref import WeakValueDictionary
 
 MAX_FIELD_SIZE = 1 << 16
@@ -162,12 +161,39 @@ def _ops(field: Field, other, kind: type) -> IndexOps:
     return field.ops
 
 
-@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """An element of GF(p^m), stored as its index in the field enumeration."""
+    """An element of GF(p^m), stored as its index in the field enumeration.
 
-    field: "Field"
-    index: int
+    Field.tables makes one per index, and every operator and accessor
+    hands those out.  A plain class with slots that compares, hashes and
+    refuses assignment as the frozen dataclass FieldElement(field, index)
+    would; pickle and copy give back the field's own element.
+    """
+
+    __slots__ = __match_args__ = ("field", "index")
+
+    def __init__(self, field: "Field", index: int):
+        _set_field(self, field)
+        _set_index(self, index)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and (
+            self.field is other.field or self.field == other.field
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.index))
+
+    def __reduce__(self):
+        return self.field.from_index, (self.index,)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         ops = _ops(self.field, other, FieldElement)
@@ -217,6 +243,9 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.field!r}, {self})"
+
+
+_set_field, _set_index = FieldElement.field.__set__, FieldElement.index.__set__
 
 
 class _Terms(dict):

@@ -32,11 +32,10 @@ by instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import permutations as iter_permutations, product
-from operator import itemgetter
-from typing import Sequence
+from operator import attrgetter, itemgetter
 
 from .codes import LinearCode, rref, rs_code
 from .gf import FieldElement, Packing
@@ -51,6 +50,53 @@ SEARCH_CAP = 1_000_000
 
 class NotAPermutationError(ValueError):
     """A polynomial does not map the point set bijectively onto itself."""
+
+
+class _Frozen:
+    """An immutable value over the fields named in __match_args__ (two
+    or more), each in a slot.
+
+    It compares, hashes, prints and refuses assignment and deletion as a
+    frozen dataclass with those fields would.  The constructor fills the
+    slots through their own descriptors, past __setattr__, and pickle and
+    copy rebuild a value through its class's constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # The tuple of the field values, read at C speed.
+        cls._values = property(attrgetter(*cls.__match_args__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def __init__(self, *values) -> None:
+        for set_value, value in zip(self._setters, values):
+            set_value(self, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values)
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
 
 
 class Permutation:
@@ -119,16 +165,16 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Frozen):
     """The polynomial a*x + b with a != 0."""
 
-    a: FieldElement
-    b: FieldElement
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.is_zero():
+    def __init__(self, a: FieldElement, b: FieldElement):
+        if a.is_zero():
             raise ValueError("affine maps need a nonzero linear coefficient")
+        _set_a(self, a)
+        _set_b(self, b)
 
     @property
     def polynomial(self) -> Polynomial:
@@ -136,6 +182,11 @@ class AffineMap:
 
     def __str__(self) -> str:
         return affine_str(self.polynomial)
+
+
+# affine_group makes up to q(q-1) maps and a report n! members: both fill
+# their slots directly.
+_set_a, _set_b = AffineMap.a.__set__, AffineMap.b.__set__
 
 
 # -- permutation <-> polynomial dictionary --------------------------------
@@ -574,42 +625,14 @@ def exhaustive_permutations(
 # -- reports ------------------------------------------------------------------
 
 
-class GroupMember:
-    """A member of Per(C): its permutation and interpolating polynomial.
+class GroupMember(_Frozen):
+    """A member of Per(C): its permutation and interpolating polynomial."""
 
-    A plain class with slots that compares, hashes, prints and refuses
-    assignment as the frozen dataclass GroupMember(perm, poly) would, and
-    costs about half as much to build: an S_n-sized report makes n! of
-    them.  The slots' own descriptors fill them, past __setattr__.
-    """
-
-    __slots__ = ("perm", "poly")
+    __slots__ = __match_args__ = ("perm", "poly")
 
     def __init__(self, perm: Permutation, poly: Polynomial):
         _set_perm(self, perm)
         _set_poly(self, poly)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.perm, self.poly) == (other.perm, other.poly)
-
-    def __hash__(self) -> int:
-        return hash((self.perm, self.poly))
-
-    def __repr__(self) -> str:
-        return f"GroupMember(perm={self.perm!r}, poly={self.poly!r})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since setting the
-        # slots' state would go through __setattr__.
-        return GroupMember, (self.perm, self.poly)
 
     @property
     def degree(self) -> int:
@@ -632,11 +655,17 @@ class GroupMember:
 _set_perm, _set_poly = GroupMember.perm.__set__, GroupMember.poly.__set__
 
 
-@dataclass(frozen=True)
-class GroupReport:
-    elements: tuple[GroupMember, ...]
-    affine_order: int
-    is_affine_equal: bool
+class GroupReport(_Frozen):
+    """Per(C) as its members, with the order of the affine group and
+    whether the two are equal.  A __dict__ holds the cached is_abelian."""
+
+    __match_args__ = ("elements", "affine_order", "is_affine_equal")
+    __slots__ = (*__match_args__, "__dict__")
+
+    def __init__(
+        self, elements: tuple[GroupMember, ...], affine_order: int, is_affine_equal: bool
+    ):
+        super().__init__(elements, affine_order, is_affine_equal)
 
     @property
     def order(self) -> int:
@@ -725,15 +754,19 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
     )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Outcome of comparing Per(RS(A,k)) with the affine permutations of A."""
+class TheoremReport(_Frozen):
+    """Outcome of comparing Per(RS(A,k)) with the affine permutations of A.
 
-    points: EvaluationSet
-    k: int
-    group: GroupReport
-    # RS(A, k) itself, for callers that check more of it; not serialised.
-    code: LinearCode
+    code is RS(A, k) itself, for callers that check more of it; it is not
+    serialised.
+    """
+
+    __slots__ = __match_args__ = ("points", "k", "group", "code")
+
+    def __init__(
+        self, points: EvaluationSet, k: int, group: GroupReport, code: LinearCode
+    ):
+        super().__init__(points, k, group, code)
 
     @property
     def in_range(self) -> bool:

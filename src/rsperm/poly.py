@@ -35,9 +35,9 @@ skips the per-coefficient check of the public one.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from itertools import zip_longest
-from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement, FieldMismatchError, Packing, _ops
 

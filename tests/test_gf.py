@@ -237,9 +237,12 @@ def test_pickle_and_copies_give_back_the_one_field(q, modulus):
     assert pickle.loads(pickle.dumps(field)) is field
     assert copy.copy(field) is field
     assert copy.deepcopy(field) is field
-    x = field.from_index(q - 1)
-    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-        assert twin == x and twin.field is field
+    # An element comes back as the field's own, through Field.from_index:
+    # no element is made outside Field.tables.
+    for x in (field.from_index(q - 1), field.zero):
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
 
 
 def test_field_element_compares_and_hashes_as_a_dataclass(f9):
@@ -263,10 +266,10 @@ def test_field_element_repr_and_str(f9, f13):
 
 def test_field_element_is_immutable_and_has_no_dict(f9):
     x = f9.from_index(7)
-    for name in ("field", "index"):
+    for name in ("field", "index", "coeffs", "other"):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(x, name, None)
-    for name in ("field", "index"):
+    for name in ("field", "index", "other"):
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(x, name)
     assert x.field is f9 and x.index == 7
