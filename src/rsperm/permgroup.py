@@ -12,16 +12,22 @@ Per(C) = Per(C^perp), so the smaller of the two is searched,
 whose n!/(n-d)! candidate images, d = min(k, n-k), are met in the
 middle on one free column: perm(n, h) lookups of the first h images
 against a table of the other d - h, |W| * perm(n, d-h) entries for the
-|W| distinct columns.  Coordinate permutations commute with the Schur
-product and with duals, so Per(C) lies in Per(D) for D = (C * C)^perp,
-and for RS(A, d) with 2d <= n, D has dimension n - 2d + 1.  When that
-meet in the middle costs more than the d(d+1)/2 * n^2 steps of building
-D, and 0 < dim D < d, Per(D) is searched first: if it has at most that
-many members they are listed and kept when they fix C, checked column
-by column on C's rref; otherwise C is searched directly.  A search whose
-candidate space n!/(n-d)! exceeds SEARCH_CAP, or which would list more
-than SEARCH_CAP members of Per(C), raises ValueError instead of running
-or listing.
+|W| distinct columns.  With h >= 2 the lookups are split by the image
+of the first pivot p_0: the stabilizer of p_0 is searched in full, and
+each other point only until it gives one member, unless the members
+found already reach it.  Per(C) is listed as that transversal times the
+stabilizer, so a transitive group, as on all of GF(q) or on GF(q)*,
+costs about 1/n of the search over every image.
+Coordinate permutations commute with the Schur product and with duals,
+so Per(C) lies in Per(D) for D = (C * C)^perp, and for RS(A, d) with
+2d <= n, D has dimension n - 2d + 1.  When the meet in the middle costs
+more than the d(d+1)/2 * n^2 steps of building D, dim D is read off the
+cross products of C's rref rows, and if 0 < dim D < d, D is built and
+Per(D) searched first: if it has at most that many members they are
+listed and kept when they fix C, checked column by column on C's rref;
+otherwise C is searched directly.  A search whose candidate space
+n!/(n-d)! exceeds SEARCH_CAP, or which would list more than SEARCH_CAP
+members of Per(C), raises ValueError instead of running or listing.
 Permutations of an evaluation set correspond to the unique degree < n
 polynomial interpolating a_i -> a_pi(i); the affine ones are those of
 degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
@@ -32,8 +38,8 @@ by instance.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from functools import cached_property
+from collections.abc import Container, Iterator, Sequence
+from functools import cached_property, reduce
 from itertools import permutations as iter_permutations, product
 from operator import attrgetter, itemgetter
 
@@ -360,112 +366,199 @@ class _Columns:
 
 
 _Blocks = list[tuple[list[int], list[int]]]
-# The members of accepted t whose blocks are all singletons, and every
-# other accepted t with its blocks.
-_Accepted = tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], _Blocks]]]
+# The accepted state of a search: the members r of a transversal, one for
+# each point of the orbit of p_0 other than p_0 itself, and Stab(p_0) as the
+# members of its accepted t whose blocks are all singletons and every other
+# accepted t with its blocks.
+_Accepted = tuple[
+    list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[tuple[int, ...], _Blocks]]
+]
 
 
-def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
-    """The images t of the pivots that pass every free column, with
-    their blocks of exchangeable columns, and the order they give.
+def _images(
+    cols: _Columns, h: int, skip: Container[int]
+) -> Iterator[tuple[tuple[int, ...], _Blocks]]:
+    """Every accepted image t of the pivots with its blocks of
+    exchangeable columns, in the lexicographic order of its first h - 1
+    images.
 
-    The n!/(n-k)! injective images t of I are not enumerated one by one.
-    They are met in the middle on the first free column j0, split at
-    h = _split(n, k, |W|) for W the distinct columns: t passes j0 exactly
-    when sum_{i<h} G[i][j0] * G[:, t_i] equals x - sum_{i>=h} G[i][j0] *
-    G[:, t_i] for some x in W.  The right side is tabled once for every
-    suffix u of k - h images and every x, and each prefix s of h images
-    is one lookup; each u found there that is disjoint from s makes the
-    candidate t = s + u, which then must pass every other free column.
-    That is perm(n, h) + |W| * perm(n, k - h) lookups and table entries
-    in place of n!/(n-k)! candidates.  A block (js, cs) holds free
-    columns js with equal targets and the positions cs outside t holding
-    that column; every bijection between the two makes a member, so the
-    order is the sum over t of the products of |block|!.  A t whose
-    blocks are all singletons, as every t of an affine group is, makes
-    one member, kept as its image tuple alone; only the other t keep
-    their blocks.
+    The n!/(n-k)! injective images t are met in the middle on the first
+    free column j0, split at h = _split(n, k, |W|) for W the distinct
+    columns: t passes j0 exactly when sum_{i<h} G[i][j0] * G[:, t_i]
+    equals x - sum_{i>=h} G[i][j0] * G[:, t_i] for some x in W.  The
+    right side is tabled once for every suffix u of k - h images and
+    every x, and each prefix s of h images is one lookup; each u found
+    there that is disjoint from s makes the candidate t = s + u, which
+    then must pass every other free column.  That is perm(n, h) +
+    |W| * perm(n, k - h) lookups and table entries in place of the
+    n!/(n-k)! candidates.  The table and the lookups sum the terms they
+    share once: Packing.keys adds each x in W to the sum over a suffix u,
+    and each last prefix image c to the sum over the first h - 1.
 
-    The table and the lookups sum the terms they share once:
-    Packing.keys adds each x in W to the sum over a suffix u, and each
-    last prefix image c to the sum over the first h - 1.
+    When h >= 2, t_0 is a prefix image, and every t with t_0 in skip is
+    passed over.  skip is read at each prefix and again after each t is
+    yielded, so a caller that puts t_0 into skip cuts that subtree off
+    there.  A block (js, cs) holds free columns js with equal targets
+    and the positions cs outside t holding that column; every bijection
+    between the two makes a member.
     """
-    n, rows, packing, where = cols.n, cols.rows, cols.packing, cols.where
-    pivots, free, checks, products = cols.pivots, cols.free, cols.checks, cols.products
-    k = len(rows)
-    image = packing.key
+    n, rows, packing, where, checks = cols.n, cols.rows, cols.packing, cols.where, cols.checks
     keys = list(where)
-    h = _split(n, k, len(keys))
-    j0 = free[0]
+    j0 = cols.free[0]
     # u indexes the tail, u_{i-h} for row i >= h, and each x in W is then
     # added to its sum.
     neg = cols.field.ops.neg
-    tail = [(i - h, products(neg(rows[i][j0]))) for i, _ in checks[0] if i >= h]
+    tail = [(i - h, cols.products(neg(rows[i][j0]))) for i, _ in checks[0] if i >= h]
     table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for u in iter_permutations(range(n), k - h):
+    for u in iter_permutations(range(n), len(rows) - h):
         for key, total in zip(keys, packing.keys(u, tail, keys)):
             table.setdefault(total, []).append((u, key))
     # A prefix s of h images is its first h - 1 images and one column c
     # outside them, whose term is added to their sum.
     head = [(i, prods) for i, prods in checks[0] if i < h - 1]
-    last = products(rows[h - 1][j0])
-    lookups = (
-        (s + (c,), total)
-        for s in iter_permutations(range(n), h - 1)
-        for c, total in enumerate(packing.keys(s, head, last))
-        if c not in s
-    )
-    rest = checks[1:]
+    last = cols.products(rows[h - 1][j0])
+    image, free, rest = packing.key, cols.free, checks[1:]
+    for s in iter_permutations(range(n), h - 1):
+        if s and s[0] in skip:
+            continue
+        for c, total in enumerate(packing.keys(s, head, last)):
+            hits = table.get(total)
+            if hits is None or c in s:
+                continue
+            prefix = s + (c,)
+            taken = set(prefix)
+            for u, first in hits:
+                if not taken.isdisjoint(u):
+                    continue
+                t = prefix + u
+                targets = [first]
+                for terms in rest:
+                    key = image(t, terms)
+                    if key not in where:
+                        break
+                    targets.append(key)
+                else:
+                    classes: dict[int, list[int]] = {}
+                    for j, key in zip(free, targets):
+                        classes.setdefault(key, []).append(j)
+                    # The free columns must fill the n - k positions outside
+                    # t, each class exactly the positions holding its target.
+                    blocks: _Blocks = []
+                    for key, js in classes.items():
+                        spare = [x for x in where[key] if x not in t]
+                        if len(spare) != len(js):
+                            break
+                        blocks.append((js, spare))
+                    else:
+                        yield t, blocks
+                        if t[0] in skip:
+                            break
+            if s and s[0] in skip:
+                break
+
+
+def _member(
+    n: int, pivots: Sequence[int], t: tuple[int, ...], blocks: _Blocks
+) -> tuple[int, ...]:
+    """The member of an accepted t that sends pivot p_i to t_i and each
+    block's free columns to its positions in order."""
+    images = [0] * n
+    for i, c in zip(pivots, t):
+        images[i] = c
+    for js, cs in blocks:
+        for j, c in zip(js, cs):
+            images[j] = c
+    return tuple(images)
+
+
+def _grow(
+    orbit: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]], g: tuple[int, ...]
+) -> None:
+    """Add the member g to gens and close orbit under them again.
+
+    orbit maps each point x it holds to a member r with r(p_0) = x, and
+    is closed under gens; a new point y = gen(x) gets the member gen * r.
+    The old points are closed under the old gens, so only g is applied
+    to them, and every gen to each new point.
+    """
+    gens.append(g)
+    new = []
+    for x, r in list(orbit.items()):
+        y = g[x]
+        if y not in orbit:
+            orbit[y] = tuple(map(g.__getitem__, r))
+            new.append(y)
+    for y in new:
+        r = orbit[y]
+        for gen in gens:
+            z = gen[y]
+            if z not in orbit:
+                orbit[z] = tuple(map(gen.__getitem__, r))
+                new.append(z)
+
+
+def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
+    """The accepted images t of the pivots, as a transversal and a
+    stabilizer, and the order they give.
+
+    Per(C) is searched as a transversal times the stabilizer of the first
+    pivot p_0 (Sims 1970; Leon, J. Symb. Comp. 1991), split by t_0, the
+    image of p_0.  Stab(p_0) is every member with t_0 = p_0, and each of
+    its accepted t is kept (_images).  A t whose blocks are all
+    singletons makes one member, kept as its image tuple alone; only the
+    other t keep their blocks, and make the product of |block|! members.
+    Then each other position c, in index order, is passed over when it
+    is already in the orbit of p_0 under the members found so far, and
+    otherwise searched with t_0 = c only until one member turns up or
+    the subtree has none.  A member found closes the orbit again (_grow)
+    under the members of the transversal and one member per accepted t
+    of Stab(p_0), so the orbit keeps one transversal member per point.
+    A point passed over unreached is never reached, so the order is
+    |orbit| * |Stab(p_0)|.
+
+    Under a transitive group, as the affine groups of all of GF(q) and
+    of GF(q)* are, every subtree but Stab(p_0)'s is then passed over or
+    cut at its first member: about 1/n of the work of searching every t.
+    With h = 1, t_0 is the looked-up image, and every accepted t is kept
+    as Stab(p_0)'s are, with no transversal.
+    """
+    n, pivots = cols.n, cols.pivots
+    h = _split(n, len(pivots), len(cols.where))
+    width = len(cols.free)
+    p0 = pivots[0] if h > 1 else None
     whole: list[tuple[int, ...]] = []
     grouped: list[tuple[tuple[int, ...], _Blocks]] = []
-    for s, total in lookups:
-        hits = table.get(total)
-        if hits is None:
-            continue
-        taken = set(s)
-        for u, first in hits:
-            if not taken.isdisjoint(u):
-                continue
-            t = s + u
-            targets = [first]
-            for terms in rest:
-                key = image(t, terms)
-                if key not in where:
-                    break
-                targets.append(key)
+    orbit: dict[int, tuple[int, ...]] = {}
+    gens: list[tuple[int, ...]] = []
+    for t, blocks in _images(cols, h, orbit):
+        if p0 is None or t[0] == p0:
+            if len(blocks) < width:
+                grouped.append((t, blocks))
             else:
-                classes: dict[int, list[int]] = {}
-                for j, key in zip(free, targets):
-                    classes.setdefault(key, []).append(j)
-                # The free columns must fill the n - k positions outside t,
-                # each class exactly the positions holding its target.
-                blocks: _Blocks = []
-                for key, js in classes.items():
-                    spare = [c for c in where[key] if c not in t]
-                    if len(spare) != len(js):
-                        break
-                    blocks.append((js, spare))
-                else:
-                    if len(blocks) < len(free):
-                        grouped.append((t, blocks))
-                    else:
-                        images = [0] * n
-                        for i, c in zip(pivots, t):
-                            images[i] = c
-                        for (j,), (c,) in blocks:
-                            images[j] = c
-                        whole.append(tuple(images))
-    order = len(whole) + sum(
+                whole.append(_member(n, pivots, t, blocks))
+            continue
+        if not orbit:
+            # The t come in the order of t_0, and no t_0 lies before p_0,
+            # the first nonzero column.  So Stab(p_0) is complete, and its
+            # members start the gens.
+            orbit[p0] = tuple(range(n))
+            gens += whole
+            gens += (_member(n, pivots, *found) for found in grouped)
+        _grow(orbit, gens, _member(n, pivots, t, blocks))
+    orbit.pop(p0, None)
+    reps = list(orbit.values())
+    order = (1 + len(reps)) * (len(whole) + sum(
         math.prod(math.factorial(len(js)) for js, _ in blocks) for _, blocks in grouped
-    )
-    return (whole, grouped), order
+    ))
+    return (reps, whole, grouped), order
 
 
 def _listed(n: int, pivots: Sequence[int], accepted: _Accepted) -> list[tuple[int, ...]]:
-    """Every member of the accepted images, sorted: the whole members as
-    they are, and for each other t, pivot p_i goes to t_i and each block's
-    free columns go to its positions in every order."""
-    whole, grouped = accepted
+    """Every member of the accepted state, sorted: the members s of
+    Stab(p_0), the whole ones as they are and for each other t, pivot p_i
+    going to t_i and each block's free columns to its positions in every
+    order; then r * s for each transversal member r."""
+    reps, whole, grouped = accepted
     members = list(whole)
     images = [0] * n
     for t, blocks in grouped:
@@ -476,16 +569,44 @@ def _listed(n: int, pivots: Sequence[int], accepted: _Accepted) -> list[tuple[in
                 for j, c in zip(js, cs):
                     images[j] = c
             members.append(tuple(images))
+    if reps:
+        # itemgetter(*s)(r) is r * s; n >= k >= 2 here, so it gives a tuple.
+        members += [rs for s in members for rs in map(itemgetter(*s), reps)]
     members.sort()
     return members
 
 
-def _square_dual(code: LinearCode) -> LinearCode:
-    """D = (C * C)^perp, C * C spanned by the products of C's rref rows."""
-    field, rows = code.field, code.index_rows
-    mul = field.ops.mul
-    products = [list(map(mul, r, s)) for i, r in enumerate(rows) for s in rows[i:]]
-    return LinearCode._from_indices(field, products, code.n).dual
+def _square_dual(code: LinearCode) -> LinearCode | None:
+    """D = (C * C)^perp when its dimension is below C's, else None.
+
+    C * C is spanned by the products of C's rref rows r_i.  Each square
+    r_i * r_i is 1 at the pivot p_i and 0 at the other pivots, and each
+    cross product r_i * r_j (i < j) is 0 at every pivot.  So dim(C * C)
+    is k plus the rank of the cross products on the n - k free columns
+    F, and only that block is eliminated.  D is built only when its
+    dimension n - k - rank is below k, from the kernel of the block: a
+    vector y of D has y_F in that kernel and y_{p_i} = -sum_{f in F}
+    r_i[f]^2 * y_f.
+    """
+    field, n, k, pivots = code.field, code.n, code.k, code.pivots
+    ops = field.ops
+    add, mul, neg = ops.add, ops.mul, ops.neg
+    free = [j for j in range(n) if j not in pivots]
+    on_free = [[r[j] for j in free] for r in code.index_rows]
+    cross = [list(map(mul, a, b)) for i, a in enumerate(on_free) for b in on_free[i + 1:]]
+    span = LinearCode._from_indices(field, cross, n - k)
+    if n - k - span.k >= k:
+        return None
+    squares = [list(map(mul, a, a)) for a in on_free]
+    rows = []
+    for y in span.dual.index_rows:
+        w = [0] * n
+        for f, x in zip(free, y):
+            w[f] = x
+        for p, square in zip(pivots, squares):
+            w[p] = neg(reduce(add, map(mul, square, y), 0))
+        rows.append(w)
+    return LinearCode._from_indices(field, rows, n)
 
 
 def _search(code: LinearCode) -> list[tuple[int, ...]]:
@@ -498,21 +619,25 @@ def _search(code: LinearCode) -> list[tuple[int, ...]]:
     can be exchanged among the positions holding that column, so every
     bijection between the two is a member.  The accepted images of I
     are collected first (_accepted), with their blocks of exchangeable
-    columns, so that |Per(C)| is checked against SEARCH_CAP before any
-    member is listed (_listed).
+    columns, as a stabilizer of the first pivot and one transversal
+    member per point of its orbit, so that |Per(C)| is checked against
+    SEARCH_CAP before any member is listed (_listed).  Under a transitive
+    group, such as AGL(1, q) on all of GF(q) or the multiplications on
+    GF(q)*, that search costs about 1/n of one over every image of I.
 
     The search can go through the smaller code D = (C * C)^perp.
     Coordinate permutations commute with products and duals, so every
     member of Per(C) fixes D.  When 2k <= n, D can be smaller than C only
     if n < k + k(k+1)/2 (C * C has at most k(k+1)/2 dimensions); for
     RS(A, k) it is RS(A, 2k-1)^perp, of dimension n - 2k + 1.  If
-    _square_pays, D is built, and if 0 < dim D < k its accepted images
-    give |Per(D)| before any is listed.  When that is at most the cost of
+    _square_pays, dim D is read off the cross products of C's rows, D
+    is built only if dim D < k, and if also dim D > 0 its accepted
+    images give |Per(D)| before any is listed.  When that is at most the cost of
     searching C (_cost, on the |W| distinct columns of C), Per(D) is
     listed and only the members fixing C are kept (_Columns.fixes), in
     the same sorted order.  Otherwise C is searched itself: when D = 0
-    (its group is S_n), when D is not smaller than C, or when Per(D) has
-    more members than that cost.
+    (its group is S_n), when D is not smaller than C (and so not built),
+    or when Per(D) has more members than that cost.
     """
     n, k = code.n, code.k
     if k in (0, n):
@@ -524,7 +649,7 @@ def _search(code: LinearCode) -> list[tuple[int, ...]]:
         cost = _cost(n, k, len(cols.where))
         if _square_pays(n, k, cost):
             square = _square_dual(code)
-            if 0 < square.k < k:
+            if square is not None and square.k > 0:
                 square_cols = _Columns(square)
                 accepted, order = _accepted(square_cols)
                 # Listing Per(D) then costs no more than searching C would.
@@ -598,12 +723,16 @@ def exhaustive_permutations(
     is set by that code's dimension k: of the n!/(n-k)! candidate images
     of the pivots, the first h are enumerated and the other k - h tabled,
     perm(n, h) + |W| * perm(n, k-h) lookups and entries for the |W|
-    distinct columns (see _search and _split).  Use search_side to pick
-    the cheaper of a code and its dual.  When 2k <= n and that cost
-    exceeds the k(k+1)/2 * n^2 steps of building D = (C * C)^perp
-    (_square_pays), and 0 < dim D < k, Per(D) is searched first; if it
-    has at most that many members they are listed and filtered down to
-    those fixing C, and otherwise C is searched.  Raises
+    distinct columns (see _search and _split).  With h >= 2 the lookups
+    are split by the image of the first pivot p_0: those fixing p_0 in
+    full, and each other image only until it gives one member, or none
+    at all once the members found reach it (_accepted).  So a transitive
+    group costs about 1/n of that, and a trivial one all of it.  Use
+    search_side to pick the cheaper of a code and its dual.  When 2k <= n
+    and the cost exceeds the k(k+1)/2 * n^2 steps of building D =
+    (C * C)^perp (_square_pays), and 0 < dim D < k, Per(D) is searched
+    first; if it has at most that many members they are listed and
+    filtered down to those fixing C, and otherwise C is searched.  Raises
     ValueError, before searching, when the n!/(n-k)! candidates exceed
     SEARCH_CAP, and before listing any member when Per(C) has more than
     SEARCH_CAP members; a large Per(D) never raises.

@@ -29,6 +29,7 @@ from rsperm import (
     Polynomial,
     affine_group,
     brute_force_perm_group,
+    check_theorem,
     compose_mod,
     exhaustive_permutations,
     perm_to_poly,
@@ -420,4 +421,29 @@ def test_criterion_14_reports_derive_the_hint_only_when_printed(monkeypatch):
             bad.append((argv, "commutativity tests", len(calls)))
     elapsed = perf_counter() - t0
     _report(14, "reports derive the hint only when printed", not bad, elapsed, 5.0)
+    assert not bad, bad
+
+
+def test_criterion_15_transitive_groups_are_searched_fast():
+    # The paper's two corollaries at sizes where searching every image of
+    # the pivots takes seconds: Per(RS(A, 2)) is the q - 1 maps a * x on
+    # GF(q)* and AGL(1, q), of order q(q - 1), on all of GF(q).  Both
+    # groups are transitive, so the search lists them as one member per
+    # orbit point times the stabilizer of the first pivot.
+    field_101, field_251, field_64 = Field(101), Field(251), Field(64)
+    cases = (
+        (EvaluationSet.multiplicative_group(field_101), 100, 1.5),
+        (EvaluationSet.multiplicative_group(field_251), 250, 1.5),
+        (EvaluationSet.full_field(field_64), 64 * 63, 1.5),
+    )
+    bad = []
+    t0 = perf_counter()
+    for points, want, limit in cases:
+        start = perf_counter()
+        report = check_theorem(points, 2)
+        elapsed = perf_counter() - start
+        if not (report.group.order == want and report.holds and elapsed < limit):
+            bad.append((points.field.q, points.n, report.group.order, elapsed))
+    elapsed = perf_counter() - t0
+    _report(15, "transitive groups are searched fast", not bad, elapsed, 1.5)
     assert not bad, bad

@@ -189,7 +189,8 @@ def test_the_element_guard_sees_what_it_forbids(tmp_path):
 NOT_IN_SEARCH = {"affine_group", "EvaluationSet", "perm_to_poly", "interpolate"}
 SEARCH_HELPERS = {
     "exhaustive_permutations", "_search", "_accepted", "_listed",
-    "_Columns", "_square_dual", "_square_pays", "_cost", "_split", "_check_cap",
+    "_Columns", "_images", "_member", "_grow", "_square_dual", "_square_pays",
+    "_cost", "_split", "_check_cap",
 }
 
 

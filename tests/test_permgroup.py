@@ -231,16 +231,81 @@ def test_brute_force_respects_cap():
     assert str(math.factorial(10)) in message
 
 
+def test_a_pruned_search_over_the_cap_raises_before_listing(monkeypatch):
+    """k = 3 with three classes of 5 equal columns, n = 15: 15!/12! = 2730
+    candidates, split at h = 2, and Per(C) = S_5 wr S_3 of order
+    6 * 120^3 > SEARCH_CAP.  The order is |orbit| * |Stab(p_0)| = 15 *
+    (4! * 120^2 * 2), known before any member is listed, so the search
+    raises and _listed never runs."""
+    field = Field(2)
+    rows = [[field.one if j // 5 == i else field.zero for j in range(15)] for i in range(3)]
+    code = LinearCode(field, rows)
+    assert permgroup._split(15, 3, 3) == 2
+    found, listed = [], []
+    accepted, listing = permgroup._accepted, permgroup._listed
+
+    def spy_accepted(cols):
+        state, order = accepted(cols)
+        found.append((len(state[0]), order))
+        return state, order
+
+    def spy_listed(*args):
+        listed.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(permgroup, "_accepted", spy_accepted)
+    monkeypatch.setattr(permgroup, "_listed", spy_listed)
+    message = _refused_quickly(exhaustive_permutations, code)
+    assert str(6 * 120**3) in message
+    assert found == [(14, 15 * 24 * 120**2 * 2)]
+    assert listed == []
+
+
+def test_a_transitive_group_is_closed_from_one_transversal_member(monkeypatch):
+    """All of GF(q) with k = 2 and 3: Stab(p_0), the q - 1 maps a * x, is
+    searched in full, and the first member with t_0 != p_0 closes the
+    orbit of p_0 to all q points under it and them.  So _grow runs once,
+    from the orbit {p_0}, and every other subtree is passed over: the
+    search yields q accepted images in all."""
+    grown, yielded = [], []
+    grow, images = permgroup._grow, permgroup._images
+
+    def spy_grow(orbit, gens, g):
+        before = len(orbit)
+        grow(orbit, gens, g)
+        grown.append((before, len(orbit)))
+
+    def spy_images(cols, h, skip):
+        for found in images(cols, h, skip):
+            yielded.append(found[0][0])
+            yield found
+
+    monkeypatch.setattr(permgroup, "_grow", spy_grow)
+    monkeypatch.setattr(permgroup, "_images", spy_images)
+    for q in (8, 9, 16, 25, 27):
+        points = EvaluationSet.full_field(Field(q))
+        for k in (2, 3):
+            grown.clear()
+            yielded.clear()
+            cols = permgroup._Columns(rs_code(points, k))
+            (reps, whole, grouped), order = permgroup._accepted(cols)
+            assert grown == [(1, q)], (q, k)
+            p0 = cols.pivots[0]
+            assert len(yielded) == q and yielded.count(p0) == q - 1, (q, k)
+            assert (len(reps), len(whole), grouped, order) == (q - 1, q - 1, [], q * (q - 1))
+
+
 class SquareSpy:
     """Records, while installed, every square dual D that
     exhaustive_permutations builds (squares) with its dimension (built),
+    each call of _square_dual (asked),
     every code whose columns it packs into a _Columns (columns),
     (dimension, order) of every code whose accepted images it collects,
     and the dimension of every code whose members it lists."""
 
     def __init__(self, monkeypatch, gate=None):
         self.built, self.accepted, self.listed = [], [], []
-        self.squares, self.columns = [], []
+        self.squares, self.columns, self.asked = [], [], []
         square_dual, accepted, listed, columns = (
             permgroup._square_dual, permgroup._accepted, permgroup._listed,
             permgroup._Columns,
@@ -248,8 +313,10 @@ class SquareSpy:
 
         def spy_square(code):
             square = square_dual(code)
-            self.built.append(square.k)
-            self.squares.append(square)
+            self.asked.append(code)
+            if square is not None:
+                self.built.append(square.k)
+                self.squares.append(square)
             return square
 
         def spy_columns(code):
@@ -322,13 +389,14 @@ def test_a_large_square_group_falls_back_to_the_direct_search(monkeypatch):
 
 def test_criterion_12_inputs_and_the_square_dual(monkeypatch):
     """GF(13) points 0..11 with k = 6 is searched through a 1-dimensional
-    D whose 12 members all fix C.  All of GF(16) with k = 5 builds D, but
-    its dimension 7 is not below k, so C is searched.  Either way the
-    members are those of the direct search of C, and C's columns are
-    built once, as are D's when D is searched."""
+    D whose 12 members all fix C.  All of GF(16) with k = 5 opens the
+    cost gate, but the cross products of C's rows show dim D = 7, not
+    below k, so no D is built and C is searched.  Either way the members
+    are those of the direct search of C, and C's columns are built once,
+    as are D's when D is searched."""
     cases = (
         (EvaluationSet(Field(13), list(range(12))), 6, [1], [1]),
-        (EvaluationSet.full_field(Field(16)), 5, [7], [5]),
+        (EvaluationSet.full_field(Field(16)), 5, [], [5]),
     )
     for points, k, built, listed in cases:
         code = rs_code(points, k)
@@ -338,6 +406,7 @@ def test_criterion_12_inputs_and_the_square_dual(monkeypatch):
             report = brute_force_perm_group(code, points)
         assert [m.perm.images for m in report.elements] == direct
         assert (spy.built, spy.listed) == (built, listed), points.field.q
+        assert spy.asked == [code], points.field.q
         # Only the listed code's accepted images are collected.
         assert [d for d, _ in spy.accepted] == listed, points.field.q
         searched = [d for d in spy.squares if 0 < d.k < k]

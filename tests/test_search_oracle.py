@@ -8,7 +8,9 @@ checks.  The comparison is list equality: the same members in the same
 (lexicographic) order, on a code and on its dual, along the path the
 search picks, along the reduced path through D = (C * C)^perp with its
 cost gate forced open, and along the direct path with the gate forced
-shut and every split 1 <= h <= k that it may pick forced on it.
+shut and every split 1 <= h <= k that it may pick forced on it.  With
+h >= 2 the search lists a transversal times a stabilizer, so the codes
+must include groups whose orbit of the first pivot has several points.
 """
 
 import math
@@ -111,21 +113,26 @@ def test_search_matches_reference(q, monkeypatch):
     rng = random.Random(2000 + q)
     cases = codes(field, rng)
     assert len(cases) >= 20
-    # The dimension of each code whose members are listed.
-    listed = []
+    # The dimension of each code whose members are listed, and the size
+    # of the transversal they are listed from.
+    listed, transversals = [], []
     listing = permgroup._listed
 
     def spy(n, pivots, accepted):
         listed.append(len(pivots))
+        transversals.append(1 + len(accepted[0]))
         return listing(n, pivots, accepted)
 
     monkeypatch.setattr(permgroup, "_listed", spy)
-    sparse = reduced = 0
+    sparse = reduced = pruned = 0
     for name, code in cases.items():
         for side, c in (("C", code), ("dual", code.dual)):
             want = reference_members(c)
+            transversals.clear()
             got = [p.images for p in exhaustive_permutations(c)]
             assert got == want, f"GF({q}) {name} {side} k={c.k}"
+            # Listed as more than one coset of Stab(p_0).
+            pruned += any(size > 1 for size in transversals)
             with monkeypatch.context() as patch:
                 patch.setattr(permgroup, "_square_pays", gate(True))
                 listed.clear()
@@ -148,6 +155,32 @@ def test_search_matches_reference(q, monkeypatch):
     # Some listed a proper Per(D) and filtered it.  Over GF(2) the one
     # proper D of these codes has more members than searching C costs.
     assert reduced >= (0 if q == 2 else 4), reduced
+    # Some passed over or cut subtrees: their orbit of p_0 has more than
+    # the one point whose stabilizer is searched in full.
+    assert pruned >= 5, pruned
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_square_dual_is_the_dual_of_all_row_products(q):
+    """_square_dual eliminates only the cross products of the rref rows
+    on the free columns and builds D from their kernel.  D must be the
+    dual of the span of all k(k+1)/2 products of rref rows, made here
+    from element rows, built exactly when its dimension is below k."""
+    field = Field(q)
+    built = refused = 0
+    for name, code in codes(field, random.Random(2000 + q)).items():
+        for side, c in (("C", code), ("dual", code.dual)):
+            rows = c.rref
+            products = [[x * y for x, y in zip(r, s)] for i, r in enumerate(rows) for s in rows[i:]]
+            want = LinearCode(field, products, n=c.n).dual
+            got = permgroup._square_dual(c)
+            if want.k < c.k:
+                assert got == want, f"GF({q}) {name} {side} k={c.k}"
+                built += 1
+            else:
+                assert got is None, f"GF({q}) {name} {side} k={c.k}"
+                refused += 1
+    assert built >= 5 and refused >= 5, (built, refused)
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
