@@ -171,7 +171,9 @@ def test_square_dual_is_the_dual_of_all_row_products(q):
     for name, code in codes(field, random.Random(2000 + q)).items():
         for side, c in (("C", code), ("dual", code.dual)):
             rows = c.rref
-            products = [[x * y for x, y in zip(r, s)] for i, r in enumerate(rows) for s in rows[i:]]
+            products = [
+                [x * y for x, y in zip(r, s)] for i, r in enumerate(rows) for s in rows[i:]
+            ]
             want = LinearCode(field, products, n=c.n).dual
             got = permgroup._square_dual(c)
             if want.k < c.k:
