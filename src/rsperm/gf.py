@@ -571,7 +571,9 @@ class Packing:
     last, the sum taken once.  scaler(vectors) packs a list of vectors
     times any element g at once, as one int cut into one per vector: by
     m multiplications of bit planes for p = 2, and by one scale of all
-    their entries for odd p.
+    their entries for odd p.  decode(key) is a key's indices up to its
+    last nonzero entry, as a tuple read at C speed (_decoder), and
+    unpack(key) that vector padded back to `count` entries.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
@@ -651,23 +653,48 @@ class Packing:
             for b in range(m)
         )
 
+    @cached_property
+    def decode(self) -> Callable[[int], tuple[int, ...]]:
+        """key -> its indices up to the last nonzero entry, made on first
+        use: the search's packings never decode."""
+        return _decoder(self.field.p, self.field.m, self.width, self.count)
+
     def unpack(self, key: int) -> list[int]:
-        """The `count` entries of a key, as indices read from their m digits."""
-        field, count, w = self.field, self.count, self.width
-        p, m = field.p, field.m
-        if p == 2:
-            mask = field.q - 1
-            return [key >> (m * r) & mask for r in range(count)]
-        if self._digits is not None:
-            digits = key.to_bytes(m * count, "little")
-        else:
-            slot = (1 << w) - 1
-            digits = [key >> s & slot for s in range(0, w * m * count, w)]
-        # Entry r is digits[m*r : m*(r+1)] read base p, most significant last.
-        out = list(digits[m - 1 :: m])
-        for b in range(m - 2, -1, -1):
-            out = [x * p + d for x, d in zip(out, digits[b::m])]
-        return out
+        """The `count` entries of a key, as indices: decode(key) padded
+        with zero entries."""
+        out = list(self.decode(key))
+        return out + [0] * (self.count - len(out))
+
+
+def _decoder(p: int, m: int, w: int, count: int) -> Callable[[int], tuple[int, ...]]:
+    """decode for slots of w bits.  Entry r fills a field of w * m bits,
+    digit b in slot m*r + b.  For p = 2 the field is the index itself.
+    For odd p the digit planes, digit b of every entry moved to its
+    field's lowest slot, are read base p at once by Horner's rule: an
+    index is below q <= 2**(w * m), so nothing carries out of its field.
+    Byte fields of indices below 256 are then every m-th byte, and other
+    fields are cut one shift and mask each, up to the highest set bit.
+    """
+    if w == 8 and m == 1:
+        return lambda key: tuple(key.to_bytes(count, "little").rstrip(b"\0"))
+    size = w * m
+    mask = (1 << size) - 1
+    if p == 2:
+        return lambda key: tuple([key >> s & mask for s in range(0, key.bit_length(), size)])
+    # The lowest slot of every field, all ones.
+    low = ((1 << size * count) - 1) // mask * ((1 << w) - 1)
+    top, shifts = w * (m - 1), range(w * (m - 2), -1, -w)
+    bytewise = w == 8 and p**m < 256
+
+    def decode(key: int) -> tuple[int, ...]:
+        acc = key >> top & low
+        for s in shifts:
+            acc = acc * p + (key >> s & low)
+        if bytewise:
+            return tuple(acc.to_bytes(m * count, "little")[::m].rstrip(b"\0"))
+        return tuple([acc >> s & mask for s in range(0, acc.bit_length(), size)])
+
+    return decode
 
 
 def _xor_keys():

@@ -38,9 +38,10 @@ by instance.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Container, Iterator, Sequence
 from functools import cached_property, reduce
-from itertools import permutations as iter_permutations, product
+from itertools import chain, permutations as iter_permutations, product, repeat
 from operator import attrgetter, itemgetter
 
 from .codes import LinearCode, rref, rs_code
@@ -117,14 +118,6 @@ class Permutation:
         self.images = t
 
     @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        """Internal constructor without the check: images is a tuple holding
-        each of 0..n-1 once."""
-        p = object.__new__(cls)
-        p.images = images
-        return p
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
@@ -190,9 +183,19 @@ class AffineMap(_Frozen):
         return affine_str(self.polynomial)
 
 
-# affine_group makes up to q(q-1) maps and a report n! members: both fill
-# their slots directly.
+# affine_group makes up to q(q-1) maps, and a report n! members and their
+# permutations: all fill their slots directly.
 _set_a, _set_b = AffineMap.a.__set__, AffineMap.b.__set__
+_set_images = Permutation.images.__set__
+
+
+def _wrapped(images: Sequence[tuple[int, ...]]) -> list[Permutation]:
+    """A Permutation for each image tuple, a tuple holding each of
+    0..n-1 once, its slot filled through the slot's descriptor past the
+    constructor's check: one C call per permutation."""
+    perms = list(map(object.__new__, repeat(Permutation, len(images))))
+    deque(map(_set_images, perms, images), maxlen=0)
+    return perms
 
 
 # -- permutation <-> polynomial dictionary --------------------------------
@@ -215,7 +218,7 @@ def poly_to_perm(f: Polynomial, points: EvaluationSet) -> Permutation:
         images.append(pos)
     if len(set(images)) != points.n:
         raise NotAPermutationError(f"{f} is not injective on the point set")
-    return Permutation._trusted(tuple(images))
+    return _wrapped([tuple(images)])[0]
 
 
 def permutes(f: Polynomial, points: EvaluationSet) -> bool:
@@ -274,10 +277,8 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
             found.append((a, b, tuple(images)))
     found.sort(key=lambda member: member[:2])
     # Each images tuple is a bijection: a != 0 makes the map injective.
-    return [
-        (AffineMap(els[a], els[b]), Permutation._trusted(images))
-        for a, b, images in found
-    ]
+    perms = _wrapped([images for _, _, images in found])
+    return [(AffineMap(els[a], els[b]), perm) for (a, b, _), perm in zip(found, perms)]
 
 
 # -- exhaustive group computation ------------------------------------------
@@ -557,18 +558,29 @@ def _listed(n: int, pivots: Sequence[int], accepted: _Accepted) -> list[tuple[in
     """Every member of the accepted state, sorted: the members s of
     Stab(p_0), the whole ones as they are and for each other t, pivot p_i
     going to t_i and each block's free columns to its positions in every
-    order; then r * s for each transversal member r."""
+    order; then r * s for each transversal member r.
+
+    The images of the pivots and then of each block's free columns are
+    t + fill, for each fill: one permutation of every block's positions,
+    from a product only when there are several blocks.  One itemgetter
+    scatters them to their columns, so a member costs a fixed number of
+    C calls.
+    """
     reps, whole, grouped = accepted
     members = list(whole)
-    images = [0] * n
     for t, blocks in grouped:
-        for i, c in zip(pivots, t):
-            images[i] = c
-        for choice in product(*(iter_permutations(cs) for _, cs in blocks)):
-            for (js, _), cs in zip(blocks, choice):
-                for j, c in zip(js, cs):
-                    images[j] = c
-            members.append(tuple(images))
+        order = list(pivots)
+        for js, _ in blocks:
+            order += js
+        # n >= 2 here, so the scatter gives a tuple.
+        scatter = itemgetter(*sorted(range(n), key=order.__getitem__))
+        if len(blocks) == 1:
+            fills = iter_permutations(blocks[0][1])
+        else:
+            fills = map(tuple, map(chain.from_iterable, product(
+                *(iter_permutations(cs) for _, cs in blocks)
+            )))
+        members += map(scatter, map(t.__add__, fills))
     if reps:
         # itemgetter(*s)(r) is r * s; n >= k >= 2 here, so it gives a tuple.
         members += [rs for s in members for rs in map(itemgetter(*s), reps)]
@@ -735,7 +747,8 @@ def exhaustive_permutations(
     filtered down to those fixing C, and otherwise C is searched.  Raises
     ValueError, before searching, when the n!/(n-k)! candidates exceed
     SEARCH_CAP, and before listing any member when Per(C) has more than
-    SEARCH_CAP members; a large Per(D) never raises.
+    SEARCH_CAP members; a large Per(D) never raises.  The members'
+    image tuples become Permutations through _wrapped.
 
     method="backtrack" runs _scan_backtrack instead.  It remains only
     for the benchmark's permgroup.backtrack_s probe, which times it;
@@ -748,7 +761,7 @@ def exhaustive_permutations(
         raw = _scan_backtrack(code)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return [Permutation._trusted(t) for t in raw]
+    return _wrapped(raw)
 
 
 # -- reports ------------------------------------------------------------------
@@ -873,8 +886,13 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
     # One interpolate call per member, on the point elements at its images
     # (n >= 2, so itemgetter hands back a tuple): the poly.interpolate span
     # of benchmarks/spans.py times and counts interpolation by those calls.
+    # Bare members get their perm and poly slots filled through the slots'
+    # descriptors, as _wrapped does: one C call each per member.
     interpolate, pts = points.interpolate, points.points
-    members = tuple(GroupMember(p, interpolate(itemgetter(*p.images)(pts))) for p in perms)
+    members = tuple(map(object.__new__, repeat(GroupMember, len(perms))))
+    deque(map(_set_perm, members, perms), maxlen=0)
+    polys = (interpolate(itemgetter(*p.images)(pts)) for p in perms)
+    deque(map(_set_poly, members, polys), maxlen=0)
     affine_images = {perm.images for _, perm in affine_group(points)}
     return GroupReport(
         elements=members,

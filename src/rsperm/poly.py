@@ -28,16 +28,17 @@ the indicators L_i, and each term v_i * L_i depends only on i and the
 index of v_i, so every evaluation set memoises, per indicator, the
 term's coefficients packed into one int by a gf.Packing, filled when a
 sum first misses it.  A call sums n memoised ints with Packing.key and
-unpacks the sum once, straight into the coefficient indices.
+decodes the sum once, straight into the stripped coefficient indices.
 Arithmetic inside the module builds results through a constructor that
 skips the per-coefficient check of the public one.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from itertools import zip_longest
+from itertools import compress, count, zip_longest
 
 from .gf import Field, FieldElement, FieldMismatchError, Packing, _ops
 
@@ -247,7 +248,8 @@ def terms_text(terms: dict[int, str], q: int, index_coeffs: tuple[int, ...]) -> 
     terms[i * q + c] from the field's Field.terms.  str, affine_str above
     degree 1 and the --json writer of group members all print through it,
     the writer with terms and q fetched once per report."""
-    return " + ".join([terms[i * q + c] for i, c in enumerate(index_coeffs) if c])
+    keys = compress(map(operator.add, count(0, q), index_coeffs), index_coeffs)
+    return " + ".join(map(terms.__getitem__, keys))
 
 
 def affine_str(f: Polynomial) -> str:
@@ -385,8 +387,8 @@ class EvaluationSet:
         ValueError.  The line through the first two values is tried
         first: when its values on the points are the given ones, it is
         the interpolant.  Otherwise the memoised terms v_i * L_i are
-        summed by one Packing.key, and the key is unpacked into
-        coefficient indices once.
+        summed by one Packing.key, and the key is decoded into the
+        stripped coefficient indices once (Packing.decode).
         """
         field, n = self.field, self.n
         if len(values) != n:
@@ -404,7 +406,7 @@ class EvaluationSet:
                 if x not in memo:
                     memo[x] = packing.pack(self.indicators[i].index_coeffs, x)
             key = packing.key(choice, terms)
-        return Polynomial._trusted(field, _stripped(packing.unpack(key)))
+        return Polynomial._trusted(field, packing.decode(key))
 
 
 def compose_mod(p1: Polynomial, p2: Polynomial, points: EvaluationSet) -> Polynomial:

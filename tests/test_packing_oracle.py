@@ -233,3 +233,60 @@ def test_gf17_on_each_side_of_the_byte_cutover(terms):
     key = packing.key([0] * terms, table)
     assert key == ref_pack(field, terms, want)
     assert packing.unpack(key) == want
+
+
+def stripped(vector):
+    """The vector as a tuple, its trailing zero entries dropped."""
+    out = list(vector)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def trailing_zeros(field, count, rng):
+    """Vectors of count entries whose last entries are zero, down to a
+    lone nonzero first entry."""
+    out = []
+    for zeros in range(1, count):
+        vector = random_vector(field, count - zeros, rng) + [0] * zeros
+        vector[count - zeros - 1] = rng.randrange(1, field.q)
+        out.append(vector)
+    return out
+
+
+def check_decode(field, count, terms, rng):
+    """decode(key) of a reference key is its vector stripped, and unpack
+    the whole vector, on the zero key, widest vectors, vectors ending in
+    zeros and random ones."""
+    packing = Packing(field, count, terms)
+    assert packing.decode(0) == ()
+    assert packing.unpack(0) == [0] * count
+    vectors = [widest(field, count), [0] * count] + trailing_zeros(field, count, rng)
+    vectors += [random_vector(field, count, rng) for _ in range(20)]
+    for vector in vectors:
+        key = ref_pack(field, terms, vector)
+        assert packing.decode(key) == stripped(vector), (count, terms, vector)
+        assert type(packing.decode(key)) is tuple
+        assert packing.unpack(key) == vector
+
+
+@pytest.mark.parametrize("terms", (1, 4, 200))
+def test_decode_is_the_stripped_vector(field, terms):
+    """terms = 200 makes every odd-p slot wider than a byte."""
+    rng = random.Random(field.q * 11 + terms)
+    for count in (1, 2, 3, 7, 8):
+        check_decode(field, count, terms, rng)
+
+
+@pytest.mark.parametrize("q", (289, 729))
+def test_decode_of_byte_slots_holding_indices_past_a_byte(q):
+    """GF(17^2) and GF(3^6) have byte slots, with indices of two bytes."""
+    field = Field(q)
+    check_decode(field, 7, 7, random.Random(q))
+
+
+@pytest.mark.parametrize("terms", (15, 16), ids=("bytes", "slot-loop"))
+def test_gf17_decode_on_each_side_of_the_byte_cutover(terms):
+    field = Field(17)
+    assert ref_width(field, terms) == (8 if terms == 15 else 9)
+    check_decode(field, 6, terms, random.Random(terms + 17))

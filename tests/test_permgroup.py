@@ -502,6 +502,30 @@ def test_group_member_pickles_and_copies():
         assert repr(twin) == repr(member)
 
 
+def test_members_filled_by_slot_are_the_constructed_ones():
+    """The S_5 report over GF(257) (`group --k 1`) fills its permutations'
+    and members' slots directly: each must be the value its checked
+    constructor makes, and pickle, copy, repr and assignment must treat
+    it so."""
+    field = Field(257)
+    points = EvaluationSet(field, range(5))
+    report = brute_force_perm_group(rs_code(points, 1), points)
+    assert report.order == 120
+    for member in report.elements:
+        perm, poly = member.perm, member.poly
+        built = Permutation(perm.images)
+        assert type(perm) is Permutation and type(perm.images) is tuple
+        assert perm == built and hash(perm) == hash(built) and repr(perm) == repr(built)
+        _round_trips(perm)
+        twin = GroupMember(perm, poly)
+        assert type(member) is GroupMember
+        assert member == twin and hash(member) == hash(twin)
+        assert repr(member) == repr(twin) == f"GroupMember(perm={perm!r}, poly={poly!r})"
+        _round_trips(member)
+        _refuses_assignment(member, ("perm", "poly"), others=("degree", "other"))
+        assert not hasattr(member, "__dict__")
+
+
 def _refuses_assignment(value, fields, others=("other",)):
     """Every field, and any other name, refuses assignment; every field
     refuses deletion; the messages are the frozen dataclass's."""

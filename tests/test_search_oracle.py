@@ -13,6 +13,7 @@ h >= 2 the search lists a transversal times a stabilizer, so the codes
 must include groups whose orbit of the first pivot has several points.
 """
 
+import itertools
 import math
 import random
 
@@ -113,14 +114,16 @@ def test_search_matches_reference(q, monkeypatch):
     rng = random.Random(2000 + q)
     cases = codes(field, rng)
     assert len(cases) >= 20
-    # The dimension of each code whose members are listed, and the size
-    # of the transversal they are listed from.
-    listed, transversals = [], []
+    # The dimension of each code whose members are listed, the size of
+    # the transversal they are listed from, and the most blocks of one
+    # accepted t.
+    listed, transversals, blocks = [], [], []
     listing = permgroup._listed
 
     def spy(n, pivots, accepted):
         listed.append(len(pivots))
         transversals.append(1 + len(accepted[0]))
+        blocks.append(max((len(b) for _, b in accepted[2]), default=0))
         return listing(n, pivots, accepted)
 
     monkeypatch.setattr(permgroup, "_listed", spy)
@@ -158,6 +161,8 @@ def test_search_matches_reference(q, monkeypatch):
     # Some passed over or cut subtrees: their orbit of p_0 has more than
     # the one point whose stabilizer is searched in full.
     assert pruned >= 5, pruned
+    # Some listed a t with several blocks, filled from their product.
+    assert max(blocks) >= 2
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
@@ -230,6 +235,48 @@ def test_split_of_the_benchmark_shapes():
     assert permgroup._split(10, 4, 10) == 3  # 720 + 10 * 10 = 820 of 5040
     assert permgroup._split(8, 6, 8) == 4  # 1680 + 8 * 56 = 2128 of 20160
     assert permgroup._split(7, 1, 1) == 1  # k = 1 is never worth a table
+
+
+def naive_listing(n, pivots, accepted):
+    """Each member of the accepted state, images set one at a time, then
+    every transversal member times each, sorted."""
+    reps, whole, grouped = accepted
+    members = list(whole)
+    for t, blocks in grouped:
+        fills = [[]]
+        for js, cs in blocks:
+            fills = [f + list(zip(js, order)) for f in fills
+                     for order in itertools.permutations(cs)]
+        for fill in fills:
+            images = [None] * n
+            for i, c in list(zip(pivots, t)) + fill:
+                images[i] = c
+            members.append(tuple(images))
+    stabilizer = list(members)
+    for r in reps:
+        members += [tuple(r[s[x]] for x in range(n)) for s in stabilizer]
+    return sorted(members)
+
+
+def test_listing_with_two_blocks_and_a_transversal():
+    """Pivots 0 and 3 of n = 7: three t with two blocks each, one with
+    a single block of five, a whole member and a transversal of two."""
+    n, pivots = 7, (0, 3)
+    grouped = [
+        ((0, 3), [([1, 2], [1, 2]), ([4, 5, 6], [4, 5, 6])]),
+        ((3, 0), [([1, 2, 4], [1, 5, 6]), ([5, 6], [2, 4])]),
+        ((0, 4), [([1, 2, 5, 6], [1, 2, 5, 6]), ([4], [3])]),
+        ((3, 4), [([1, 2, 4, 5, 6], [0, 1, 2, 5, 6])]),
+    ]
+    whole = [(0, 2, 1, 3, 4, 6, 5)]
+    reps = [(1, 0, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1, 0)]
+    for accepted in ((reps, whole, grouped), ([], whole, grouped), (reps, [], grouped[:1])):
+        want = naive_listing(n, pivots, accepted)
+        got = permgroup._listed(n, pivots, accepted)
+        assert got == want
+        assert all(type(member) is tuple for member in got)
+    # 2! * 3! + 3! * 2! + 4! * 1! + 5! members of Stab, one whole, times 3.
+    assert len(permgroup._listed(n, pivots, (reps, whole, grouped))) == 3 * (12 + 12 + 24 + 120 + 1)
 
 
 def test_reference_sees_equal_columns():
