@@ -28,7 +28,7 @@ that Polynomial arithmetic shares, and codes, polynomials,
 interpolation and affine enumeration run on it directly.  Packing, the
 one kernel for vectors of indices, packs them into ints with one slot
 per base-p digit, scales a list of them by one element in a few
-whole-int operations, sums them and unpacks a sum back into indices;
+whole-int operations, sums them and decodes a sum back into indices;
 the permutation search and interpolation both run on it.  Over odd p a
 slot is one byte whenever the sum of all terms fits in it, so a sum is
 reduced mod p in every slot at once by one bytes.translate.
@@ -572,8 +572,7 @@ class Packing:
     times any element g at once, as one int cut into one per vector: by
     m multiplications of bit planes for p = 2, and by one scale of all
     their entries for odd p.  decode(key) is a key's indices up to its
-    last nonzero entry, as a tuple read at C speed (_decoder), and
-    unpack(key) that vector padded back to `count` entries.
+    last nonzero entry, as a tuple read at C speed.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
@@ -656,45 +655,34 @@ class Packing:
     @cached_property
     def decode(self) -> Callable[[int], tuple[int, ...]]:
         """key -> its indices up to the last nonzero entry, made on first
-        use: the search's packings never decode."""
-        return _decoder(self.field.p, self.field.m, self.width, self.count)
+        use: the search's packings never decode.  Entry r fills a field of
+        w * m bits, digit b in slot m*r + b.  For p = 2 the field is the
+        index itself.  For odd p the digit planes, digit b of every entry
+        moved to its field's lowest slot, are read base p at once by
+        Horner's rule: an index is below q <= 2**(w * m), so nothing
+        carries out of its field.  Byte fields of indices below 256 are
+        then every m-th byte (for m = 1 the key's own bytes), and other
+        fields are cut one shift and mask each, up to the highest set bit.
+        """
+        p, m, w, count = self.field.p, self.field.m, self.width, self.count
+        size = w * m
+        mask = (1 << size) - 1
+        if p == 2:
+            return lambda key: tuple([key >> s & mask for s in range(0, key.bit_length(), size)])
+        # The lowest slot of every field, all ones.
+        low = ((1 << size * count) - 1) // mask * ((1 << w) - 1)
+        top, shifts = w * (m - 1), range(w * (m - 2), -1, -w)
+        bytewise = w == 8 and p**m < 256
 
-    def unpack(self, key: int) -> list[int]:
-        """The `count` entries of a key, as indices: decode(key) padded
-        with zero entries."""
-        out = list(self.decode(key))
-        return out + [0] * (self.count - len(out))
+        def decode(key: int) -> tuple[int, ...]:
+            acc = key >> top & low
+            for s in shifts:
+                acc = acc * p + (key >> s & low)
+            if bytewise:
+                return tuple(acc.to_bytes(m * count, "little")[::m].rstrip(b"\0"))
+            return tuple([acc >> s & mask for s in range(0, acc.bit_length(), size)])
 
-
-def _decoder(p: int, m: int, w: int, count: int) -> Callable[[int], tuple[int, ...]]:
-    """decode for slots of w bits.  Entry r fills a field of w * m bits,
-    digit b in slot m*r + b.  For p = 2 the field is the index itself.
-    For odd p the digit planes, digit b of every entry moved to its
-    field's lowest slot, are read base p at once by Horner's rule: an
-    index is below q <= 2**(w * m), so nothing carries out of its field.
-    Byte fields of indices below 256 are then every m-th byte, and other
-    fields are cut one shift and mask each, up to the highest set bit.
-    """
-    if w == 8 and m == 1:
-        return lambda key: tuple(key.to_bytes(count, "little").rstrip(b"\0"))
-    size = w * m
-    mask = (1 << size) - 1
-    if p == 2:
-        return lambda key: tuple([key >> s & mask for s in range(0, key.bit_length(), size)])
-    # The lowest slot of every field, all ones.
-    low = ((1 << size * count) - 1) // mask * ((1 << w) - 1)
-    top, shifts = w * (m - 1), range(w * (m - 2), -1, -w)
-    bytewise = w == 8 and p**m < 256
-
-    def decode(key: int) -> tuple[int, ...]:
-        acc = key >> top & low
-        for s in shifts:
-            acc = acc * p + (key >> s & low)
-        if bytewise:
-            return tuple(acc.to_bytes(m * count, "little")[::m].rstrip(b"\0"))
-        return tuple([acc >> s & mask for s in range(0, acc.bit_length(), size)])
-
-    return decode
+        return decode
 
 
 def _xor_keys():

@@ -218,7 +218,7 @@ def poly_to_perm(f: Polynomial, points: EvaluationSet) -> Permutation:
         images.append(pos)
     if len(set(images)) != points.n:
         raise NotAPermutationError(f"{f} is not injective on the point set")
-    return _wrapped([tuple(images)])[0]
+    return Permutation(images)
 
 
 def permutes(f: Polynomial, points: EvaluationSet) -> bool:
@@ -558,29 +558,22 @@ def _listed(n: int, pivots: Sequence[int], accepted: _Accepted) -> list[tuple[in
     """Every member of the accepted state, sorted: the members s of
     Stab(p_0), the whole ones as they are and for each other t, pivot p_i
     going to t_i and each block's free columns to its positions in every
-    order; then r * s for each transversal member r.
-
-    The images of the pivots and then of each block's free columns are
-    t + fill, for each fill: one permutation of every block's positions,
-    from a product only when there are several blocks.  One itemgetter
-    scatters them to their columns, so a member costs a fixed number of
-    C calls.
+    order; then r * s for each transversal member r.  A member of t is
+    one itemgetter scatter of t + fill, for fill running over the block
+    permutations (their product when there are several): a fixed number
+    of C calls per member.
     """
     reps, whole, grouped = accepted
     members = list(whole)
     for t, blocks in grouped:
-        order = list(pivots)
-        for js, _ in blocks:
-            order += js
-        # n >= 2 here, so the scatter gives a tuple.
+        # t + fill lists the images of the pivots, then of each block's free
+        # columns; n >= 2 here, so the scatter to columns gives a tuple.
+        order = [*pivots, *chain.from_iterable(js for js, _ in blocks)]
         scatter = itemgetter(*sorted(range(n), key=order.__getitem__))
-        if len(blocks) == 1:
-            fills = iter_permutations(blocks[0][1])
-        else:
-            fills = map(tuple, map(chain.from_iterable, product(
-                *(iter_permutations(cs) for _, cs in blocks)
-            )))
-        members += map(scatter, map(t.__add__, fills))
+        fills = [iter_permutations(cs) for _, cs in blocks]
+        if len(fills) > 1:
+            fills = [map(tuple, map(chain.from_iterable, product(*fills)))]
+        members += map(scatter, map(t.__add__, fills[0]))
     if reps:
         # itemgetter(*s)(r) is r * s; n >= k >= 2 here, so it gives a tuple.
         members += [rs for s in members for rs in map(itemgetter(*s), reps)]
@@ -886,8 +879,7 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
     # One interpolate call per member, on the point elements at its images
     # (n >= 2, so itemgetter hands back a tuple): the poly.interpolate span
     # of benchmarks/spans.py times and counts interpolation by those calls.
-    # Bare members get their perm and poly slots filled through the slots'
-    # descriptors, as _wrapped does: one C call each per member.
+    # Bare members get their perm and poly slots filled as _wrapped does.
     interpolate, pts = points.interpolate, points.points
     members = tuple(map(object.__new__, repeat(GroupMember, len(perms))))
     deque(map(_set_perm, members, perms), maxlen=0)
