@@ -187,6 +187,8 @@ class AffineMap(_Frozen):
 # permutations: all fill their slots directly.
 _set_a, _set_b = AffineMap.a.__set__, AffineMap.b.__set__
 _set_images = Permutation.images.__set__
+# Runs an iterator of descriptor fills to its end, keeping nothing.
+_consume = deque(maxlen=0).extend
 
 
 def _wrapped(images: Sequence[tuple[int, ...]]) -> list[Permutation]:
@@ -194,7 +196,7 @@ def _wrapped(images: Sequence[tuple[int, ...]]) -> list[Permutation]:
     0..n-1 once, its slot filled through the slot's descriptor past the
     constructor's check: one C call per permutation."""
     perms = list(map(object.__new__, repeat(Permutation, len(images))))
-    deque(map(_set_images, perms, images), maxlen=0)
+    _consume(map(_set_images, perms, images))
     return perms
 
 
@@ -882,9 +884,9 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
     # Bare members get their perm and poly slots filled as _wrapped does.
     interpolate, pts = points.interpolate, points.points
     members = tuple(map(object.__new__, repeat(GroupMember, len(perms))))
-    deque(map(_set_perm, members, perms), maxlen=0)
+    _consume(map(_set_perm, members, perms))
     polys = (interpolate(itemgetter(*p.images)(pts)) for p in perms)
-    deque(map(_set_poly, members, polys), maxlen=0)
+    _consume(map(_set_poly, members, polys))
     affine_images = {perm.images for _, perm in affine_group(points)}
     return GroupReport(
         elements=members,
