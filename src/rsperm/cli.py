@@ -17,11 +17,9 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .codes import format_matrix, rs_code
-from .gf import Field
+from .gf import Field, _Frozen
 from .permgroup import (
     GroupReport,
-    TheoremReport,
-    _Frozen,
     affine_group,
     brute_force_perm_group,
     check_theorem,
@@ -132,7 +130,8 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     the length of its polynomial's index_coeffs less one, and its text is
     affine_str's: poly.terms_text of those indices, with the field's
     terms and q fetched once per report, from degree 2 on, and
-    affine_str itself below.
+    affine_str itself below.  That text is digits, x, ^, *, +, commas,
+    brackets and spaces, which JSON writes between quotes unescaped.
     """
     inner = newline + "  "
     out.append("{")
@@ -166,7 +165,7 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
             tail = tails[degree] = f',{field}"degree": {degree},{field}"affine": {affine}{line}}}'
         text = terms_text(terms, q, coeffs) if degree > 1 else affine_str(poly)
         perm = image_sep.join(map(labels.__getitem__, member.perm.images))
-        texts.append(f"{head}{perm}{poly_key}{encode_basestring_ascii(text)}{tail}")
+        texts.append(f'{head}{perm}{poly_key}"{text}"{tail}')
     elements = f"[{line}{(',' + line).join(texts)}{inner}]" if texts else "[]"
     out.append(f'{inner}"elements": {elements}{newline}}}')
 
@@ -261,9 +260,6 @@ class SweepTrial(_Frozen):
     Per(C^perp) came out equal."""
 
     __slots__ = __match_args__ = ("index", "result", "duality_ok")
-
-    def __init__(self, index: int, result: TheoremReport, duality_ok: bool):
-        super().__init__(index, result, duality_ok)
 
     def to_json_dict(self) -> dict:
         r = self.result

@@ -18,20 +18,31 @@ one object and one string per element.  Field(q, modulus) returns the
 field already made for that order and modulus, however the modulus is
 spelled, while that field is alive, and the registry keeps the
 KEPT_FIELDS most recently used fields alive, so a process that keeps
-asking about a few fields builds their tables once.  Field.tables makes
-the q interned elements, which every accessor and operator returns, and
-Field.terms keeps each element's literal, under its index, beside the
-polynomial term strings.  Field.ops, the one kernel for
-scalars, is add, sub, neg, mul and inv on indices, plus scale on index
-lists; FieldElement operators wrap it, behind the operand check _ops
-that Polynomial arithmetic shares, and codes, polynomials,
-interpolation and affine enumeration run on it directly.  Packing, the
-one kernel for vectors of indices, packs them into ints with one slot
-per base-p digit, scales a list of them by one element in a few
-whole-int operations, sums them and decodes a sum back into indices;
-the permutation search and interpolation both run on it.  Over odd p a
-slot is one byte whenever the sum of all terms fits in it, so a sum is
-reduced mod p in every slot at once by one bytes.translate.
+asking about a few fields builds their tables once.  Field.tables
+makes the q interned elements, which every accessor and operator
+returns, in one _filled call, and Field.terms keeps each element's
+literal, under its index, beside the polynomial term strings.
+Field.ops, the one kernel for scalars, is add, sub, neg, mul and inv
+on indices, plus scale on index lists; FieldElement operators wrap it,
+behind the operand check _ops that Polynomial arithmetic shares, and
+codes, polynomials, interpolation and affine enumeration run on it
+directly.  Packing, the one kernel for vectors of indices, packs them
+into ints with one slot per base-p digit, scales a list of them by one
+element in a few whole-int operations, sums them and decodes a sum
+back into indices; the permutation search and interpolation both run
+on it.  Over odd p a slot is one byte whenever the sum of all terms
+fits in it, so a sum is reduced mod p in every slot at once by one
+bytes.translate.
+
+_Frozen is the one base of rsperm's value classes: FieldElement here,
+Polynomial, Permutation, AffineMap, the group and theorem reports and
+the CLI's sweep trials.  Each names its fields in __match_args__ and
+keeps them in slots, and the base gives it the equality, hash, repr,
+pickling and refusal of assignment of a frozen dataclass with those
+fields; a class overrides only what differs, such as its repr.
+_filled(cls, *columns), the one bulk constructor, makes many values at
+once, filling their slots column by column at C speed past the
+constructor's checks, for values already known to pass them.
 """
 
 from __future__ import annotations
@@ -39,10 +50,10 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache, cached_property
-from itertools import product
+from itertools import product, repeat
 from weakref import WeakValueDictionary
 
 MAX_FIELD_SIZE = 1 << 16
@@ -161,20 +172,38 @@ def _ops(field: Field, other, kind: type) -> IndexOps:
     return field.ops
 
 
-class FieldElement:
-    """An element of GF(p^m), stored as its index in the field enumeration.
+class _Frozen:
+    """An immutable value over the fields named in __match_args__, each in
+    a slot: the one base of rsperm's value classes.
 
-    Field.tables makes one per index, and every operator and accessor
-    hands those out.  A plain class with slots that compares, hashes and
-    refuses assignment as the frozen dataclass FieldElement(field, index)
-    would; pickle and copy give back the field's own element.
+    It compares, hashes and refuses assignment and deletion as a frozen
+    dataclass with those fields would, and prints and pickles as one
+    unless a subclass says otherwise.  Equality and the hash read the
+    field values at C speed, as a tuple, or as the value itself for a
+    class of one field.  The constructor takes the fields by position or
+    by name and fills the slots through their own descriptors, past
+    __setattr__; _filled makes many values at once the same way.
     """
 
-    __slots__ = __match_args__ = ("field", "index")
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
-    def __init__(self, field: "Field", index: int):
-        _set_field(self, field)
-        _set_index(self, index)
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = cls.__match_args__
+        # The field values at C speed: a lone field through its own slot.
+        values = operator.attrgetter(*names)
+        cls._values = getattr(cls, names[0]) if len(names) == 1 else property(values)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __init__(self, *values, **named) -> None:
+        names, setters = self.__match_args__, self._setters
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values):] if name in named)
+        if named or len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for set_value, value in zip(setters, values):
+            set_value(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -185,12 +214,39 @@ class FieldElement:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.index == other.index and (
-            self.field is other.field or self.field == other.field
-        )
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((self.field, self.index))
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _filled(cls: type, *columns, _drain=deque(maxlen=0).extend) -> list:
+    """Values of the _Frozen class cls, one per entry of the sequence
+    columns[0]: bare instances with slot i filled from columns[i], any
+    iterable, through the slot's descriptor at C speed, the calls drained
+    by one shared empty deque.  The constructor's checks are skipped, so
+    the values must pass them."""
+    values = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for set_value, column in zip(cls._setters, columns):
+        _drain(map(set_value, values, column))
+    return values
+
+
+class FieldElement(_Frozen):
+    """An element of GF(p^m), stored as its index in the field enumeration.
+
+    Field.tables makes one per index, and every operator and accessor
+    hands those out; pickle and copy give back the field's own element.
+    """
+
+    __slots__ = __match_args__ = ("field", "index")
 
     def __reduce__(self):
         return self.field.from_index, (self.index,)
@@ -243,9 +299,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.field!r}, {self})"
-
-
-_set_field, _set_index = FieldElement.field.__set__, FieldElement.index.__set__
 
 
 class _Terms(dict):
@@ -459,7 +512,7 @@ class Field:
         if self.p > 2 and self.m > 1:
             # 1 + x only moves the constant coefficient, the lowest base-p digit.
             zech = [log[x + 1 if (x + 1) % self.p else x + 1 - self.p] for x in powers]
-        elements = [FieldElement(self, i) for i in range(self.q)]
+        elements = _filled(FieldElement, [self] * self.q, range(self.q))
         return powers + powers, log, zech, elements
 
     @cached_property

@@ -33,19 +33,23 @@ polynomial interpolating a_i -> a_pi(i); the affine ones are those of
 degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
 two notions coincide, and check_theorem verifies that equality instance
 by instance.
+
+Permutation, AffineMap, GroupMember and the reports are values on
+gf._Frozen.  The listed members, the affine maps with their
+permutations and a report's members are made by gf._filled, which
+skips the checks their computation has already passed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Container, Iterator, Sequence
 from functools import cached_property, reduce
-from itertools import chain, permutations as iter_permutations, product, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, permutations as iter_permutations, product
+from operator import itemgetter
 
 from .codes import LinearCode, rref, rs_code
-from .gf import FieldElement, Packing
+from .gf import FieldElement, Packing, _filled, _Frozen
 from .poly import EvaluationSet, Polynomial, affine_str
 
 # The candidate space n!/(n-d)! of one search, and the members it lists,
@@ -59,63 +63,16 @@ class NotAPermutationError(ValueError):
     """A polynomial does not map the point set bijectively onto itself."""
 
 
-class _Frozen:
-    """An immutable value over the fields named in __match_args__ (two
-    or more), each in a slot.
-
-    It compares, hashes, prints and refuses assignment and deletion as a
-    frozen dataclass with those fields would.  The constructor fills the
-    slots through their own descriptors, past __setattr__, and pickle and
-    copy rebuild a value through its class's constructor.
-    """
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        # The tuple of the field values, read at C speed.
-        cls._values = property(attrgetter(*cls.__match_args__))
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
-
-    def __init__(self, *values) -> None:
-        for set_value, value in zip(self._setters, values):
-            set_value(self, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values)
-        )
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values
-
-
-class Permutation:
+class Permutation(_Frozen):
     """A bijection of {0,...,n-1}; displayed 1-based."""
 
-    __slots__ = ("images",)
+    __slots__ = __match_args__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
         t = tuple(images)
         if sorted(t) != list(range(len(t))):
             raise ValueError(f"not a permutation of 0..{len(t) - 1}: {list(t)}")
-        self.images = t
+        super().__init__(t)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -149,14 +106,6 @@ class Permutation:
     def one_based(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in self.images)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __str__(self) -> str:
         return str(list(self.one_based()))
 
@@ -172,8 +121,7 @@ class AffineMap(_Frozen):
     def __init__(self, a: FieldElement, b: FieldElement):
         if a.is_zero():
             raise ValueError("affine maps need a nonzero linear coefficient")
-        _set_a(self, a)
-        _set_b(self, b)
+        super().__init__(a, b)
 
     @property
     def polynomial(self) -> Polynomial:
@@ -181,23 +129,6 @@ class AffineMap(_Frozen):
 
     def __str__(self) -> str:
         return affine_str(self.polynomial)
-
-
-# affine_group makes up to q(q-1) maps, and a report n! members and their
-# permutations: all fill their slots directly.
-_set_a, _set_b = AffineMap.a.__set__, AffineMap.b.__set__
-_set_images = Permutation.images.__set__
-# Runs an iterator of descriptor fills to its end, keeping nothing.
-_consume = deque(maxlen=0).extend
-
-
-def _wrapped(images: Sequence[tuple[int, ...]]) -> list[Permutation]:
-    """A Permutation for each image tuple, a tuple holding each of
-    0..n-1 once, its slot filled through the slot's descriptor past the
-    constructor's check: one C call per permutation."""
-    perms = list(map(object.__new__, repeat(Permutation, len(images))))
-    _consume(map(_set_images, perms, images))
-    return perms
 
 
 # -- permutation <-> polynomial dictionary --------------------------------
@@ -249,13 +180,10 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
     """
     ops = points.field.ops
     add, sub, mul, inv, els = ops.add, ops.sub, ops.mul, ops.inv, ops.elements
-    pts = points.index_points
-    where = {x: i for i, x in enumerate(pts)}
+    pts, where = points.index_points, points._position
     # n as a field element: the prime field's n mod p has index n mod p.
     n = points.n % points.field.p
-    total = 0
-    for x in pts:
-        total = add(total, x)
+    total = reduce(add, pts, 0)
     base = next((x for x in pts if sub(total, mul(n, x))), None)
     # Each candidate as the image ai of the origin and the slope a.
     if base is not None:
@@ -276,11 +204,13 @@ def affine_group(points: EvaluationSet) -> list[tuple[AffineMap, Permutation]]:
                 break
             images.append(pos)
         else:
-            found.append((a, b, tuple(images)))
-    found.sort(key=lambda member: member[:2])
-    # Each images tuple is a bijection: a != 0 makes the map injective.
-    perms = _wrapped([images for _, _, images in found])
-    return [(AffineMap(els[a], els[b]), perm) for (a, b, _), perm in zip(found, perms)]
+            found.append((a, b, els[a], els[b], tuple(images)))
+    # Sorted by (a, b), which no two maps share.  The identity map is always
+    # found, and each images tuple is a bijection: a != 0 makes the map
+    # injective.
+    found.sort()
+    _, _, linear, constant, images = zip(*found)
+    return list(zip(_filled(AffineMap, linear, constant), _filled(Permutation, images)))
 
 
 # -- exhaustive group computation ------------------------------------------
@@ -743,7 +673,7 @@ def exhaustive_permutations(
     ValueError, before searching, when the n!/(n-k)! candidates exceed
     SEARCH_CAP, and before listing any member when Per(C) has more than
     SEARCH_CAP members; a large Per(D) never raises.  The members'
-    image tuples become Permutations through _wrapped.
+    image tuples become Permutations through gf._filled.
 
     method="backtrack" runs _scan_backtrack instead.  It remains only
     for the benchmark's permgroup.backtrack_s probe, which times it;
@@ -756,7 +686,7 @@ def exhaustive_permutations(
         raw = _scan_backtrack(code)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _wrapped(raw)
+    return _filled(Permutation, raw)
 
 
 # -- reports ------------------------------------------------------------------
@@ -766,10 +696,6 @@ class GroupMember(_Frozen):
     """A member of Per(C): its permutation and interpolating polynomial."""
 
     __slots__ = __match_args__ = ("perm", "poly")
-
-    def __init__(self, perm: Permutation, poly: Polynomial):
-        _set_perm(self, perm)
-        _set_poly(self, poly)
 
     @property
     def degree(self) -> int:
@@ -789,20 +715,12 @@ class GroupMember(_Frozen):
         }
 
 
-_set_perm, _set_poly = GroupMember.perm.__set__, GroupMember.poly.__set__
-
-
 class GroupReport(_Frozen):
     """Per(C) as its members, with the order of the affine group and
     whether the two are equal.  A __dict__ holds the cached is_abelian."""
 
     __match_args__ = ("elements", "affine_order", "is_affine_equal")
     __slots__ = (*__match_args__, "__dict__")
-
-    def __init__(
-        self, elements: tuple[GroupMember, ...], affine_order: int, is_affine_equal: bool
-    ):
-        super().__init__(elements, affine_order, is_affine_equal)
 
     @property
     def order(self) -> int:
@@ -842,7 +760,7 @@ def _is_abelian(perms: Sequence[Permutation]) -> bool:
     """
     images = [p.images for p in perms]
     placed: set[int] = set()
-    for x in range(len(images[0])):
+    for x in range(len(images[0]) if images else 0):
         if x in placed:
             continue
         orbit = {a[x] for a in images}
@@ -879,20 +797,17 @@ def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupRepo
         raise ValueError("evaluation set does not match the code")
     perms = exhaustive_permutations(search_side(code))
     # One interpolate call per member, on the point elements at its images
-    # (n >= 2, so itemgetter hands back a tuple): the poly.interpolate span
-    # of benchmarks/spans.py times and counts interpolation by those calls.
-    # Bare members get their perm and poly slots filled as _wrapped does.
+    # (n >= 2, so itemgetter hands back a tuple), made as _filled fills the
+    # members' poly slots: the poly.interpolate span of benchmarks/spans.py
+    # times and counts interpolation by those calls.
     interpolate, pts = points.interpolate, points.points
-    members = tuple(map(object.__new__, repeat(GroupMember, len(perms))))
-    _consume(map(_set_perm, members, perms))
     polys = (interpolate(itemgetter(*p.images)(pts)) for p in perms)
-    _consume(map(_set_poly, members, polys))
+    members = tuple(_filled(GroupMember, perms, polys))
+    # The members are distinct, so they are the affine permutations when
+    # there are as many of them and each is one.
     affine_images = {perm.images for _, perm in affine_group(points)}
-    return GroupReport(
-        elements=members,
-        affine_order=len(affine_images),
-        is_affine_equal=affine_images == {p.images for p in perms},
-    )
+    equal = len(perms) == len(affine_images) and all(p.images in affine_images for p in perms)
+    return GroupReport(members, len(affine_images), equal)
 
 
 class TheoremReport(_Frozen):
@@ -903,11 +818,6 @@ class TheoremReport(_Frozen):
     """
 
     __slots__ = __match_args__ = ("points", "k", "group", "code")
-
-    def __init__(
-        self, points: EvaluationSet, k: int, group: GroupReport, code: LinearCode
-    ):
-        super().__init__(points, k, group, code)
 
     @property
     def in_range(self) -> bool:

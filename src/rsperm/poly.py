@@ -40,7 +40,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from itertools import compress, count, zip_longest
 
-from .gf import Field, FieldElement, FieldMismatchError, Packing, _ops
+from .gf import Field, FieldElement, FieldMismatchError, Packing, _Frozen, _ops
 
 # Degree of the zero polynomial.  A float so that NEG_INF + d == NEG_INF
 # and NEG_INF < d hold for every integer degree d.
@@ -66,24 +66,27 @@ def _indices(field: Field, values: Iterable, what: str) -> list[int]:
     return out
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Polynomial over a Field, ascending coefficient indices (index_coeffs),
     trailing zeros stripped."""
 
-    __slots__ = ("field", "index_coeffs")
+    __slots__ = __match_args__ = ("field", "index_coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement] = ()):
-        self.field = field
-        self.index_coeffs = _stripped(_indices(field, coeffs, "coefficient"))
+        super().__init__(field, _stripped(_indices(field, coeffs, "coefficient")))
 
     @classmethod
     def _trusted(cls, field: Field, index_coeffs: tuple[int, ...]) -> "Polynomial":
         """Internal constructor without checks: the coefficients are indices
         of elements of the field and the last one is nonzero."""
         f = object.__new__(cls)
-        f.field = field
-        f.index_coeffs = index_coeffs
+        set_field, set_coeffs = cls._setters
+        set_field(f, field)
+        set_coeffs(f, index_coeffs)
         return f
+
+    def __reduce__(self):
+        return Polynomial, (self.field, self.coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -132,14 +135,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.index_coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.field == other.field and self.index_coeffs == other.index_coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.index_coeffs))
 
     def coefficient(self, i: int) -> FieldElement:
         return self.coeffs[i] if i < len(self.index_coeffs) else self.field.zero

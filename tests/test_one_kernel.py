@@ -128,21 +128,28 @@ def test_the_json_guard_sees_what_it_forbids(tmp_path):
 
 # -- one place that makes elements ---------------------------------------------
 
-# The one function that may call FieldElement: (module, Class.function).
+# The one function that may make FieldElements, by calling the class or
+# the bulk constructor _filled on it: (module, Class.function).
 ELEMENT_MAKER = ("gf.py", "Field.tables")
 
 
+def _called_name(node: ast.expr) -> str | None:
+    """The name of a called or passed expression, bare or as an attribute."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def element_calls(path: Path) -> list[str]:
-    """Each call of FieldElement (bare or as an attribute), with its
-    enclosing Class.function."""
+    """Each call of FieldElement, or of _filled with FieldElement first
+    (either bare or as an attribute), with its enclosing Class.function."""
     out = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _called_name(node.func)
+            if name == "_filled" and node.args:
+                name = _called_name(node.args[0])
             if name == "FieldElement":
                 out.append((node.lineno, ".".join(scope) or "module"))
         for child in ast.iter_child_nodes(node):
@@ -172,13 +179,17 @@ def test_the_element_guard_sees_what_it_forbids(tmp_path):
         "        return gf.FieldElement(self, i)\n"
         "    def tables(self):\n"
         "        return [FieldElement(self, i) for i in range(self.q)]\n"
+        "    def cached(self):\n"
+        "        return gf._filled(gf.FieldElement, [self] * self.q, range(self.q))\n"
         "text = repr(FieldElement)\n"
         "label = f'FieldElement({zero})'\n"
+        "perms = _filled(Permutation, [(0, 1)])\n"
     )
     assert element_calls(sample) == [
         "line 2: FieldElement in module",
         "line 5: FieldElement in Field.element",
         "line 7: FieldElement in Field.tables",
+        "line 9: FieldElement in Field.cached",
     ]
 
 

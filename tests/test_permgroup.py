@@ -11,7 +11,8 @@ import pytest
 
 from conftest import group_closure_check, homomorphism_check, random_points, reference_members
 from rsperm import permgroup
-from rsperm.gf import Packing
+from rsperm.cli import _print_group_text
+from rsperm.gf import FieldElement, Packing
 from rsperm.permgroup import GroupMember
 from rsperm import (
     AffineMap,
@@ -495,6 +496,16 @@ def test_group_member_is_immutable_and_has_no_dict():
     assert (member.degree, member.is_affine) == (3, False)
 
 
+def test_values_take_their_fields_by_position_or_name():
+    member, _, _ = _member_pair()
+    perm, poly = member.perm, member.poly
+    assert GroupMember(poly=poly, perm=perm) == GroupMember(perm, poly=poly) == member
+    for args, named in (((perm,), {}), ((perm, poly, 1), {}), ((perm,), {"perm": perm}),
+                        ((perm, poly), {"other": 1})):
+        with pytest.raises(TypeError, match="GroupMember takes the fields perm, poly"):
+            GroupMember(*args, **named)
+
+
 def test_group_member_pickles_and_copies():
     member, _, _ = _member_pair()
     for twin in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
@@ -504,9 +515,11 @@ def test_group_member_pickles_and_copies():
 
 def test_members_filled_by_slot_are_the_constructed_ones():
     """The S_5 report over GF(257) (`group --k 1`) fills its permutations'
-    and members' slots directly: each must be the value its checked
-    constructor makes, and pickle, copy, repr and assignment must treat
-    it so."""
+    and members' slots directly, and so do affine_group for its maps and
+    permutations and Field.tables for its elements: each must be the
+    value its checked constructor makes, and pickle, copy, repr and
+    assignment must treat it so.  GF(257) on five points has a base point
+    for affine_group, all of GF(9) only the pairs of points."""
     field = Field(257)
     points = EvaluationSet(field, range(5))
     report = brute_force_perm_group(rs_code(points, 1), points)
@@ -524,6 +537,40 @@ def test_members_filled_by_slot_are_the_constructed_ones():
         _round_trips(member)
         _refuses_assignment(member, ("perm", "poly"), others=("degree", "other"))
         assert not hasattr(member, "__dict__")
+    for points in (points, EvaluationSet.full_field(Field(9))):
+        members = affine_group(points)
+        assert len(members) in (2, 72)
+        for f, perm in members:
+            built = AffineMap(f.a, f.b)
+            assert type(f) is AffineMap and f == built and hash(f) == hash(built)
+            assert repr(f) == repr(built) and str(f) == str(built)
+            _round_trips(f)
+            _refuses_assignment(f, ("a", "b"), others=("polynomial", "other"))
+            assert Permutation(perm.images) == perm and type(perm.images) is tuple
+            _round_trips(perm)
+    for field in (Field(257), Field(9), Field(16)):
+        for i, x in enumerate(field.tables[3]):
+            built = FieldElement(field, i)
+            assert type(x) is FieldElement and (x.field, x.index) == (field, i)
+            assert x == built and hash(x) == hash(built) and repr(x) == repr(built)
+            assert pickle.loads(pickle.dumps(x)) is x and copy.deepcopy(built) is x
+        _refuses_assignment(x, ("field", "index"), others=("coeffs", "other"))
+
+
+def test_permutations_and_polynomials_are_frozen(f13):
+    """A Permutation or Polynomial refuses assignment and deletion, so one
+    kept in a set or dict is found there as long as it lives."""
+    perm = Permutation([1, 0, 2])
+    poly = Polynomial.from_ints(f13, [4, 0, 2])
+    for value, fields in ((perm, ("images",)), (poly, ("field", "index_coeffs"))):
+        kept = {value}
+        _refuses_assignment(value, fields, others=("other",))
+        _round_trips(value)
+        assert value in kept and {value: 1}[value] == 1
+    assert hash(perm) == hash((1, 0, 2)) and repr(perm) == "Permutation([1, 0, 2])"
+    assert hash(poly) == hash((f13, (4, 0, 2)))
+    assert repr(poly) == "Polynomial(Field(13), 4 + 2*x^2)"
+    assert Polynomial(field=f13, coeffs=(f13.one,)) == Polynomial.one(f13)
 
 
 def _refuses_assignment(value, fields, others=("other",)):
@@ -595,6 +642,17 @@ def test_group_report_behaves_as_a_frozen_dataclass():
     assert report.is_abelian is True
     _round_trips(report)
     assert pickle.loads(pickle.dumps(report)).is_abelian is True
+
+
+def test_a_report_with_no_members_reads_as_abelian(capsys):
+    report = GroupReport((), 0, True)
+    assert report.order == 0 and report.is_abelian is True
+    assert report.hint == "order 0, abelian"
+    _print_group_text(report)
+    assert capsys.readouterr().out == (
+        "permutation group order 0 (order 0, abelian)\n"
+        "affine subgroup order 0; equal to the full group: True\n"
+    )
 
 
 def test_theorem_report_behaves_as_a_frozen_dataclass():
