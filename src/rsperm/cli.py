@@ -34,6 +34,8 @@ SWEEP_FIELD_POOL = (5, 7, 8, 9, 11, 13, 16)
 
 def split_top_level(text: str) -> list[str]:
     """Split a comma-separated list, ignoring commas inside [...] literals."""
+    if "[" not in text and "]" not in text:
+        return text.split(",")
     parts = []
     depth = 0
     cur = []
@@ -304,8 +306,8 @@ def run_sweep(seed: int, trials: int) -> Iterator[SweepTrial]:
         code = result.code
         # check_theorem searched the smaller of C and its dual; search the other.
         other = code.dual if search_side(code) is code else code
-        dual_perms = set(exhaustive_permutations(other))
-        group_perms = {m.perm for m in result.group.elements}
+        dual_perms = {perm.images for perm in exhaustive_permutations(other)}
+        group_perms = {m.perm.images for m in result.group.elements}
         yield SweepTrial(t, result, dual_perms == group_perms)
 
 
@@ -468,14 +470,15 @@ def _add_field_flags(sub, with_k: bool) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
 
-    Parsing reads the parser and writes only the namespace it returns,
-    so one parser serves every call of main in a process.
+    Parsing writes only the namespace it returns, so one parser, with
+    its subparsers by command name in .commands, serves every main call.
     """
     parser = argparse.ArgumentParser(
         prog="rsperm",
         description="Permutation groups of Reed-Solomon codes over arbitrary evaluation sets",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     p = subs.add_parser("affine", help="list the affine permutations of a point set")
     _add_field_flags(p, with_k=False)
@@ -527,10 +530,17 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # A command's own subparser parses its tokens as the top parser would
+    # hand them on; the top parser runs only when argv[0] names no command.
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
-    args = parser.parse_args(
-        _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
-    )
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         code = args.func(args)
         sys.stdout.flush()

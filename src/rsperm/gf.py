@@ -429,12 +429,15 @@ class Field:
                     f"{self} elements need {self.m} coefficients, got int {value}"
                 )
             return self.ops.elements[value % self.p]
-        coeffs = [int(c) % self.p for c in value]
+        coeffs = list(value)
         if len(coeffs) != self.m:
             raise ValueError(
                 f"expected {self.m} coefficients for {self}, got {len(coeffs)}"
             )
-        return self.ops.elements[sum(c * self.p**i for i, c in enumerate(coeffs))]
+        index, p = 0, self.p
+        for c in reversed(coeffs):
+            index = index * p + c % p
+        return self.ops.elements[index]
 
     def from_index(self, i: int) -> FieldElement:
         if not 0 <= i < self.q:
@@ -470,7 +473,7 @@ class Field:
                 raise ValueError(f"unterminated element literal {literal!r}")
             parts = s[1:-1].split(",")
             try:
-                coeffs = [int(x) for x in parts]
+                coeffs = list(map(int, parts))
             except ValueError:
                 raise ValueError(f"bad element literal {literal!r}") from None
             return self.element(coeffs)
@@ -533,6 +536,11 @@ class Field:
         # index order.
         digits = [bytes(ds[::-1]) for ds in product(range(p), repeat=self.m)]
         return digits, _scaled_digits(1, p)
+
+    @cached_property
+    def times_digits(self) -> dict[int, bytes]:
+        """_scaled_digits(g, p) at key g, filled by byte-slot Packing.scaler."""
+        return {}
 
 
 class IndexOps:
@@ -623,9 +631,10 @@ class Packing:
     last) is the list of keys of that sum plus each packed vector in
     last, the sum taken once.  scaler(vectors) packs a list of vectors
     times any element g at once, as one int cut into one per vector: by
-    m multiplications of bit planes for p = 2, and by one scale of all
-    their entries for odd p.  decode(key) is a key's indices up to its
-    last nonzero entry, as a tuple read at C speed.
+    m multiplications of bit planes for p = 2, one translate of their
+    bytes for prime p with byte slots, else one scale of all entries.
+    decode(key) is a key's indices up to its last nonzero entry, as a
+    tuple read at C speed.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
@@ -661,8 +670,10 @@ class Packing:
         the index of g * 2**b puts that element's m bits in the entry's m
         slots: a plane holds 0 or 1 per entry and the index is below 2**m,
         so nothing carries from one entry into the next, and the XOR of
-        the m products is g times every entry.  For odd p the entries are
-        scaled by one ops.scale and laid out as one vector.
+        the m products is g times every entry.  A prime field with byte
+        slots lays the entries out once, a byte each, and scales them by one
+        translate through the times-g table of Field.times_digits.  Other
+        packings scale the entries by one ops.scale and lay them out anew.
         """
         p, m, ops = self.field.p, self.field.m, self.field.ops
         flat = [x for v in vectors for x in v]
@@ -680,6 +691,15 @@ class Packing:
                 s = 0
                 for plane, t in planes:
                     s ^= plane * mul(g, t)
+                return [s >> c & mask for c in cuts]
+
+        elif m == 1 and self.width == 8:
+            laid, tables = bytes(flat), self.field.times_digits
+
+            def scaled(g: int) -> list[int]:
+                if g not in tables:
+                    tables[g] = _scaled_digits(g, p)
+                s = int.from_bytes(laid.translate(tables[g]), "little")
                 return [s >> c & mask for c in cuts]
 
         else:

@@ -259,8 +259,9 @@ class _Columns:
     Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
     time, read from the rref's index rows.  products(g) is the packed
     g * G[:, c] of every column c, made by one call of the columns'
-    Packing.scaler per distinct g; `where` maps each key of products(1)
-    to the positions holding that column.  For the f-th free column j,
+    Packing.scaler per distinct g (over GF(p) with (k + 1)(p - 1) < 256,
+    one bytes.translate); `where` maps each key of products(1) to the
+    positions holding that column.  For the f-th free column j,
     checks[f] pairs each row i with G[i][j] != 0 with products(G[i][j]),
     so that packing.key(t, checks[f]) is the key of
     sum_i G[i][j] * G[:, t_i].

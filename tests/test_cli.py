@@ -432,6 +432,82 @@ def test_main_shares_one_parser_and_leaks_no_options(capsys):
         assert "--points" in err
 
 
+# Every command with all its flags, help at each level, an abbreviation,
+# "--", an option before the command, an unknown command, no command,
+# leftover tokens, values that start with "-", and missing or bad values.
+DISPATCH_ARGVS = [
+    ["affine", "--field", "9", "--modulus", "2,2,1", "--points", "[0,0],[1,0]", "--json"],
+    ["group", "--field", "13", "--modulus", "1,1", "--points", "0,1,4,6", "--k", "3", "--json"],
+    ["verify", "--json", "--k", "2", "--points", "0,1,4,6", "--modulus", "2,1", "--field", "13"],
+    ["sweep", "--seed", "7", "--trials", "3", "--json"],
+    ["paper-examples", "--json"],
+    ["-h"],
+    ["--help"],
+    ["affine", "-h"],
+    ["group", "--help"],
+    ["verify", "-h", "--field", "13"],
+    ["sweep", "--help"],
+    ["paper-examples", "-h"],
+    ["group", "--poi", "0,1,4,6", "--fi", "13", "--k", "3"],
+    ["sweep", "--", "--seed", "3"],
+    ["affine", "--field", "13", "--points", "0,1", "--"],
+    ["--", "sweep"],
+    ["--json", "group", "--field", "13", "--points", "0,1,4,6", "--k", "3"],
+    ["frobnicate", "--json"],
+    [],
+    ["sweep", "--trials", "3", "extra", "--bogus"],
+    ["paper-examples", "--json", "--json", "x"],
+    ["affine", "--field", "13", "--points", "-3,1"],
+    ["affine", "--field", "9", "--modulus", "-1,2,1", "--points", "[0,0]"],
+    ["sweep", "--seed", "-5"],
+    ["group", "--field", "13", "--k", "3"],
+    ["verify", "--field", "x", "--points", "0,1", "--k", "1"],
+    ["sweep", "--trials"],
+]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The namespaces the commands are called with: the shared parser is
+    rebuilt with each command replaced by a recorder returning 0, and
+    rebuilt from the real commands afterwards."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    for name in ("cmd_affine", "cmd_group", "cmd_verify", "cmd_sweep", "cmd_paper_examples"):
+        monkeypatch.setattr(rsperm.cli, name, record)
+    rsperm.cli.build_parser.cache_clear()
+    yield seen
+    rsperm.cli.build_parser.cache_clear()
+
+
+def _outcome(capsys, call):
+    """(result or exit code, stdout, stderr) of call()."""
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_parses_as_the_top_parser_does(capsys, recorded, argv):
+    """main gives the namespace, exit code, stdout and stderr that the
+    top parser's parse_args gives on the same tokens."""
+    code, out, err = _outcome(capsys, lambda: main(argv))
+    tokens = rsperm.cli._attach_negative_values(argv)
+    want, want_out, want_err = _outcome(capsys, lambda: rsperm.cli.build_parser().parse_args(tokens))
+    assert (out, err) == (want_out, want_err)
+    if isinstance(want, int):
+        assert (code, recorded) == (want, [])
+    else:
+        assert (code, recorded) == (0, [want])
+
+
 def test_bad_point_literal_exits_2(capsys):
     code, _, err = run(capsys, "affine", "--field", "13", "--points", "0,zz")
     assert code == 2

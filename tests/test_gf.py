@@ -2,6 +2,8 @@ import copy
 import gc
 import operator
 import pickle
+import random
+import re
 import time
 import tracemalloc
 
@@ -366,6 +368,35 @@ def test_parse_rejects_garbage(f13, f9):
         f9.parse("3")
     with pytest.raises(ValueError):
         f13.parse("abc")
+
+
+def _reference_index(p: int, coeffs) -> int:
+    """The index of coefficients c0, c1, ...: sum of (c_i mod p) * p**i."""
+    return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("q", [9, 128, 243])
+def test_vector_literals_reduce_their_digits_mod_p(q):
+    """Negative, >= p and whitespace-padded coefficients parse to the
+    element of their residues; a list of the wrong length is refused."""
+    field = Field(q)
+    p, m = field.p, field.m
+    rng = random.Random(q)
+    cases = [[-1] * m, [p] * m, [p - 1 + p * i for i in range(m)]]
+    cases += [[rng.randrange(-3 * p, 3 * p) for _ in range(m)] for _ in range(20)]
+    for coeffs in cases:
+        want = field.from_index(_reference_index(p, coeffs))
+        assert field.element(coeffs) is want
+        assert field.parse("[" + ",".join(map(str, coeffs)) + "]") is want
+        assert field.parse(" [ " + " , ".join(map(str, coeffs)) + " ]\t") is want
+    for length in (m - 1, m + 1):
+        coeffs = [rng.randrange(-p, 2 * p) for _ in range(length)]
+        literal = "[" + ",".join(map(str, coeffs)) + "]"
+        message = f"expected {m} coefficients for {field}, got {length}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field.element(coeffs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field.parse(literal)
 
 
 def test_index_round_trip(f9):

@@ -18,8 +18,9 @@ from rsperm import Field
 from rsperm.gf import Packing
 
 # GF(243) has byte slots for up to 127 terms; GF(257) has none, so every
-# packing of it reduces slot by slot.
-ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 257)
+# packing of it reduces slot by slot.  GF(127) has byte slots for 2 terms
+# and none for 7, so a prime field is scaled both ways.
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 127, 243, 257)
 
 
 def digits(field, x):
