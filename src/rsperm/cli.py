@@ -3,6 +3,8 @@
 Subcommands: affine, group, verify, sweep, paper-examples.  Exit codes:
 0 success/verified, 1 verification failure or output that could not be
 written (e.g. the reader of a pipe exited early), 2 invalid input.
+split_top_level cuts a --points list at the commas outside brackets
+with two regular expressions, each linear in the text.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from collections.abc import Iterator
 from functools import cache
@@ -32,29 +35,21 @@ RNG_NAME = "python-random (Mersenne Twister)"
 SWEEP_FIELD_POOL = (5, 7, 8, 9, 11, 13, 16)
 
 
+# A point list, brackets balanced and unnested; and after a comma put in
+# front of it, each part: a comma, then all up to the next one outside [].
+_POINT_LIST = re.compile(r"(?:[^][]|\[[^][]*\])*")
+_PART = re.compile(r",((?:[^,[]|\[[^]]*\])*)")
+
+
 def split_top_level(text: str) -> list[str]:
-    """Split a comma-separated list, ignoring commas inside [...] literals."""
-    if "[" not in text and "]" not in text:
-        return text.split(",")
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-        cur.append(ch)
-    if depth != 0:
+    """Split a comma-separated list, ignoring commas inside [...] literals.
+
+    Brackets must pair up as unnested literals; anything else, nested
+    brackets included, raises ValueError.
+    """
+    if not _POINT_LIST.fullmatch(text):
         raise ValueError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(cur))
-    return parts
+    return _PART.findall("," + text)
 
 
 def build_field(args) -> Field:

@@ -126,15 +126,18 @@ class LinearCode:
         return tuple(next(j for j, x in enumerate(r) if x) for r in self.index_rows)
 
     @cached_property
+    def free(self) -> tuple[int, ...]:
+        """The columns holding no pivot, ascending."""
+        return tuple(j for j in range(self.n) if j not in self.pivots)
+
+    @cached_property
     def dual(self) -> "LinearCode":
         """The (n-k)-dimensional code orthogonal to every codeword."""
         field, n = self.field, self.n
         neg = field.ops.neg
         rows, pivots = self.index_rows, self.pivots
         dual_rows = []
-        for f in range(n):
-            if f in pivots:
-                continue
+        for f in self.free:
             w = [0] * n
             w[f] = 1
             for r, p in zip(rows, pivots):

@@ -27,12 +27,13 @@ on indices, plus scale on index lists; FieldElement operators wrap it,
 behind the operand check _ops that Polynomial arithmetic shares, and
 codes, polynomials, interpolation and affine enumeration run on it
 directly.  Packing, the one kernel for vectors of indices, packs them
-into ints with one slot per base-p digit, scales a list of them by one
-element in a few whole-int operations, sums them and decodes a sum
+into ints with one slot per base-p digit, sums them and decodes a sum
 back into indices; the permutation search and interpolation both run
-on it.  Over odd p a slot is one byte whenever the sum of all terms
-fits in it, so a sum is reduced mod p in every slot at once by one
-bytes.translate.
+on it.  Packing.pack only lays vectors out as they are: a packed
+vector times an element comes only from Packing.scaler, which scales
+a list of vectors by one element in a few whole-int operations.  Over
+odd p a slot is one byte whenever the sum of all terms fits in it, so
+a sum is reduced mod p in every slot at once by one bytes.translate.
 
 _Frozen is the one base of rsperm's value classes: FieldElement here,
 Polynomial, Permutation, AffineMap, the group and theorem reports and
@@ -104,7 +105,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-# -- polynomial helpers over F_p, used only for modulus validation --------
+# -- polynomial helpers over F_p: modulus validation, and the one zero strip
 
 def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -128,13 +129,10 @@ def _polymod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def _monic_polys_of_degree(d: int, p: int) -> Iterable[list[int]]:
-    for idx in range(p**d):
-        coeffs = []
-        v = idx
-        for _ in range(d):
-            coeffs.append(v % p)
-            v //= p
-        yield coeffs + [1]
+    # Index order on the lower coefficients: product() counts with its
+    # last place fastest, so each tuple is read reversed.
+    for digits in product(range(p), repeat=d):
+        yield [*reversed(digits), 1]
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
@@ -629,10 +627,12 @@ class Packing:
     packed[choice[i]] over the (i, packed) pairs, packed being a list
     or a memo dict; equal vectors have equal keys.  keys(choice, terms,
     last) is the list of keys of that sum plus each packed vector in
-    last, the sum taken once.  scaler(vectors) packs a list of vectors
-    times any element g at once, as one int cut into one per vector: by
-    m multiplications of bit planes for p = 2, one translate of their
-    bytes for prime p with byte slots, else one scale of all entries.
+    last, the sum taken once.  pack(indices) lays indices out as they
+    are.  scaler(vectors), the one source of scaled vectors, packs a
+    list of vectors times any element g at once, as one int cut into
+    one per vector: by m multiplications of bit planes for p = 2, one
+    translate of their bytes for prime p with byte slots, else one
+    scale of all entries.
     decode(key) is a key's indices up to its last nonzero entry, as a
     tuple read at C speed.
     """
@@ -652,17 +652,24 @@ class Packing:
             self.width = w = (terms * (p - 1)).bit_length()
             self.key, self.keys = _slot_keys(p, range(0, w * m * count, w), (1 << w) - 1)
 
-    def pack(self, indices: Iterable[int], scale: int = 1) -> int:
-        """The vector of indices times the element of index `scale`, packed."""
-        if scale != 1:
-            if not scale:
-                return 0
-            indices = self.field.ops.scale(scale, indices)
-        return self._laid_out(indices)
+    def pack(self, indices: Iterable[int]) -> int:
+        """The indices packed as they are, however many there are."""
+        p, m, w = self.field.p, self.field.m, self.width
+        if self._digits is not None:
+            digits = self._digits
+            return int.from_bytes(b"".join([digits[x] for x in indices]), "little")
+        if p == 2:
+            return sum(x << (m * r) for r, x in enumerate(indices))
+        return sum(
+            x // p**b % p << (w * (m * r + b))
+            for r, x in enumerate(indices)
+            for b in range(m)
+        )
 
     def scaler(self, vectors: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
-        """The function g -> [pack(v, g) for v in vectors], for vectors of
-        `count` indices, at a fixed number of whole-int operations per g.
+        """The function g -> [pack(g * v) for v in vectors], for vectors of
+        `count` indices, at a fixed number of whole-int operations per g:
+        the one way to a packed vector times an element.
 
         The vectors are laid out end to end as one packed int, scaled by g
         at once and cut back into one int per vector.  For p = 2, bit
@@ -681,7 +688,7 @@ class Packing:
         mask = (1 << span) - 1
         cuts = range(0, span * len(vectors), span)
         if p == 2:
-            laid = self._laid_out(flat)
+            laid = self.pack(flat)
             # One 1 at the lowest slot of every entry: the base-2**m repunit.
             ones = ((1 << m * len(flat)) - 1) // ((1 << m) - 1)
             planes = [(laid >> b & ones, 1 << b) for b in range(m)]
@@ -706,24 +713,10 @@ class Packing:
             scale = ops.scale
 
             def scaled(g: int) -> list[int]:
-                s = self._laid_out(scale(g, flat))
+                s = self.pack(scale(g, flat))
                 return [s >> c & mask for c in cuts]
 
         return scaled
-
-    def _laid_out(self, indices: Iterable[int]) -> int:
-        """The indices packed as they are, however many there are."""
-        p, m, w = self.field.p, self.field.m, self.width
-        if self._digits is not None:
-            digits = self._digits
-            return int.from_bytes(b"".join([digits[x] for x in indices]), "little")
-        if p == 2:
-            return sum(x << (m * r) for r, x in enumerate(indices))
-        return sum(
-            x // p**b % p << (w * (m * r + b))
-            for r, x in enumerate(indices)
-            for b in range(m)
-        )
 
     @cached_property
     def decode(self) -> Callable[[int], tuple[int, ...]]:

@@ -12,12 +12,12 @@ Per(C) = Per(C^perp), so the smaller of the two is searched,
 whose n!/(n-d)! candidate images, d = min(k, n-k), are met in the
 middle on one free column: perm(n, h) lookups of the first h images
 against a table of the other d - h, |W| * perm(n, d-h) entries for the
-|W| distinct columns.  With h >= 2 the lookups are split by the image
-of the first pivot p_0: the stabilizer of p_0 is searched in full, and
-each other point only until it gives one member, unless the members
-found already reach it.  Per(C) is listed as that transversal times the
-stabilizer, so a transitive group, as on all of GF(q) or on GF(q)*,
-costs about 1/n of the search over every image.
+|W| distinct columns.  At every split h the lookups are split by the
+image of the first pivot p_0: the stabilizer of p_0 is searched in
+full, and each other point only until it gives one member, unless the
+members found already reach it.  Per(C) is listed as that transversal
+times Stab(p_0), so a transitive group, as on all of GF(q) or on
+GF(q)*, costs about 1/n of the search over every image.
 Coordinate permutations commute with the Schur product and with duals,
 so Per(C) lies in Per(D) for D = (C * C)^perp, and for RS(A, d) with
 2d <= n, D has dimension n - 2d + 1.  When the meet in the middle costs
@@ -277,8 +277,7 @@ class _Columns:
         self.where: dict[int, list[int]] = {}
         for c, key in enumerate(self.products(1)):
             self.where.setdefault(key, []).append(c)
-        self.pivots = code.pivots
-        self.free = [j for j in range(self.n) if j not in self.pivots]
+        self.pivots, self.free = code.pivots, code.free
         self.checks = [
             [(i, self.products(g)) for i, g in enumerate(cols[j]) if g] for j in self.free
         ]
@@ -329,12 +328,13 @@ def _images(
     share once: Packing.keys adds each x in W to the sum over a suffix u,
     and each last prefix image c to the sum over the first h - 1.
 
-    When h >= 2, t_0 is a prefix image, and every t with t_0 in skip is
-    passed over.  skip is read at each prefix and again after each t is
-    yielded, so a caller that puts t_0 into skip cuts that subtree off
-    there.  A block (js, cs) holds free columns js with equal targets
-    and the positions cs outside t holding that column; every bijection
-    between the two makes a member.
+    Every t with t_0 in skip is passed over, t_0 being s_0 when h >= 2
+    and the looked-up c when h = 1; the t sharing one t_0 come out
+    together.  skip is read at each prefix, each c and each yield, so a
+    caller that puts t_0 into skip cuts that subtree off there.  A block
+    (js, cs) holds free columns js with equal targets and the positions
+    cs outside t holding that column; every bijection between the two
+    makes a member.
     """
     n, rows, packing, where, checks = cols.n, cols.rows, cols.packing, cols.where, cols.checks
     keys = list(where)
@@ -357,7 +357,8 @@ def _images(
             continue
         for c, total in enumerate(packing.keys(s, head, last)):
             hits = table.get(total)
-            if hits is None or c in s:
+            # With h = 1 there is no s, and c is t_0.
+            if hits is None or c in s or not s and c in skip:
                 continue
             prefix = s + (c,)
             taken = set(prefix)
@@ -453,19 +454,17 @@ def _accepted(cols: _Columns) -> tuple[_Accepted, int]:
     Under a transitive group, as the affine groups of all of GF(q) and
     of GF(q)* are, every subtree but Stab(p_0)'s is then passed over or
     cut at its first member: about 1/n of the work of searching every t.
-    With h = 1, t_0 is the looked-up image, and every accepted t is kept
-    as Stab(p_0)'s are, with no transversal.
     """
     n, pivots = cols.n, cols.pivots
     h = _split(n, len(pivots), len(cols.where))
     width = len(cols.free)
-    p0 = pivots[0] if h > 1 else None
+    p0 = pivots[0]
     whole: list[tuple[int, ...]] = []
     grouped: list[tuple[tuple[int, ...], _Blocks]] = []
     orbit: dict[int, tuple[int, ...]] = {}
     gens: list[tuple[int, ...]] = []
     for t, blocks in _images(cols, h, orbit):
-        if p0 is None or t[0] == p0:
+        if t[0] == p0:
             if len(blocks) < width:
                 grouped.append((t, blocks))
             else:
@@ -508,8 +507,10 @@ def _listed(n: int, pivots: Sequence[int], accepted: _Accepted) -> list[tuple[in
             fills = [map(tuple, map(chain.from_iterable, product(*fills)))]
         members += map(scatter, map(t.__add__, fills[0]))
     if reps:
-        # itemgetter(*s)(r) is r * s; n >= k >= 2 here, so it gives a tuple.
-        members += [rs for s in members for rs in map(itemgetter(*s), reps)]
+        # itemgetter(*s)(r) is r * s; n >= 2 here, so it gives a tuple.  The
+        # products of one r come out together, runs that the sort merges.
+        products = [itemgetter(*s) for s in members]
+        members += [s(r) for r in reps for s in products]
     members.sort()
     return members
 
@@ -526,10 +527,9 @@ def _square_dual(code: LinearCode) -> LinearCode | None:
     vector y of D has y_F in that kernel and y_{p_i} = -sum_{f in F}
     r_i[f]^2 * y_f.
     """
-    field, n, k, pivots = code.field, code.n, code.k, code.pivots
+    field, n, k, pivots, free = code.field, code.n, code.k, code.pivots, code.free
     ops = field.ops
     add, mul, neg = ops.add, ops.mul, ops.neg
-    free = [j for j in range(n) if j not in pivots]
     on_free = [[r[j] for j in free] for r in code.index_rows]
     cross = [list(map(mul, a, b)) for i, a in enumerate(on_free) for b in on_free[i + 1:]]
     span = LinearCode._from_indices(field, cross, n - k)
@@ -661,16 +661,16 @@ def exhaustive_permutations(
     is set by that code's dimension k: of the n!/(n-k)! candidate images
     of the pivots, the first h are enumerated and the other k - h tabled,
     perm(n, h) + |W| * perm(n, k-h) lookups and entries for the |W|
-    distinct columns (see _search and _split).  With h >= 2 the lookups
-    are split by the image of the first pivot p_0: those fixing p_0 in
-    full, and each other image only until it gives one member, or none
-    at all once the members found reach it (_accepted).  So a transitive
-    group costs about 1/n of that, and a trivial one all of it.  Use
-    search_side to pick the cheaper of a code and its dual.  When 2k <= n
-    and the cost exceeds the k(k+1)/2 * n^2 steps of building D =
-    (C * C)^perp (_square_pays), and 0 < dim D < k, Per(D) is searched
-    first; if it has at most that many members they are listed and
-    filtered down to those fixing C, and otherwise C is searched.  Raises
+    distinct columns (see _search and _split).  The lookups are split by
+    the image of the first pivot p_0: those fixing p_0 in full, and each
+    other image only until it gives one member, or none at all once the
+    members found reach it (_accepted).  So a transitive group costs
+    about 1/n of that, and a trivial one all of it.  Use search_side to
+    pick the cheaper of a code and its dual.  When 2k <= n and the cost
+    exceeds the k(k+1)/2 * n^2 steps of building D = (C * C)^perp
+    (_square_pays), and 0 < dim D < k, Per(D) is searched first; if it
+    has at most that many members they are listed and filtered down to
+    those fixing C, and otherwise C is searched.  Raises
     ValueError, before searching, when the n!/(n-k)! candidates exceed
     SEARCH_CAP, and before listing any member when Per(C) has more than
     SEARCH_CAP members; a large Per(D) never raises.  The members'

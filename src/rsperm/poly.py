@@ -27,8 +27,10 @@ values go through one int kernel on indices.  f = sum_i v_i * L_i over
 the indicators L_i, and each term v_i * L_i depends only on i and the
 index of v_i, so every evaluation set memoises, per indicator, the
 term's coefficients packed into one int by a gf.Packing, filled when a
-sum first misses it.  A call sums n memoised ints with Packing.key and
-decodes the sum once, straight into the stripped coefficient indices.
+sum first misses it by that indicator's own one-vector Packing.scaler
+(one scaler over all n indicators would fill n entries per new value).
+A call sums n memoised ints with Packing.key and decodes the sum once,
+straight into the stripped coefficient indices.
 Arithmetic inside the module builds results through a constructor that
 skips the per-coefficient check of the public one.
 """
@@ -40,7 +42,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from itertools import compress, count, zip_longest
 
-from .gf import Field, FieldElement, FieldMismatchError, Packing, _Frozen, _ops
+from .gf import Field, FieldElement, FieldMismatchError, Packing, _Frozen, _ops, _trim
 
 # Degree of the zero polynomial.  A float so that NEG_INF + d == NEG_INF
 # and NEG_INF < d hold for every integer degree d.
@@ -48,9 +50,7 @@ NEG_INF = float("-inf")
 
 
 def _stripped(cs: list[int]) -> tuple[int, ...]:
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+    return tuple(_trim(cs))
 
 
 def _indices(field: Field, values: Iterable, what: str) -> list[int]:
@@ -357,6 +357,11 @@ class EvaluationSet:
         return tuple((i, {}) for i in range(self.n))
 
     @cached_property
+    def _scalers(self) -> list:
+        """Per L_i, v -> [packed v * L_i], a one-vector Packing.scaler."""
+        return [self._packing.scaler([L.index_coeffs]) for L in self.indicators]
+
+    @cached_property
     def _lines(self) -> dict[tuple[int, int], tuple[list[int], Polynomial]]:
         """Memo from (v_0.index, v_1.index) to the line through (a_0, v_0)
         and (a_1, v_1): the indices of its values on the points, and the
@@ -397,9 +402,9 @@ class EvaluationSet:
         try:
             key = packing.key(choice, terms)
         except KeyError:
-            for (i, memo), x in zip(terms, choice):
+            for (_, memo), x, scaled in zip(terms, choice, self._scalers):
                 if x not in memo:
-                    memo[x] = packing.pack(self.indicators[i].index_coeffs, x)
+                    memo[x] = scaled(x)[0]
             key = packing.key(choice, terms)
         return Polynomial._trusted(field, packing.decode(key))
 

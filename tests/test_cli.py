@@ -30,6 +30,48 @@ def test_split_top_level():
         split_top_level("[0,1")
 
 
+# (text, its parts) for every kind of point list, and (text, ValueError)
+# for those refused.  Each row is what the splitter gave before it was
+# two regular expressions, except nested brackets: "[[0,1]],2" split into
+# "[[0,1]]" and "2", and Field.parse then refused the first part.
+SPLITS = [
+    ("0,1,4,6", ["0", "1", "4", "6"]),
+    ("-3,1", ["-3", "1"]),
+    ("[0,0],[1,2]", ["[0,0]", "[1,2]"]),
+    ("[0,1,1,0,1,0,1],[1,0,0,1,1,0,0]", ["[0,1,1,0,1,0,1]", "[1,0,0,1,1,0,0]"]),
+    ("7,[1],2", ["7", "[1]", "2"]),
+    (" 0 , 1 ", [" 0 ", " 1 "]),
+    (" [0, 1] ,[1 ,2 ] ", [" [0, 1] ", "[1 ,2 ] "]),
+    ("", [""]),
+    ("0,,1,", ["0", "", "1", ""]),
+    (",[1,0],", ["", "[1,0]", ""]),
+    ("[],[,]", ["[]", "[,]"]),
+    ("[0,1", ValueError),
+    ("0,1]", ValueError),
+    ("]0,1[", ValueError),
+    ("[0],1]", ValueError),
+    ("[0,[1]", ValueError),
+    ("[[0,1]],2", ValueError),
+    ("[0,[1]],2", ValueError),
+    ("[[]]", ValueError),
+]
+
+
+@pytest.mark.parametrize("text, parts", SPLITS)
+def test_split_top_level_table(text, parts):
+    if parts is ValueError:
+        with pytest.raises(ValueError, match="unbalanced brackets"):
+            split_top_level(text)
+    else:
+        assert split_top_level(text) == parts
+
+
+def test_nested_brackets_in_points_exit_2(capsys):
+    code, out, err = run(capsys, "affine", "--field", "4", "--points", "[[0,1]],[1,0]")
+    assert (code, out) == (2, "")
+    assert "unbalanced brackets" in err
+
+
 def test_affine_lists_paper_maps(capsys):
     code, out, _ = run(capsys, "affine", "--field", "13", "--points", "0,1,4,6")
     assert code == 0

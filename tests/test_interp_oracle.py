@@ -19,7 +19,14 @@ import pytest
 from conftest import fresh_field
 from rsperm import EvaluationSet, Field, affine_group, perm_to_poly
 
-FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
+# GF(127) and GF(257) pack the terms of 3 or more points in slots wider
+# than a byte, which no smaller prime field does, and GF(243) has byte
+# slots with m = 5.  Together with the smaller fields, every branch of
+# Packing.scaler fills the memo of the Lagrange kernel.
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 127, 243, 257)
+# Above this order a point set has at most 12 points, so that building
+# its indicators stays cheap.
+SMALL_SETS_ABOVE = 64
 
 
 def horner(coeffs, a, zero):
@@ -44,8 +51,23 @@ def random_values(rng, field, n):
     return [field.from_index(rng.randrange(field.q)) for _ in range(n)]
 
 
+def off_line(rng, points):
+    """Random values on the points, the third moved off the line through
+    the first two, so that only the Lagrange kernel gives the interpolant."""
+    field = points.field
+    values = random_values(rng, field, points.n)
+    a0, a1, a2 = points[0], points[1], points[2]
+    on_line = values[0] + (values[1] - values[0]) / (a1 - a0) * (a2 - a0)
+    values[2] = rng.choice([v for v in field.elements()[:3] if v != on_line])
+    return values
+
+
 def point_sets(field: Field, rng: random.Random) -> list[EvaluationSet]:
     q = field.q
+    if q > SMALL_SETS_ABOVE:
+        # Every set but the first has n * (p - 1) >= 256 for prime p.
+        sizes = [2] + [rng.randint(3, 12) for _ in range(4)]
+        return [EvaluationSet(field, rng.sample(field.elements(), n)) for n in sizes]
     out = [
         EvaluationSet(field, rng.sample(field.elements(), 2)),
         EvaluationSet.full_field(field),
@@ -59,7 +81,7 @@ def point_sets(field: Field, rng: random.Random) -> list[EvaluationSet]:
 @pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_interpolate_satisfies_the_interpolation_conditions(q):
     field = Field(q)
-    rng = random.Random(1000 + q)
+    rng, off = random.Random(1000 + q), random.Random(4000 + q)
     for points in point_sets(field, rng):
         n = points.n
         # Permutation images: every value a point, as for group members.
@@ -71,6 +93,11 @@ def test_interpolate_satisfies_the_interpolation_conditions(q):
         assert_interpolant(points, [field.zero] * n)
         assert_interpolant(points, [field.one] * n)
         assert points.interpolate([field.zero] * n).is_zero()
+        # Values off every line, drawn apart from the draws above.
+        for _ in range(6 if n > 2 else 0):
+            values = off_line(off, points)
+            assert_interpolant(points, values)
+            assert len(points.interpolate(values).coeffs) > 2
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)

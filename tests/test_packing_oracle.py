@@ -77,6 +77,12 @@ def random_vector(field, count, rng):
     return [rng.randrange(field.q) for _ in range(count)]
 
 
+def scaled_pack(packing, vector, g):
+    """The vector times the element of index g, packed by a one-vector
+    scaler, the packing's one source of scaled vectors."""
+    return packing.scaler([vector])(g)[0]
+
+
 def special_scales(field):
     """The zero index, 1 and -1."""
     return (0, 1, (-field.one).index)
@@ -107,7 +113,7 @@ def test_scaled_pack_is_field_multiplication(field):
     for g in range(field.q):
         for vector in vectors:
             want = ref_pack(field, 3, ref_scale(field, g, vector))
-            assert packing.pack(vector, g) == want, (g, vector)
+            assert scaled_pack(packing, vector, g) == want, (g, vector)
 
 
 @pytest.mark.parametrize("terms", (2, 7))
@@ -132,10 +138,10 @@ def test_special_scales(field):
     packing = Packing(field, count, 2)
     vector = list(range(field.q - count, field.q))
     zero, one, minus_one = special_scales(field)
-    assert packing.pack(vector, zero) == 0
-    assert packing.pack(vector, one) == packing.pack(vector)
+    assert scaled_pack(packing, vector, zero) == 0
+    assert scaled_pack(packing, vector, one) == packing.pack(vector)
     negated = [(-field.from_index(x)).index for x in vector]
-    assert packing.pack(vector, minus_one) == ref_pack(field, 2, negated)
+    assert scaled_pack(packing, vector, minus_one) == ref_pack(field, 2, negated)
 
 
 def test_unpack_inverts_pack_into_interned_elements(field):
@@ -176,7 +182,7 @@ def test_key_of_scaled_sums(field, terms):
         # keep their packed vectors in a list, odd ones in a dict.
         table = []
         for i, g in enumerate(scales):
-            packed = [packing.pack(v, g) for v in pool]
+            packed = [scaled_pack(packing, v, g) for v in pool]
             table.append((i, packed if i % 2 == 0 else dict(enumerate(packed))))
         choice = [rng.randrange(len(pool)) for _ in range(terms)]
         want = ref_sum(
@@ -198,7 +204,7 @@ def test_keys_add_each_last_vector_to_one_sum(field, terms):
         pool = [random_vector(field, count, rng) for _ in range(4)] + [widest(field, count)]
         scales = [rng.choice((1, minus_one, rng.randrange(field.q))) for _ in range(terms)]
         # The first terms - 1 terms are summed once; the last one is `last`.
-        table = [(i, [packing.pack(v, g) for v in pool]) for i, g in enumerate(scales)]
+        table = [(i, [scaled_pack(packing, v, g) for v in pool]) for i, g in enumerate(scales)]
         choice = [rng.randrange(len(pool)) for _ in range(terms - 1)]
         got = packing.keys(choice, table[:-1], table[-1][1])
         assert len(got) == len(pool)
@@ -217,7 +223,7 @@ def test_equal_sums_have_equal_keys(field):
     minus_one = (-field.one).index
     for _ in range(20):
         x, y = random_vector(field, count, rng), random_vector(field, count, rng)
-        terms = [(0, [packing.pack(x)]), (1, [packing.pack(x, minus_one)]),
+        terms = [(0, [packing.pack(x)]), (1, [scaled_pack(packing, x, minus_one)]),
                  (2, [packing.pack(y)])]
         assert packing.key([0, 0, 0], terms) == packing.key([0], [(0, [packing.pack(y)])])
 
@@ -236,7 +242,7 @@ def test_gf17_on_each_side_of_the_byte_cutover(terms):
     vectors[1:3] = [random_vector(field, count, rng) for _ in range(2)]
     minus_one = (-field.one).index
     scales = [rng.choice((1, minus_one, rng.randrange(field.q))) for _ in vectors]
-    table = [(i, [packing.pack(v, g)]) for i, (v, g) in enumerate(zip(vectors, scales))]
+    table = [(i, [scaled_pack(packing, v, g)]) for i, (v, g) in enumerate(zip(vectors, scales))]
     for i, (v, g) in enumerate(zip(vectors, scales)):
         assert table[i][1][0] == ref_pack(field, terms, ref_scale(field, g, v))
     want = ref_sum(field, [ref_scale(field, g, v) for v, g in zip(vectors, scales)])

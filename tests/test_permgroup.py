@@ -296,6 +296,34 @@ def test_a_transitive_group_is_closed_from_one_transversal_member(monkeypatch):
             assert (len(reps), len(whole), grouped, order) == (q - 1, q - 1, [], q * (q - 1))
 
 
+def test_a_split_at_h_1_is_pruned_by_the_orbit(monkeypatch):
+    """All of GF(13)* with k = 11: the searched side is the dual, of
+    dimension 1, so the split is h = 1 and t_0 is the looked-up column.
+    Stab(p_0) is the identity, and the first member with t_0 != p_0, a
+    multiplication by a generator of GF(13)*, closes the orbit of p_0 to
+    all 12 points.  So _images yields 2 accepted t, where a search of
+    every t_0 yields 12, and the report still lists the 12
+    multiplications u * x."""
+    yielded, splits = [], []
+    images = permgroup._images
+
+    def spy_images(cols, h, skip):
+        splits.append(h)
+        for found in images(cols, h, skip):
+            yielded.append(found[0][0])
+            yield found
+
+    monkeypatch.setattr(permgroup, "_images", spy_images)
+    points = EvaluationSet.multiplicative_group(Field(13))
+    report = check_theorem(points, 11)
+    p0 = permgroup.search_side(report.code).pivots[0]
+    assert splits == [1]
+    assert len(yielded) == 2 and yielded[0] == p0 and yielded[1] != p0
+    multiplications = {tuple(points.position(u * x) for x in points) for u in points}
+    assert {m.perm.images for m in report.group.elements} == multiplications
+    assert report.group.order == 12 and report.equal
+
+
 class SquareSpy:
     """Records, while installed, every square dual D that
     exhaustive_permutations builds (squares) with its dimension (built),
@@ -679,9 +707,9 @@ def test_columns_scale_every_column_once_per_coefficient(monkeypatch):
     packs, scaled = [], []
     pack, scaler = Packing.pack, Packing.scaler
 
-    def spy_pack(self, indices, scale=1):
-        packs.append(scale)
-        return pack(self, indices, scale)
+    def spy_pack(self, indices):
+        packs.append(indices)
+        return pack(self, indices)
 
     def spy_scaler(self, vectors):
         by_g = scaler(self, vectors)
