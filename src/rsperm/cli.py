@@ -1,10 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: the subcommands affine, group, verify, sweep
+and paper-examples, one row each in build_parser, and json_text, the
+writer of their JSON output.
 
-Subcommands: affine, group, verify, sweep, paper-examples.  Exit codes:
-0 success/verified, 1 verification failure or output that could not be
-written (e.g. the reader of a pipe exited early), 2 invalid input.
-split_top_level cuts a --points list at the commas outside brackets
-with two regular expressions, each linear in the text.
+Exit codes: 0 success/verified, 1 verification failure or output that
+could not be written (e.g. the reader of a pipe exited early), 2 invalid
+input.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ _PART = re.compile(r",((?:[^,[]|\[[^]]*\])*)")
 
 
 def split_top_level(text: str) -> list[str]:
-    """Split a comma-separated list, ignoring commas inside [...] literals.
+    """Split a comma-separated list, ignoring commas inside [...] literals,
+    by two regular expressions, each linear in the text.
 
     Brackets must pair up as unnested literals; anything else, nested
     brackets included, raises ValueError.
@@ -52,15 +53,12 @@ def split_top_level(text: str) -> list[str]:
     return _PART.findall("," + text)
 
 
-def build_field(args) -> Field:
-    modulus = None
-    if args.modulus is not None:
-        modulus = [int(c) for c in args.modulus.split(",")]
-    return Field(args.field, modulus=modulus)
-
-
-def parse_points(field: Field, text: str) -> EvaluationSet:
-    literals = [s for s in split_top_level(text) if s.strip()]
+def _points(args) -> EvaluationSet:
+    """The point set that --field, --modulus and --points give: the one
+    front end of affine, group and verify, which read the field from it."""
+    modulus = None if args.modulus is None else [int(c) for c in args.modulus.split(",")]
+    field = Field(args.field, modulus=modulus)
+    literals = [s for s in split_top_level(args.points) if s.strip()]
     return EvaluationSet(field, [field.parse(s) for s in literals])
 
 
@@ -70,9 +68,8 @@ def json_text(value) -> str:
     json.dumps runs its pure-Python encoder whenever indent is set; this
     writer does the same layout with one call per container.  Dicts with
     str keys, lists, str, int, bool and None are written here, by exact
-    type, and so is a GroupReport, as the text of its to_json_dict(): its
-    members are written by template, with no dict or call per member.
-    Anything else is left to json.dumps.
+    type, and so is a GroupReport, as the text of its to_json_dict()
+    (_write_group).  Anything else is left to json.dumps.
     """
     out: list[str] = []
     _write_json(value, "\n", out)
@@ -123,12 +120,9 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     The text around each member's images and polynomial is made once for
     this depth, every "perm" list reads one table of the labels 1..n (the
     members of a group all act on the same n points), and the text after
-    "poly" depends on the member's degree alone.  A member's degree is
-    the length of its polynomial's index_coeffs less one, and its text is
-    affine_str's: poly.terms_text of those indices, with the field's
-    terms and q fetched once per report, from degree 2 on, and
-    affine_str itself below.  That text is digits, x, ^, *, +, commas,
-    brackets and spaces, which JSON writes between quotes unescaped.
+    "poly" depends on the member's degree alone.  A polynomial's text is
+    digits, x, ^, *, +, commas, brackets and spaces, which JSON writes
+    between quotes unescaped.
     """
     inner = newline + "  "
     out.append("{")
@@ -167,31 +161,23 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     out.append(f'{inner}"elements": {elements}{newline}}}')
 
 
-def _print_json(obj) -> None:
-    print(json_text(obj))
-
-
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_affine(args) -> int:
-    field = build_field(args)
-    points = parse_points(field, args.points)
+    points = _points(args)
     members = affine_group(points)
     if args.json:
-        _print_json(
-            {
-                "field": field.q,
-                "points": [str(a) for a in points],
-                "order": len(members),
-                "elements": [
-                    {"poly": str(m), "perm": [i + 1 for i in perm.images]}
-                    for m, perm in members
-                ],
-            }
-        )
+        print(json_text({
+            "field": points.field.q,
+            "points": [str(a) for a in points],
+            "order": len(members),
+            "elements": [
+                {"poly": str(m), "perm": [i + 1 for i in perm.images]} for m, perm in members
+            ],
+        }))
         return 0
-    print(f"field {field}")
+    print(f"field {points.field}")
     print(f"points {points}")
     print(f"affine permutations of the point set: {len(members)}")
     width = max(len(str(m)) for m, _ in members)
@@ -212,14 +198,13 @@ def _print_group_text(report: GroupReport) -> None:
 
 
 def cmd_group(args) -> int:
-    field = build_field(args)
-    points = parse_points(field, args.points)
+    points = _points(args)
     result = check_theorem(points, args.k)
     if args.json:
-        _print_json(result.group)
+        print(json_text(result.group))
         return 0
     code = result.code
-    print(f"field {field}")
+    print(f"field {points.field}")
     print(f"points {points}")
     print(f"RS code of dimension {args.k}: n={code.n} k={code.k}")
     print("generator matrix (rref):")
@@ -229,13 +214,12 @@ def cmd_group(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    field = build_field(args)
-    points = parse_points(field, args.points)
+    points = _points(args)
     result = check_theorem(points, args.k)
     if args.json:
-        _print_json(result._json_dict(result.group))
+        print(json_text(result._json_dict(result.group)))
     else:
-        print(f"field {field}")
+        print(f"field {points.field}")
         print(f"points {points}  k={args.k}")
         if result.warning:
             print(f"warning: {result.warning}")
@@ -310,16 +294,14 @@ def cmd_sweep(args) -> int:
     records = [t.to_json_dict() for t in run_sweep(args.seed, args.trials)]
     failures = [r for r in records if not r["ok"]]
     if args.json:
-        _print_json(
-            {
-                "rng": RNG_NAME,
-                "seed": args.seed,
-                "trials": args.trials,
-                "passed": len(records) - len(failures),
-                "failed": len(failures),
-                "results": records,
-            }
-        )
+        print(json_text({
+            "rng": RNG_NAME,
+            "seed": args.seed,
+            "trials": args.trials,
+            "passed": len(records) - len(failures),
+            "failed": len(failures),
+            "results": records,
+        }))
         return 0 if not failures else 1
     print(f"sweep rng={RNG_NAME} seed={args.seed} trials={args.trials}")
     for r in records:
@@ -423,15 +405,11 @@ def cmd_paper_examples(args) -> int:
     _paper_example_f9(checks)
     failed = [c for c in checks if not c[1]]
     if args.json:
-        _print_json(
-            {
-                "checks": [
-                    {"name": name, "ok": ok} for name, ok, _ in checks
-                ],
-                "passed": len(checks) - len(failed),
-                "failed": len(failed),
-            }
-        )
+        print(json_text({
+            "checks": [{"name": name, "ok": ok} for name, ok, _ in checks],
+            "passed": len(checks) - len(failed),
+            "failed": len(failed),
+        }))
         return 0 if not failed else 1
     for name, ok, detail in checks:
         if ok:
@@ -445,28 +423,14 @@ def cmd_paper_examples(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_field_flags(sub, with_k: bool) -> None:
-    sub.add_argument("--field", type=int, required=True, help="field order q = p^m")
-    sub.add_argument(
-        "--modulus",
-        default=None,
-        help="extension modulus c0,c1,...,cm (ascending, monic); default: first irreducible",
-    )
-    sub.add_argument(
-        "--points",
-        required=True,
-        help="comma-separated element literals, e.g. 0,1,4,6 or [0,0],[1,0]",
-    )
-    if with_k:
-        sub.add_argument("--k", type=int, required=True, help="code dimension")
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
 
     Parsing writes only the namespace it returns, so one parser, with
     its subparsers by command name in .commands, serves every main call.
+    Each command is one row of its name, help, handler and options, and
+    every command also takes --json.
     """
     parser = argparse.ArgumentParser(
         prog="rsperm",
@@ -474,36 +438,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     parser.commands = subs.choices
-
-    p = subs.add_parser("affine", help="list the affine permutations of a point set")
-    _add_field_flags(p, with_k=False)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_affine)
-
-    p = subs.add_parser("group", help="brute-force the permutation group of RS(A,k)")
-    _add_field_flags(p, with_k=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_group)
-
-    p = subs.add_parser(
-        "verify", help="check Per(RS(A,k)) against the affine permutations of A"
-    )
-    _add_field_flags(p, with_k=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("sweep", help="seeded randomized verification sweep")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser(
-        "paper-examples", help="reproduce the built-in F_13 and F_9 worked examples"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_paper_examples)
-
+    point_set = [
+        ("--field", dict(type=int, required=True, help="field order q = p^m")),
+        ("--modulus", dict(
+            default=None,
+            help="extension modulus c0,c1,...,cm (ascending, monic); default: first irreducible",
+        )),
+        ("--points", dict(
+            required=True, help="comma-separated element literals, e.g. 0,1,4,6 or [0,0],[1,0]"
+        )),
+    ]
+    code = point_set + [("--k", dict(type=int, required=True, help="code dimension"))]
+    sweep = [("--seed", dict(type=int, default=42)), ("--trials", dict(type=int, default=200))]
+    for name, summary, handler, options in (
+        ("affine", "list the affine permutations of a point set", cmd_affine, point_set),
+        ("group", "brute-force the permutation group of RS(A,k)", cmd_group, code),
+        ("verify", "check Per(RS(A,k)) against the affine permutations of A", cmd_verify, code),
+        ("sweep", "seeded randomized verification sweep", cmd_sweep, sweep),
+        ("paper-examples", "reproduce the built-in F_13 and F_9 worked examples",
+         cmd_paper_examples, []),
+    ):
+        sub = subs.add_parser(name, help=summary)
+        for flag, settings in [*options, ("--json", dict(action="store_true"))]:
+            sub.add_argument(flag, **settings)
+        sub.set_defaults(func=handler)
     return parser
 
 

@@ -1,49 +1,18 @@
-"""Exact arithmetic in finite fields F_p and GF(p^m).
+"""Exact arithmetic in finite fields F_p and GF(p^m), q = p**m <= 2**16.
 
 An element of GF(p^m), a polynomial in the generator t reduced modulo a
 monic irreducible polynomial of degree m, is stored as its index
-sum(c_i * p**i) over its ascending coefficients.  Arithmetic runs on
-indices through O(q) tables built on first use: exp and log over a
-primitive element, and for sums mod p (prime fields), XOR (p = 2) or
-Zech logarithms.  Everything is immutable; fields are capped at
-q = p^m <= 2**16.  The tables are built on ints alone: the primitive
-element is found by an order test on the int form of each candidate,
-and its powers by walking a q-entry table of x -> x*g, itself built
-by linearity over the digits of x: XOR for p = 2, sums in one-byte
-digit slots reduced a block at a time by one bytes.translate for odd
-p < 131, and the two digits reduced directly for larger p.
+sum(c_i * p**i) over its ascending coefficients.
 
-A process holds one Field object per live field, and a field hands out
-one object and one string per element.  Field(q, modulus) returns the
-field already made for that order and modulus, however the modulus is
-spelled, while that field is alive, and the registry keeps the
-KEPT_FIELDS most recently used fields alive, so a process that keeps
-asking about a few fields builds their tables once.  Field.tables
-makes the q interned elements, which every accessor and operator
-returns, in one _filled call, and Field.terms keeps each element's
-literal, under its index, beside the polynomial term strings.
-Field.ops, the one kernel for scalars, is add, sub, neg, mul and inv
-on indices, plus scale on index lists; FieldElement operators wrap it,
-behind the operand check _ops that Polynomial arithmetic shares, and
-codes, polynomials, interpolation and affine enumeration run on it
-directly.  Packing, the one kernel for vectors of indices, packs them
-into ints with one slot per base-p digit, sums them and decodes a sum
-back into indices; the permutation search and interpolation both run
-on it.  Packing.pack only lays vectors out as they are: a packed
-vector times an element comes only from Packing.scaler, which scales
-a list of vectors by one element in a few whole-int operations.  Over
-odd p a slot is one byte whenever the sum of all terms fits in it, so
-a sum is reduced mod p in every slot at once by one bytes.translate.
-
-_Frozen is the one base of rsperm's value classes: FieldElement here,
-Polynomial, Permutation, AffineMap, the group and theorem reports and
-the CLI's sweep trials.  Each names its fields in __match_args__ and
-keeps them in slots, and the base gives it the equality, hash, repr,
-pickling and refusal of assignment of a frozen dataclass with those
-fields; a class overrides only what differs, such as its repr.
-_filled(cls, *columns), the one bulk constructor, makes many values at
-once, filling their slots column by column at C speed past the
-constructor's checks, for values already known to pass them.
+- Field: one object per live field, its O(q) tables on indices
+  (Field.tables, built by _primitive_powers and _vector_arithmetic) and
+  its element and term strings (_Terms).
+- IndexOps: the one kernel for scalars, on indices; FieldElement
+  operators wrap it behind _ops, the operand check Polynomial shares.
+- Packing: the one kernel for vectors of indices, packed into ints with
+  one slot per base-p digit (Packing, Packing.scaler, Packing.decode).
+- _Frozen and _filled: the one base and the one bulk constructor of
+  rsperm's value classes.
 """
 
 from __future__ import annotations
@@ -59,7 +28,9 @@ from weakref import WeakValueDictionary
 
 MAX_FIELD_SIZE = 1 << 16
 
-# How many of the most recently used fields the registry keeps alive.
+# How many of the most recently used fields the registry keeps alive.  Built
+# tables take O(q) memory, about 10.8 MB for a field near 2**16 and 0.15 MB
+# for GF(1024), so the registry keeps at most about 86 MB of them alive.
 KEPT_FIELDS = 8
 
 # (q, checked modulus or None) -> the Field of that order and modulus, for
@@ -149,10 +120,8 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
 
 @cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
-    """First irreducible monic polynomial of degree m, lowest constant part.
-
-    Searched for once per (p, m) and remembered: the answer never changes.
-    """
+    """First irreducible monic polynomial of degree m, in index order on
+    the lower coefficients."""
     for cand in _monic_polys_of_degree(m, p):
         if is_irreducible(cand, p):
             return tuple(cand)
@@ -238,11 +207,9 @@ def _filled(cls: type, *columns, _drain=deque(maxlen=0).extend) -> list:
 
 
 class FieldElement(_Frozen):
-    """An element of GF(p^m), stored as its index in the field enumeration.
-
-    Field.tables makes one per index, and every operator and accessor
-    hands those out; pickle and copy give back the field's own element.
-    """
+    """An element of GF(p^m), stored as its index in the field enumeration:
+    the field's one object for that index (Field.tables), which pickle
+    and copy give back."""
 
     __slots__ = __match_args__ = ("field", "index")
 
@@ -331,19 +298,17 @@ class _Terms(dict):
 class Field:
     """GF(p^m) for a prime p, with q = p**m <= 2**16.
 
-    The modulus (monic irreducible of degree m, ascending coefficients)
-    is validated at construction; for m == 1 it is implicit.  A default
-    modulus is searched for when none is given.
+    The modulus is monic irreducible of degree m, ascending coefficients,
+    given as any iterable of ints; prime fields take none, and an
+    extension field given none takes default_modulus(p, m).  A q or a
+    coefficient that is not an int raises TypeError; a q that is not a
+    prime power up to 2**16, or a modulus that is not monic, irreducible
+    and of degree m, raises ValueError.
 
-    There is one Field object per live field in a process:
-    Field(q, modulus) returns the field already made for that q and
-    checked modulus, in whatever form the modulus is given (None for the
-    default, a list, a tuple or any iterable), so its tables, ops and
-    strings are built once for as long as it lives.  Besides what
-    callers hold, the registry keeps only the KEPT_FIELDS (8) most
-    recently used fields alive.  Built tables take O(q) memory, about
-    10.8 MB for a field near 2**16 and 0.15 MB for GF(1024), so the
-    registry keeps at most about 86 MB of them alive.
+    A process holds one Field per live field: Field(q, modulus) returns
+    the field already made for q and the checked modulus, and so do
+    pickle and copy.  The registry keeps the KEPT_FIELDS most recently
+    used fields alive.
     """
 
     def __new__(cls, q: int, modulus: Iterable[int] | None = None) -> "Field":
@@ -502,8 +467,7 @@ class Field:
         indices.  zech[d] is the logarithm of 1 + g**d (None if that is
         zero) for odd p with m > 1, and zech is None otherwise.  The
         elements, one per index, are the only FieldElement objects the
-        field makes: every operator and accessor returns them.  All of
-        it takes O(q) operations on ints.
+        field makes: every operator and accessor returns them.
         """
         powers = _primitive_powers(self)
         log: list[int | None] = [None] * self.q
@@ -522,27 +486,25 @@ class Field:
         return IndexOps(self)
 
     @cached_property
-    def byte_digits(self) -> tuple[list[bytes], bytes]:
-        """(digits, mod_p) for packings with one byte per digit (odd p).
-
-        digits[x] holds the m base-p digits of index x, least significant
-        first; mod_p is the bytes.translate table taking every byte value
-        to its residue mod p.
-        """
-        p = self.p
+    def byte_digits(self) -> list[bytes]:
+        """The m base-p digits of each index, least significant first, as
+        bytes: packed vectors with one byte per digit (Packing)."""
         # product() counts with its last place fastest, the reverse of
         # index order.
-        digits = [bytes(ds[::-1]) for ds in product(range(p), repeat=self.m)]
-        return digits, _scaled_digits(1, p)
+        return [bytes(ds[::-1]) for ds in product(range(self.p), repeat=self.m)]
 
     @cached_property
-    def times_digits(self) -> dict[int, bytes]:
-        """_scaled_digits(g, p) at key g, filled by byte-slot Packing.scaler."""
-        return {}
+    def times_digits(self) -> list[bytes]:
+        """_scaled_digits(c, p) for each digit c, made on first use: the one
+        cache of byte translate tables.  Only byte slots read it, and each
+        slot rsperm makes sums at least two digits, so p <= 127 and it
+        holds at most 127 tables of 256 bytes."""
+        p = self.p
+        return [_scaled_digits(c, p) for c in range(p)]
 
 
 class IndexOps:
-    """Arithmetic of one field on element indices.
+    """Arithmetic of one field on element indices, from Field.tables.
 
     add, sub, neg, mul and inv take and return ints (inv raises on zero),
     and scale(c, xs) is the list of c * x over an iterable of indices.
@@ -618,23 +580,20 @@ class Packing:
 
     Digit b of entry r sits in slot m*r + b.  For p = 2 a slot is one
     bit, so an entry is its index shifted by m*r and vectors add by XOR.
-    For odd p a slot holds the plain sum of `terms` digits without
-    carrying, so vectors add with + and each slot of the sum is then
-    reduced mod p.  The slot is one byte when terms * (p - 1) < 256,
-    and the reduction is then one bytes.translate over the whole sum;
+    For odd p a slot holds the plain sum of `terms` digits, at most
+    terms * (p - 1), so nothing carries into the next slot; vectors add
+    with + and each slot of the sum is then reduced mod p.  The slot is
+    one byte when terms * (p - 1) < 256, and the whole sum is then
+    reduced by one bytes.translate through Field.times_digits[1];
     otherwise it is the narrowest width holding terms * (p - 1), reduced
-    slot by slot.  key(choice, terms) is that reduced sum of
-    packed[choice[i]] over the (i, packed) pairs, packed being a list
-    or a memo dict; equal vectors have equal keys.  keys(choice, terms,
-    last) is the list of keys of that sum plus each packed vector in
-    last, the sum taken once.  pack(indices) lays indices out as they
-    are.  scaler(vectors), the one source of scaled vectors, packs a
-    list of vectors times any element g at once, as one int cut into
-    one per vector: by m multiplications of bit planes for p = 2, one
-    translate of their bytes for prime p with byte slots, else one
-    scale of all entries.
-    decode(key) is a key's indices up to its last nonzero entry, as a
-    tuple read at C speed.
+    slot by slot.
+
+    key(choice, terms) is that reduced sum of packed[choice[i]] over the
+    (i, packed) pairs, packed being a list or a memo dict; equal vectors
+    have equal keys.  keys(choice, terms, last) is the list of keys of
+    that sum plus each packed vector in last, the sum taken once.
+    pack(indices) lays indices out as they are; scaler makes packed
+    multiples, and decode reads a key back into indices.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
@@ -646,8 +605,8 @@ class Packing:
             self.key, self.keys = _xor_keys()
         elif terms * (p - 1) < 256:
             self.width = 8
-            self._digits, mod_p = field.byte_digits
-            self.key, self.keys = _translated_keys(m * count, mod_p)
+            self._digits = field.byte_digits
+            self.key, self.keys = _translated_keys(m * count, field.times_digits[1])
         else:
             self.width = w = (terms * (p - 1)).bit_length()
             self.key, self.keys = _slot_keys(p, range(0, w * m * count, w), (1 << w) - 1)
@@ -678,9 +637,9 @@ class Packing:
         slots: a plane holds 0 or 1 per entry and the index is below 2**m,
         so nothing carries from one entry into the next, and the XOR of
         the m products is g times every entry.  A prime field with byte
-        slots lays the entries out once, a byte each, and scales them by one
-        translate through the times-g table of Field.times_digits.  Other
-        packings scale the entries by one ops.scale and lay them out anew.
+        slots lays the entries out once, a byte each, and scales them by
+        one translate through Field.times_digits[g].  Other packings scale
+        the entries by one ops.scale and lay them out anew.
         """
         p, m, ops = self.field.p, self.field.m, self.field.ops
         flat = [x for v in vectors for x in v]
@@ -704,8 +663,6 @@ class Packing:
             laid, tables = bytes(flat), self.field.times_digits
 
             def scaled(g: int) -> list[int]:
-                if g not in tables:
-                    tables[g] = _scaled_digits(g, p)
                 s = int.from_bytes(laid.translate(tables[g]), "little")
                 return [s >> c & mask for c in cuts]
 
@@ -768,8 +725,7 @@ def _xor_keys():
 
 
 def _translated_keys(length: int, mod_p: bytes):
-    """key and keys for byte slots: the plain sum, then every byte
-    reduced by one translate through mod_p."""
+    """key and keys for byte slots (Packing), reduced through mod_p."""
     from_bytes, to_bytes = int.from_bytes, int.to_bytes
 
     def key(choice, terms) -> int:
@@ -791,8 +747,7 @@ def _translated_keys(length: int, mod_p: bytes):
 
 
 def _slot_keys(p: int, offsets: range, slot: int):
-    """key and keys for slots wider than a byte: the plain sum, reduced
-    slot by slot."""
+    """key and keys for slots wider than a byte (Packing)."""
 
     def reduced(s: int) -> int:
         out = 0
@@ -832,7 +787,7 @@ def _primitive_powers(field: Field) -> list[int]:
         for _ in range(q - 2):
             powers.append(powers[-1] * g % q)
         return powers
-    vector, shift, apply, times = _vector_arithmetic(p, m, field.modulus)
+    vector, shift, apply, times = _vector_arithmetic(field)
 
     def columns(x: int) -> list[int]:
         """x * t**j for j < m: the columns of multiplication by x."""
@@ -863,7 +818,7 @@ def _primitive_powers(field: Field) -> list[int]:
     return powers
 
 
-def _vector_arithmetic(p: int, m: int, modulus: Sequence[int]):
+def _vector_arithmetic(field: Field):
     """(vector, shift, apply, times) for GF(p^m), m > 1, on ints.
 
     vector(x) is the int form of index x and shift(x) that of x*t.
@@ -874,13 +829,14 @@ def _vector_arithmetic(p: int, m: int, modulus: Sequence[int]):
     c*p**j to (c+1)*p**j - 1 are those below p**j plus c*cols[j].
 
     For p = 2 the int form is the index, bit i being the coefficient of
-    t**i, and sums are XOR.  For odd p with 2(p-1) < 256 it is the byte
-    layout of Field.byte_digits, one byte per digit, and sums are
-    reduced by its mod-p translate; times sums and reduces each block
-    of p**j entries at once.  For larger p, where m = 2, the int form
-    is the index, both digits are reduced mod p directly, and times
+    t**i, and sums are XOR.  For odd p with 2(p-1) < 256 it is one byte
+    per digit, as in Packing's byte slots, sums are reduced by the
+    translate Field.times_digits[1], and times sums and reduces each
+    block of p**j entries at once.  For larger p, where m = 2, the int
+    form is the index, both digits are reduced mod p directly, and times
     applies the columns to one index at a time.
     """
+    p, m, modulus = field.p, field.m, field.modulus
     if p == 2:
         # Adding the modulus clears the t**m bit of a product by t.
         wrap = sum(c << i for i, c in enumerate(modulus))
@@ -923,7 +879,7 @@ def _vector_arithmetic(p: int, m: int, modulus: Sequence[int]):
 
         return int, shift, apply, times
 
-    scaled = [_scaled_digits(c, p) for c in range(p)]
+    scaled = field.times_digits
     mod_p = scaled[1]
     top = 8 * (m - 1)
     low = (1 << top) - 1

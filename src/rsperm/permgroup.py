@@ -1,43 +1,15 @@
 """Permutation groups of linear codes and affine permutations of point sets.
 
-The permutation group Per(C) of a length-n code is computed exactly from
-its generator matrix alone, by column matching on an information set:
-a member is fixed, up to exchanging equal columns, by the images of the
-k pivot columns of the rref, and every other column's image is then one
-lookup.  The columns are packed into ints by gf.Packing, and all of
-them are scaled by a coefficient g in one Packing.scaler call per
-distinct g.  An accepted image of the pivots that leaves no two columns
-to exchange is kept as its one member's image tuple alone.
-Per(C) = Per(C^perp), so the smaller of the two is searched,
-whose n!/(n-d)! candidate images, d = min(k, n-k), are met in the
-middle on one free column: perm(n, h) lookups of the first h images
-against a table of the other d - h, |W| * perm(n, d-h) entries for the
-|W| distinct columns.  At every split h the lookups are split by the
-image of the first pivot p_0: the stabilizer of p_0 is searched in
-full, and each other point only until it gives one member, unless the
-members found already reach it.  Per(C) is listed as that transversal
-times Stab(p_0), so a transitive group, as on all of GF(q) or on
-GF(q)*, costs about 1/n of the search over every image.
-Coordinate permutations commute with the Schur product and with duals,
-so Per(C) lies in Per(D) for D = (C * C)^perp, and for RS(A, d) with
-2d <= n, D has dimension n - 2d + 1.  When the meet in the middle costs
-more than the d(d+1)/2 * n^2 steps of building D, dim D is read off the
-cross products of C's rref rows, and if 0 < dim D < d, D is built and
-Per(D) searched first: if it has at most that many members they are
-listed and kept when they fix C, checked column by column on C's rref;
-otherwise C is searched directly.  A search whose candidate space
-n!/(n-d)! exceeds SEARCH_CAP, or which would list more than SEARCH_CAP
-members of Per(C), raises ValueError instead of running or listing.
-Permutations of an evaluation set correspond to the unique degree < n
-polynomial interpolating a_i -> a_pi(i); the affine ones are those of
-degree exactly 1.  For Reed-Solomon codes RS(A, k) with 1 < k < n-1 the
-two notions coincide, and check_theorem verifies that equality instance
-by instance.
-
-Permutation, AffineMap, GroupMember and the reports are values on
-gf._Frozen.  The listed members, the affine maps with their
-permutations and a report's members are made by gf._filled, which
-skips the checks their computation has already passed.
+- exhaustive_permutations: Per(C) from a generator matrix alone, refused
+  past SEARCH_CAP.  _search holds the column matching and the square
+  route, _images the meet in the middle and its skip rule, _accepted
+  the transversal times Stab(p_0), and _listed the members.
+- affine_group: the affine permutations of a point set, computed apart
+  from the search.
+- perm_to_poly, poly_to_perm, permutes: permutations of a point set as
+  the polynomials of degree < n that induce them.
+- brute_force_perm_group, check_theorem: the two computations compared,
+  as a GroupReport and a TheoremReport.
 """
 
 from __future__ import annotations
@@ -53,9 +25,9 @@ from .gf import FieldElement, Packing, _filled, _Frozen
 from .poly import EvaluationSet, Polynomial, affine_str
 
 # The candidate space n!/(n-d)! of one search, and the members it lists,
-# each at most this.  Under it the meet in the middle makes fewer than
-# 5 * 10^4 lookups and table entries (perm(n, h) + |W| * perm(n, d-h))
-# whenever d >= 3, and the list fits in memory.
+# each at most this.  Under it the meet in the middle (_images) makes fewer
+# than 5 * 10^4 lookups and table entries whenever d >= 3, and the list
+# fits in memory.
 SEARCH_CAP = 1_000_000
 
 
@@ -224,14 +196,12 @@ def _check_cap(count: int, what: str) -> None:
 
 
 def _split(n: int, k: int, keys: int) -> int:
-    """How many of the k pivot images _search enumerates; the rest are tabled.
+    """How many of the k pivot images _images enumerates, for `keys`
+    distinct columns; the rest are tabled.
 
-    Enumerating the first h images costs perm(n, h) lookups, and the
-    table of the other k - h, one entry per suffix and distinct column,
-    costs keys * perm(n, k - h) entries to build.  The h of least total
-    cost is returned, the largest on a tie, so h = k, the plain
-    enumeration, whenever a table does not pay.  h = 0 is not tried: its
-    1 + keys * perm(n, k) is never below the perm(n, k) + keys of h = k.
+    The h of least cost (_images) is returned, the largest on a tie, so
+    h = k, the plain enumeration, whenever a table does not pay.  h = 0
+    is not tried: a table of all k images never costs less than h = k.
     """
     return min(
         range(k, 0, -1), key=lambda h: math.perm(n, h) + keys * math.perm(n, k - h)
@@ -239,17 +209,14 @@ def _split(n: int, k: int, keys: int) -> int:
 
 
 def _cost(n: int, k: int, keys: int) -> int:
-    """The lookups and table entries of _search at the split _split picks."""
+    """The lookups and table entries of _images at the split _split picks."""
     h = _split(n, k, keys)
     return math.perm(n, h) + keys * math.perm(n, k - h)
 
 
 def _square_pays(n: int, k: int, cost: int) -> bool:
-    """Whether building (C * C)^perp costs less than _search's cost on C.
-
-    The square is spanned by the k(k+1)/2 products of C's rref rows, and
-    eliminating them takes about k(k+1)/2 * n^2 steps.
-    """
+    """The gate of _search's square route: whether building (C * C)^perp
+    costs less than searching C at `cost`."""
     return cost > k * (k + 1) // 2 * n * n
 
 
@@ -258,13 +225,11 @@ class _Columns:
 
     Columns are keyed by one gf.Packing of k entries, summed k + 1 at a
     time, read from the rref's index rows.  products(g) is the packed
-    g * G[:, c] of every column c, made by one call of the columns'
-    Packing.scaler per distinct g (over GF(p) with (k + 1)(p - 1) < 256,
-    one bytes.translate); `where` maps each key of products(1) to the
-    positions holding that column.  For the f-th free column j,
-    checks[f] pairs each row i with G[i][j] != 0 with products(G[i][j]),
-    so that packing.key(t, checks[f]) is the key of
-    sum_i G[i][j] * G[:, t_i].
+    g * G[:, c] of every column c, one Packing.scaler call per distinct
+    g; `where` maps each key of products(1) to the positions holding
+    that column.  For the f-th free column j, checks[f] pairs each row i
+    with G[i][j] != 0 with products(G[i][j]), so that
+    packing.key(t, checks[f]) is the key of sum_i G[i][j] * G[:, t_i].
     """
 
     def __init__(self, code: LinearCode):
@@ -312,21 +277,21 @@ def _images(
     cols: _Columns, h: int, skip: Container[int]
 ) -> Iterator[tuple[tuple[int, ...], _Blocks]]:
     """Every accepted image t of the pivots with its blocks of
-    exchangeable columns, in the lexicographic order of its first h - 1
-    images.
+    exchangeable columns (_search), in the lexicographic order of its
+    first h - 1 images.
 
     The n!/(n-k)! injective images t are met in the middle on the first
-    free column j0, split at h = _split(n, k, |W|) for W the distinct
-    columns: t passes j0 exactly when sum_{i<h} G[i][j0] * G[:, t_i]
-    equals x - sum_{i>=h} G[i][j0] * G[:, t_i] for some x in W.  The
-    right side is tabled once for every suffix u of k - h images and
-    every x, and each prefix s of h images is one lookup; each u found
-    there that is disjoint from s makes the candidate t = s + u, which
-    then must pass every other free column.  That is perm(n, h) +
-    |W| * perm(n, k - h) lookups and table entries in place of the
-    n!/(n-k)! candidates.  The table and the lookups sum the terms they
-    share once: Packing.keys adds each x in W to the sum over a suffix u,
-    and each last prefix image c to the sum over the first h - 1.
+    free column j0, split at h (_split) for W the distinct columns: t
+    passes j0 exactly when sum_{i<h} G[i][j0] * G[:, t_i] equals
+    x - sum_{i>=h} G[i][j0] * G[:, t_i] for some x in W.  The right side
+    is tabled once for every suffix u of k - h images and every x, and
+    each prefix s of h images is one lookup; each u found there that is
+    disjoint from s makes the candidate t = s + u, which then must pass
+    every other free column.  That costs perm(n, h) + |W| * perm(n, k-h)
+    lookups and table entries in place of the n!/(n-k)! candidates.  The
+    table and the lookups sum the terms they share once: Packing.keys
+    adds each x in W to the sum over a suffix u, and each last prefix
+    image c to the sum over the first h - 1.
 
     Every t with t_0 in skip is passed over, t_0 being s_0 when h >= 2
     and the looked-up c when h = 1; the t sharing one t_0 come out
@@ -556,26 +521,24 @@ def _search(code: LinearCode) -> list[tuple[int, ...]]:
     equal to sum_i G[i][j] * G[:, t_i].  Free columns with equal targets
     can be exchanged among the positions holding that column, so every
     bijection between the two is a member.  The accepted images of I
-    are collected first (_accepted), with their blocks of exchangeable
-    columns, as a stabilizer of the first pivot and one transversal
-    member per point of its orbit, so that |Per(C)| is checked against
-    SEARCH_CAP before any member is listed (_listed).  Under a transitive
-    group, such as AGL(1, q) on all of GF(q) or the multiplications on
-    GF(q)*, that search costs about 1/n of one over every image of I.
+    are collected first (_accepted), so that |Per(C)| is checked against
+    SEARCH_CAP before any member is listed (_listed).
 
     The search can go through the smaller code D = (C * C)^perp.
     Coordinate permutations commute with products and duals, so every
     member of Per(C) fixes D.  When 2k <= n, D can be smaller than C only
     if n < k + k(k+1)/2 (C * C has at most k(k+1)/2 dimensions); for
-    RS(A, k) it is RS(A, 2k-1)^perp, of dimension n - 2k + 1.  If
-    _square_pays, dim D is read off the cross products of C's rows, D
-    is built only if dim D < k, and if also dim D > 0 its accepted
-    images give |Per(D)| before any is listed.  When that is at most the cost of
-    searching C (_cost, on the |W| distinct columns of C), Per(D) is
-    listed and only the members fixing C are kept (_Columns.fixes), in
-    the same sorted order.  Otherwise C is searched itself: when D = 0
-    (its group is S_n), when D is not smaller than C (and so not built),
-    or when Per(D) has more members than that cost.
+    RS(A, k) it is RS(A, 2k-1)^perp, of dimension n - 2k + 1.  C * C is
+    spanned by the k(k+1)/2 products of C's rref rows, about
+    k(k+1)/2 * n^2 steps to eliminate, so D is tried only when searching
+    C costs more (_square_pays, on _cost).  Then dim D is read off the
+    cross products of C's rows (_square_dual), D is built only if
+    dim D < k, and if also dim D > 0 its accepted images give |Per(D)|
+    before any is listed.  When that is at most the cost of searching C,
+    Per(D) is listed and only the members fixing C are kept
+    (_Columns.fixes), in the same sorted order.  Otherwise C is searched
+    itself: when D = 0 (its group is S_n), when D is not smaller than C
+    (and so not built), or when Per(D) has more members than that cost.
     """
     n, k = code.n, code.k
     if k in (0, n):
@@ -657,28 +620,15 @@ def exhaustive_permutations(
 ) -> list[Permutation]:
     """All coordinate permutations fixing the code, in lexicographic order.
 
-    The search reads only the given code's generator matrix, so its cost
-    is set by that code's dimension k: of the n!/(n-k)! candidate images
-    of the pivots, the first h are enumerated and the other k - h tabled,
-    perm(n, h) + |W| * perm(n, k-h) lookups and entries for the |W|
-    distinct columns (see _search and _split).  The lookups are split by
-    the image of the first pivot p_0: those fixing p_0 in full, and each
-    other image only until it gives one member, or none at all once the
-    members found reach it (_accepted).  So a transitive group costs
-    about 1/n of that, and a trivial one all of it.  Use search_side to
-    pick the cheaper of a code and its dual.  When 2k <= n and the cost
-    exceeds the k(k+1)/2 * n^2 steps of building D = (C * C)^perp
-    (_square_pays), and 0 < dim D < k, Per(D) is searched first; if it
-    has at most that many members they are listed and filtered down to
-    those fixing C, and otherwise C is searched.  Raises
-    ValueError, before searching, when the n!/(n-k)! candidates exceed
-    SEARCH_CAP, and before listing any member when Per(C) has more than
-    SEARCH_CAP members; a large Per(D) never raises.  The members'
-    image tuples become Permutations through gf._filled.
+    The search (_search) reads only the generator matrix, so its cost is
+    set by the code's dimension k; search_side picks the cheaper of a
+    code and its dual.  Raises ValueError, before searching, when the
+    n!/(n-k)! candidate images of the pivots exceed SEARCH_CAP, and
+    before listing any member when Per(C) has more than SEARCH_CAP
+    members; an unknown method raises ValueError too.
 
     method="backtrack" runs _scan_backtrack instead.  It remains only
-    for the benchmark's permgroup.backtrack_s probe, which times it;
-    tests check both methods against an n! reference search.
+    for the benchmark's permgroup.backtrack_s probe, which times it.
     """
     _check_cap(math.perm(code.n, code.k), "candidates")
     if method == "scan":
@@ -729,8 +679,8 @@ class GroupReport(_Frozen):
 
     @cached_property
     def is_abelian(self) -> bool:
-        """Whether the members commute, tested on the first read only:
-        |G| * n + n^3 steps (see _is_abelian)."""
+        """Whether the members commute (_is_abelian), tested on the first
+        read only."""
         return _is_abelian([m.perm for m in self.elements])
 
     @property
@@ -787,12 +737,12 @@ def search_side(code: LinearCode) -> LinearCode:
 
 
 def brute_force_perm_group(code: LinearCode, points: EvaluationSet) -> GroupReport:
-    """Exact Per(C), by exhaustive search of the smaller of C and its dual.
+    """Exact Per(C), by exhaustive_permutations on the smaller of C and its
+    dual, compared with affine_group of the points.
 
-    The points, which must match the code's length and field, give every
-    member its interpolating polynomial, and the group is compared
-    against the affine permutations of the set.  Degrees, the order and
-    commutativity are derived from the report when they are read.
+    The points give every member its interpolating polynomial; points of
+    another length or field, or a refused search, raise ValueError.
+    Degrees, the order and commutativity are derived when read.
     """
     if points.n != code.n or points.field != code.field:
         raise ValueError("evaluation set does not match the code")
@@ -850,9 +800,8 @@ class TheoremReport(_Frozen):
         return self._json_dict(self.group.to_json_dict())
 
     def _json_dict(self, group) -> dict:
-        """The report's JSON fields, with group as the value of "group":
-        to_json_dict gives the group's dict, and the CLI the GroupReport
-        itself, whose members its writer writes by template."""
+        """The report's JSON fields, with group as the value of "group": the
+        group's dict (to_json_dict), or the GroupReport for the CLI's writer."""
         return {
             "q": self.points.field.q,
             "n": self.points.n,
@@ -866,7 +815,8 @@ class TheoremReport(_Frozen):
 
 
 def check_theorem(points: EvaluationSet, k: int) -> TheoremReport:
-    """Compare brute-force Per(RS(A,k)) with the affine permutations of A.
+    """Compare brute-force Per(RS(A,k)) with the affine permutations of A
+    (brute_force_perm_group); k outside 1..n raises ValueError.
 
     Equality is expected exactly for 1 < k < n-1.  Boundary dimensions
     k in {1, n-1, n} are still computed but only reported, with a warning

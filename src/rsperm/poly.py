@@ -1,38 +1,12 @@
-"""Univariate polynomial algebra over a finite field.
+"""Univariate polynomials over a finite field, and evaluation sets.
 
-Dense ascending vectors of coefficient indices with no trailing zeros,
-run on the field's index operations (gf.Field.ops), which gf._ops, the
-operand check shared with field elements, hands out once an operand is
-of the right kind and field.  The zero polynomial is the empty vector
-and its degree is the NEG_INF sentinel, so degree arithmetic stays
-honest (deg(f*g) = deg f + deg g even when a factor is zero).  Also
-holds ordered evaluation sets with their Lagrange machinery: vanishing
-polynomial, indicator functions, interpolation and composition modulo
-the set.
-
-An evaluation set keeps its points as elements and as indices, and
-compares, hashes and looks up positions on the indices.  Its Lagrange
-basis is plain Polynomial arithmetic: the vanishing polynomial is the
-product of the factors x - a_i, and each indicator is the vanishing
-polynomial divided by x - a_i, scaled by the inverse of the quotient's
-value at a_i.
-
-Interpolation checks the values once into indices, then tries the line
-first.  The line through (a_0, v_0) and (a_1, v_1) is memoised per
-evaluation set under the indices of v_0 and v_1, with the indices of
-its values on every point; when those are the given values, the line
-is the unique interpolant of degree < n.  So an affine member costs
-O(n), and each line is computed once per pair (v_0, v_1).  Any other
-values go through one int kernel on indices.  f = sum_i v_i * L_i over
-the indicators L_i, and each term v_i * L_i depends only on i and the
-index of v_i, so every evaluation set memoises, per indicator, the
-term's coefficients packed into one int by a gf.Packing, filled when a
-sum first misses it by that indicator's own one-vector Packing.scaler
-(one scaler over all n indicators would fill n entries per new value).
-A call sums n memoised ints with Packing.key and decodes the sum once,
-straight into the stripped coefficient indices.
-Arithmetic inside the module builds results through a constructor that
-skips the per-coefficient check of the public one.
+- Polynomial: dense ascending coefficient indices, no trailing zeros,
+  run on the field's IndexOps (gf.Field.ops); terms_text and affine_str
+  print them.  Arithmetic inside the module builds its results through
+  Polynomial._trusted, which skips the public constructor's checks.
+- EvaluationSet: an ordered set of distinct points with its Lagrange
+  basis (vanishing, indicators) and interpolation (interpolate).
+- compose_mod: composition modulo the vanishing polynomial of a set.
 """
 
 from __future__ import annotations
@@ -68,7 +42,9 @@ def _indices(field: Field, values: Iterable, what: str) -> list[int]:
 
 class Polynomial(_Frozen):
     """Polynomial over a Field, ascending coefficient indices (index_coeffs),
-    trailing zeros stripped."""
+    trailing zeros stripped; the zero polynomial has none and degree
+    NEG_INF.  The constructor takes elements of the field, and raises
+    ValueError on anything else."""
 
     __slots__ = __match_args__ = ("field", "index_coeffs")
 
@@ -240,9 +216,8 @@ class Polynomial(_Frozen):
 def terms_text(terms: dict[int, str], q: int, index_coeffs: tuple[int, ...]) -> str:
     """The nonzero terms of a nonzero polynomial over a field of order q,
     ascending and joined by " + ": coefficient index c of x^i is read as
-    terms[i * q + c] from the field's Field.terms.  str, affine_str above
-    degree 1 and the --json writer of group members all print through it,
-    the writer with terms and q fetched once per report."""
+    terms[i * q + c] from the field's Field.terms.  The one term writer:
+    str, affine_str and the CLI's group writer print through it."""
     keys = compress(map(operator.add, count(0, q), index_coeffs), index_coeffs)
     return " + ".join(map(terms.__getitem__, keys))
 
@@ -264,7 +239,9 @@ def affine_str(f: Polynomial) -> str:
 
 class EvaluationSet:
     """Ordered tuple of n >= 2 pairwise-distinct field elements, kept as
-    the elements (points) and as their indices (index_points)."""
+    the elements (points) and as their indices (index_points), on which
+    sets compare, hash and find positions.  Fewer than two points or a
+    repeated one raise ValueError."""
 
     def __init__(self, field: Field, points: Iterable):
         self.index_points = tuple(field.element(a).index for a in points)
@@ -363,13 +340,12 @@ class EvaluationSet:
 
     @cached_property
     def _lines(self) -> dict[tuple[int, int], tuple[list[int], Polynomial]]:
-        """Memo from (v_0.index, v_1.index) to the line through (a_0, v_0)
-        and (a_1, v_1): the indices of its values on the points, and the
-        line itself."""
+        """(v_0, v_1) -> _line(v_0, v_1)."""
         return {}
 
     def _line(self, v0: int, v1: int) -> tuple[list[int], Polynomial]:
-        """The line a*x + b with a_0 -> v0 and a_1 -> v1, on indices."""
+        """The line a*x + b with a_0 -> v0 and a_1 -> v1, on indices: the
+        indices of its values on the points, and the line itself."""
         ops = self.field.ops
         add, sub, mul = ops.add, ops.sub, ops.mul
         a0, a1 = self.index_points[:2]
@@ -383,12 +359,19 @@ class EvaluationSet:
     def interpolate(self, values: Sequence[FieldElement]) -> Polynomial:
         """The unique polynomial of degree < n matching the values on the points.
 
-        Any elements of the field are accepted; anything else raises
-        ValueError.  The line through the first two values is tried
-        first: when its values on the points are the given ones, it is
-        the interpolant.  Otherwise the memoised terms v_i * L_i are
-        summed by one Packing.key, and the key is decoded into the
-        stripped coefficient indices once (Packing.decode).
+        Any n elements of the field are accepted; another count, or
+        anything else, raises ValueError.  The line through (a_0, v_0)
+        and (a_1, v_1) is tried first, memoised per set under the indices
+        of v_0 and v_1 with its values on every point (_line): when those
+        are the given values, it is the interpolant, so an affine member
+        costs O(n).  Otherwise f = sum_i v_i * L_i over the indicators
+        L_i, and each term depends only on i and the index of v_i.  So
+        each indicator memoises its terms packed into one int by a
+        gf.Packing, filled when a sum first misses one by that
+        indicator's own one-vector Packing.scaler (one scaler over all n
+        indicators would fill n entries per new value).  One Packing.key
+        sums the n terms, and Packing.decode reads the sum straight into
+        the stripped coefficient indices.
         """
         field, n = self.field, self.n
         if len(values) != n:

@@ -136,6 +136,179 @@ MUTANTS = (
             "tests/test_permgroup.py::test_a_pruned_search_over_the_cap_raises_before_listing",
         ),
     ),
+    # The rest of the search and the affine side: the check of Per(D)'s
+    # members against C, and each way affine_group picks its candidates.
+    Mutant(
+        "fixes-accepts-every-pi", PERMGROUP,
+        "pi[j] in where.get(image(t, terms), ()) for j, terms in zip(self.free, self.checks)",
+        "pi[j] in where.get(image(t, terms), ()) or True for j, terms in zip(self.free, self.checks)",
+        ("tests/test_search_oracle.py::test_search_matches_reference",),
+    ),
+    Mutant(
+        "affine-base-slope-unscaled", PERMGROUP,
+        "slopes = ((ai, mul(sub(total, mul(n, ai)), scale)) for ai in pts)",
+        "slopes = ((ai, sub(total, mul(n, ai))) for ai in pts)",
+        (
+            "tests/test_permgroup.py::test_affine_group_paper_set",
+            "tests/test_affine_oracle.py::test_affine_group_matches_reference_in_each_sum_case",
+        ),
+    ),
+    Mutant(
+        "affine-pairs-one-origin", PERMGROUP,
+        "for ai in pts for aj in pts if ai != aj)",
+        "for ai in pts[:1] for aj in pts if ai != aj)",
+        (
+            "tests/test_permgroup.py::test_affine_group_full_field",
+            "tests/test_affine_oracle.py::test_affine_group_matches_reference_in_each_sum_case",
+        ),
+    ),
+    # Packing: the decode, the keys of each slot layout, each scaler branch,
+    # and the one cache of translate tables.
+    Mutant(
+        "decode-keeps-zero-bytes", GF,
+        '[::m].rstrip(b"\\0"))',
+        "[::m])",
+        (
+            "tests/test_packing_oracle.py::test_decode_is_the_stripped_vector",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
+        ),
+    ),
+    Mutant(
+        "xor-keys-or", GF,
+        "return [s ^ x for x in last]",
+        "return [s | x for x in last]",
+        (
+            "tests/test_packing_oracle.py::test_keys_add_each_last_vector_to_one_sum",
+            "tests/test_search_oracle.py::test_search_matches_reference",
+        ),
+    ),
+    Mutant(
+        "byte-keys-unreduced", GF,
+        'from_bytes(to_bytes(s + x, length, "little").translate(mod_p), "little")',
+        'from_bytes(to_bytes(s + x, length, "little"), "little")',
+        (
+            "tests/test_packing_oracle.py::test_keys_add_each_last_vector_to_one_sum",
+            "tests/test_search_oracle.py::test_search_matches_reference",
+        ),
+    ),
+    Mutant(
+        "slot-keys-reduced-first", GF,
+        "return [reduced(s + x) for x in last]",
+        "return [reduced(s) + x for x in last]",
+        ("tests/test_packing_oracle.py::test_keys_add_each_last_vector_to_one_sum",),
+    ),
+    Mutant(
+        "scaler-bit-planes-or", GF,
+        "s ^= plane * mul(g, t)",
+        "s |= plane * mul(g, t)",
+        (
+            "tests/test_packing_oracle.py::test_scaler_packs_every_vector_times_every_element",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
+        ),
+    ),
+    Mutant(
+        "scaler-byte-table-of-one", GF,
+        's = int.from_bytes(laid.translate(tables[g]), "little")',
+        's = int.from_bytes(laid.translate(tables[1]), "little")',
+        (
+            "tests/test_packing_oracle.py::test_scaler_packs_every_vector_times_every_element",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
+        ),
+    ),
+    Mutant(
+        "scaler-wide-unscaled", GF,
+        "s = self.pack(scale(g, flat))",
+        "s = self.pack(flat)",
+        (
+            "tests/test_packing_oracle.py::test_scaler_packs_every_vector_times_every_element",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
+        ),
+    ),
+    Mutant(
+        "translate-cache-wrong-digit", GF,
+        "return [_scaled_digits(c, p) for c in range(p)]",
+        "return [_scaled_digits(c + 1, p) for c in range(p)]",
+        (
+            "tests/test_packing_oracle.py::test_key_of_a_full_sum_of_widest_vectors",
+            "tests/test_arith_oracle.py::test_division_matches_the_reference",
+        ),
+    ),
+    # Output: the term writer and the JSON writers.
+    Mutant(
+        "terms-text-powers-shifted", POLY,
+        "count(0, q)",
+        "count(q, q)",
+        (
+            "tests/test_poly.py::test_display_styles",
+            "tests/test_render_oracle.py::test_str_and_affine_str_match_the_reference",
+        ),
+    ),
+    Mutant(
+        "json-list-separator", CLI,
+        'out.append("," + inner if i else inner)',
+        'out.append(", " + inner if i else inner)',
+        (
+            "tests/test_json_text.py::test_json_text_is_json_dumps_indent_2",
+            "tests/test_golden.py::test_json_output_is_unchanged",
+        ),
+    ),
+    Mutant(
+        "group-labels-0-based", CLI,
+        "labels = [str(i) for i in range(1, members[0].perm.n + 1)]",
+        "labels = [str(i) for i in range(members[0].perm.n)]",
+        (
+            "tests/test_report_writer.py::test_group_text_is_json_dumps_of_its_dict",
+            "tests/test_golden.py::test_json_output_is_unchanged",
+        ),
+    ),
+    # The CLI: its exit codes, --json on every command, and the one front
+    # end of the point set.
+    Mutant(
+        "invalid-input-exits-1", CLI,
+        "        return 2\n    except BrokenPipeError:",
+        "        return 1\n    except BrokenPipeError:",
+        (
+            "tests/test_cli.py::test_a_refused_modulus_exits_2_with_its_message",
+            "tests/test_acceptance.py::test_criterion_11_over_the_search_cap_exits_2",
+        ),
+    ),
+    Mutant(
+        "closed-stdout-exits-0", CLI,
+        "sys.stdout.fileno())\n        return 1",
+        "sys.stdout.fileno())\n        return 0",
+        ("tests/test_cli.py::test_closed_stdout_exits_1_quietly",),
+    ),
+    Mutant(
+        "paper-failure-exits-0", CLI,
+        'checks pass")\n    return 0 if not failed else 1',
+        'checks pass")\n    return 0',
+        ("tests/test_cli.py::test_a_failed_paper_example_prints_fail_and_exits_1",),
+    ),
+    Mutant(
+        "sweep-failure-exits-0", CLI,
+        ' pass")\n    return 0 if not failures else 1',
+        ' pass")\n    return 0',
+        ("tests/test_cli.py::test_sweep_reports_a_failed_duality_check",),
+    ),
+    Mutant(
+        "sweep-without-json", CLI,
+        'for flag, settings in [*options, ("--json", dict(action="store_true"))]:',
+        'for flag, settings in options if name == "sweep" else '
+        '[*options, ("--json", dict(action="store_true"))]:',
+        (
+            "tests/test_cli.py::test_the_parser_declares_each_command_and_option_as_pinned",
+            "tests/test_cli.py::test_sweep_json",
+        ),
+    ),
+    Mutant(
+        "modulus-dropped", CLI,
+        "field = Field(args.field, modulus=modulus)",
+        "field = Field(args.field)",
+        (
+            "tests/test_cli.py::test_reducible_modulus_exits_2_after_a_default_field",
+            "tests/test_golden.py::test_json_output_is_unchanged",
+        ),
+    ),
     # Work-only: lists a Per(D) ten times larger than searching C costs,
     # then keeps the members fixing C, the same answer.  Its test is a
     # count of the search's work, once the search keeps one.

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -417,9 +418,30 @@ def test_paper_examples_json(capsys):
     assert len(data["checks"]) == 8
 
 
+def test_a_failed_paper_example_prints_fail_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(rsperm.cli, "affine_group", lambda points: [])
+    code, out, _ = run(capsys, "paper-examples")
+    assert code == 1
+    assert "FAIL F_13 affine maps are exactly {x, 3*x + 1, 9*x + 4}: got {}\n" in out
+    assert out.endswith("7/8 checks pass\n")
+    code, out, _ = run(capsys, "paper-examples", "--json")
+    assert code == 1
+    assert json.loads(out)["failed"] == 1
+
+
 def test_invalid_field_exits_2(capsys):
     code, _, err = run(capsys, "affine", "--field", "6", "--points", "0,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["affine", "--field", "13", "--modulus", "1,2", "--points", "0,1"],
+     "prime fields take no modulus"),
+    (["verify", "--field", "9", "--modulus", "1,1", "--points", "[0,0],[1,0]", "--k", "1"],
+     "modulus must be monic of degree 2 (got [1, 1])"),
+])
+def test_a_refused_modulus_exits_2_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_points_may_start_with_a_negative_literal(capsys):
@@ -472,6 +494,55 @@ def test_main_shares_one_parser_and_leaks_no_options(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "--points" in err
+
+
+_FIELD = (
+    ("_StoreAction", ("--field",), int, None, True, "field order q = p^m"),
+    ("_StoreAction", ("--modulus",), None, None, False,
+     "extension modulus c0,c1,...,cm (ascending, monic); default: first irreducible"),
+    ("_StoreAction", ("--points",), None, None, True,
+     "comma-separated element literals, e.g. 0,1,4,6 or [0,0],[1,0]"),
+)
+_K = (("_StoreAction", ("--k",), int, None, True, "code dimension"),)
+_JSON = (("_StoreTrueAction", ("--json",), None, False, False, None),)
+
+# Each command in the order -h lists it: its help, its handler and its
+# options in the order they were added, each as (action class, option
+# strings, type, default, required, help).  Attributes, not help text,
+# are compared, since argparse lays out help differently across Pythons.
+PARSER = [
+    ("affine", "list the affine permutations of a point set", "cmd_affine",
+     _FIELD + _JSON),
+    ("group", "brute-force the permutation group of RS(A,k)", "cmd_group",
+     _FIELD + _K + _JSON),
+    ("verify", "check Per(RS(A,k)) against the affine permutations of A", "cmd_verify",
+     _FIELD + _K + _JSON),
+    ("sweep", "seeded randomized verification sweep", "cmd_sweep", (
+        ("_StoreAction", ("--seed",), int, 42, False, None),
+        ("_StoreAction", ("--trials",), int, 200, False, None),
+    ) + _JSON),
+    ("paper-examples", "reproduce the built-in F_13 and F_9 worked examples",
+     "cmd_paper_examples", _JSON),
+]
+
+
+def test_the_parser_declares_each_command_and_option_as_pinned():
+    parser = rsperm.cli.build_parser()
+    assert (parser.prog, parser.description) == (
+        "rsperm", "Permutation groups of Reed-Solomon codes over arbitrary evaluation sets"
+    )
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (subs.dest, subs.required) == ("command", True)
+    declared = []
+    for choice in subs._choices_actions:
+        sub = parser.commands[choice.dest]
+        options = tuple(
+            (type(a).__name__, tuple(a.option_strings), a.type, a.default, a.required, a.help)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        )
+        declared.append((choice.dest, choice.help, sub.get_default("func").__name__, options))
+    assert declared == PARSER
+    assert list(parser.commands) == [name for name, *_ in PARSER]
 
 
 # Every command with all its flags, help at each level, an abbreviation,

@@ -380,6 +380,7 @@ def test_code_equality_is_rref_identity(pts13, f13):
     )
     assert doubled == code
     assert hash(doubled) == hash(code)
+    assert code != code.rref
 
 
 def test_matrix_display_and_json(pts13):
@@ -394,3 +395,23 @@ def test_zero_code_needs_length(f13):
     zero = LinearCode(f13, [], n=4)
     assert zero.k == 0
     assert zero.dual.k == 4
+
+
+# (what, call, message) for each argument a code refuses with ValueError.
+CODE_REFUSALS = [
+    ("a ragged matrix",
+     lambda f: LinearCode(f, [[f.one] * 3, [f.one] * 2]), "ragged generator matrix"),
+    ("a declared length that does not match",
+     lambda f: LinearCode(f, [[f.one] * 3], n=4), "declared length 4 but rows have length 3"),
+    ("a star multiplier of the wrong length",
+     lambda f: rs_code(EvaluationSet(f, [0, 1, 4, 6]), 2).star([f.one] * 3),
+     "multiplier length 3 != code length 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in CODE_REFUSALS], ids=[row[0] for row in CODE_REFUSALS]
+)
+def test_refused_codes_raise(f13, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(f13)

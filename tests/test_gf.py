@@ -12,7 +12,7 @@ import pytest
 import rsperm.gf
 from conftest import fresh_field
 from rsperm import Field, FieldElement, FieldMismatchError
-from rsperm.gf import default_modulus
+from rsperm.gf import default_modulus, is_irreducible
 
 
 def test_add_prime_field(f13):
@@ -185,6 +185,7 @@ def test_every_form_of_a_field_gives_one_object():
     assert other is not field and other != field
     assert Field(9, [2, 2, 1]) is other
     assert Field(13) is Field(13)
+    assert Field(13) != 13
 
 
 def test_a_default_modulus_given_first_is_the_default_field(no_fields):
@@ -368,6 +369,41 @@ def test_parse_rejects_garbage(f13, f9):
         f9.parse("3")
     with pytest.raises(ValueError):
         f13.parse("abc")
+
+
+# (what, call, exception, message) for each argument a field refuses.
+REFUSED = [
+    ("zero to a negative power", lambda: Field(13).zero ** -1,
+     ZeroDivisionError, "zero has no multiplicative inverse"),
+    ("a modulus for a prime field", lambda: Field(5, modulus=(1, 1)),
+     ValueError, "prime fields take no modulus"),
+    ("a modulus of the wrong degree", lambda: Field(9, modulus=(1, 1)),
+     ValueError, "modulus must be monic of degree 2 (got [1, 1])"),
+    ("an int for an extension field", lambda: Field(9).element(3),
+     ValueError, "elements need 2 coefficients, got int 3"),
+    ("an index past the field", lambda: Field(13).from_index(13),
+     ValueError, "index 13 out of range for GF(13)"),
+    ("a negative index", lambda: Field(13).from_index(-1),
+     ValueError, "index -1 out of range for GF(13)"),
+    ("the generator of a prime field", lambda: Field(13).generator(),
+     ValueError, "prime fields have no polynomial generator"),
+    ("an unterminated literal", lambda: Field(9).parse("[1,2"),
+     ValueError, "unterminated element literal '[1,2'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [row[1:] for row in REFUSED], ids=[row[0] for row in REFUSED]
+)
+def test_refused_arguments_raise(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_a_modulus_that_is_not_monic_is_not_irreducible():
+    # 2t^2 + 2 is twice t^2 + 1, which is irreducible over F_3.
+    assert is_irreducible((1, 0, 1), 3)
+    assert not is_irreducible((2, 0, 2), 3)
 
 
 def _reference_index(p: int, coeffs) -> int:

@@ -57,6 +57,7 @@ def test_permutation_composition_convention():
 def test_permutation_display():
     p = Permutation([1, 2, 0, 3])
     assert p.one_based() == (2, 3, 1, 4)
+    assert (p[0], p[3]) == (1, 3)
 
 
 # -- permutation <-> polynomial dictionary ----------------------------------
@@ -107,6 +108,35 @@ def test_poly_to_perm_inverse_pair(pts13, f13):
 def test_poly_to_perm_constant_rejected(pts13, f13):
     with pytest.raises(NotAPermutationError):
         poly_to_perm(Polynomial.from_ints(f13, [5]), pts13)
+
+
+# (what, call, exception, message) for each argument the permutation
+# layer refuses, over the paper's points 0, 1, 4, 6 of GF(13).
+PERM_REFUSALS = [
+    ("composing permutations of two degrees",
+     lambda pts: Permutation([1, 0]) * Permutation([0, 1, 2]),
+     ValueError, "permutation degree mismatch"),
+    ("a permutation of another degree to a polynomial",
+     lambda pts: perm_to_poly(Permutation([0, 1, 2]), pts),
+     ValueError, "permutation degree does not match the point set"),
+    ("a constant that is a point",
+     lambda pts: poly_to_perm(Polynomial.from_ints(pts.field, [4]), pts),
+     NotAPermutationError, "4 is not injective on the point set"),
+    ("an unknown search method",
+     lambda pts: exhaustive_permutations(rs_code(pts, 2), method="nope"),
+     ValueError, "unknown method 'nope'"),
+    ("points that do not match the code",
+     lambda pts: brute_force_perm_group(rs_code(pts, 2), EvaluationSet(pts.field, [0, 1, 4])),
+     ValueError, "evaluation set does not match the code"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [row[1:] for row in PERM_REFUSALS], ids=[row[0] for row in PERM_REFUSALS]
+)
+def test_refused_permutation_arguments_raise(pts13, call, error, message):
+    with pytest.raises(error, match=message):
+        call(pts13)
 
 
 def test_round_trip_poly_perm(pts13):

@@ -254,6 +254,7 @@ def test_evaluation_set_semantics():
     assert a == b and hash(a) == hash(b)
     assert a != EvaluationSet(Field(9), pts[::-1])
     assert a != EvaluationSet(Field(9, modulus=(2, 2, 1)), pts)
+    assert a != tuple(a.points)
     assert a.index_points == (0, 1, 2, 4, 8)
     twin = b.field.element([1, 1])
     assert a.position(twin) == 3
@@ -302,3 +303,10 @@ def test_evaluate_and_scale_take_elements_of_the_field_only(f13):
             method(other)
         with pytest.raises(TypeError):
             method(3)
+
+
+def test_a_constant_and_division_by_zero(f13):
+    assert Polynomial.constant(f13.element(5)) == Polynomial.from_ints(f13, [5])
+    assert Polynomial.constant(f13.zero).is_zero()
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod(Polynomial.x(f13), Polynomial.zero(f13))
