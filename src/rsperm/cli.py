@@ -56,7 +56,14 @@ def split_top_level(text: str) -> list[str]:
 def _points(args) -> EvaluationSet:
     """The point set that --field, --modulus and --points give: the one
     front end of affine, group and verify, which read the field from it."""
-    modulus = None if args.modulus is None else [int(c) for c in args.modulus.split(",")]
+    modulus = None
+    if args.modulus is not None:
+        try:
+            modulus = [int(c) for c in args.modulus.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--modulus must be comma-separated ints, got {args.modulus!r}"
+            ) from None
     field = Field(args.field, modulus=modulus)
     literals = [s for s in split_top_level(args.points) if s.strip()]
     return EvaluationSet(field, [field.parse(s) for s in literals])

@@ -5,8 +5,8 @@ monic irreducible polynomial of degree m, is stored as its index
 sum(c_i * p**i) over its ascending coefficients.
 
 - Field: one object per live field, its O(q) tables on indices
-  (Field.tables, built by _primitive_powers and _vector_arithmetic) and
-  its element and term strings (_Terms).
+  (Field.tables, built by _primitive_powers) and its element and term
+  strings (_Terms).
 - IndexOps: the one kernel for scalars, on indices; FieldElement
   operators wrap it behind _ops, the operand check Polynomial shares.
 - Packing: the one kernel for vectors of indices, packed into ints with
@@ -18,8 +18,7 @@ sum(c_i * p**i) over its ascending coefficients.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
+import struct
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache, cached_property
@@ -775,9 +774,19 @@ def _primitive_powers(field: Field) -> list[int]:
 
     g is primitive when g**((q-1)/r) != 1 for every prime r dividing q - 1.
     Everything runs on ints.  A prime field tests with pow and walks
-    x -> x*g mod p.  An extension field tests on the int forms of
-    _vector_arithmetic, builds the table of x -> x*g over all q indices
-    once, and walks it from 1.
+    x -> x*g mod p.  An extension field tests on one int form, builds
+    the table of x -> x*g over all q indices once, and walks it from 1.
+
+    In that form digit i of an element sits in slot i, w bits wide, of a
+    lane of 8, 16 or 32 bits.  A digit is below p <= 2**(w-1), so a sum
+    of two vectors has every slot below 2**w and nothing carries; adding
+    2**(w-1) - p to every slot sets a slot's top bit exactly where its
+    sum is p or more, and p is taken off there, in every slot of any
+    number of lanes at once.  The product of x and y is the sum of
+    x_j * y*t**j over the digits x_j of x, taken one bit of the digits
+    at a time from the highest.  The table has one lane per index, built
+    by linearity one block of lanes at a time: the entries from c*p**j
+    to (c+1)*p**j - 1 are those below p**j plus c*g*t**j.
     """
     p, m, q = field.p, field.m, field.q
     exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
@@ -787,14 +796,42 @@ def _primitive_powers(field: Field) -> list[int]:
         for _ in range(q - 2):
             powers.append(powers[-1] * g % q)
         return powers
-    vector, shift, apply, times = _vector_arithmetic(field)
+    w = (p - 1).bit_length() + 1
+    size = next(n for n in (1, 2, 4) if m * w <= 8 * n)  # bytes per lane
+    ones = sum(1 << w * i for i in range(m))
+    bias, tops = ((1 << w - 1) - p) * ones, ones << w - 1
+    top = w * (m - 1)
+    # c*t**m for each digit c: minus c times the modulus below its top.
+    wrap = [sum((-c * a) % p << w * i for i, a in enumerate(field.modulus[:m])) for c in range(p)]
+
+    def add(x: int, y: int, bias: int = bias, tops: int = tops) -> int:
+        s = x + y
+        return s - ((s + bias & tops) >> w - 1) * p
+
+    def spread(x: int, count: int) -> int:
+        """The one-lane int x in each of count lanes."""
+        return int.from_bytes(x.to_bytes(size, "little") * count, "little")
+
+    def vector(x: int) -> int:
+        return sum(x // p**i % p << w * i for i in range(m))
 
     def columns(x: int) -> list[int]:
         """x * t**j for j < m: the columns of multiplication by x."""
         cols = [x]
         for _ in range(m - 1):
-            cols.append(shift(cols[-1]))
+            x = cols[-1]
+            cols.append(add((x & (1 << top) - 1) << w, wrap[x >> top]))
         return cols
+
+    def apply(cols: list[int], x: int) -> int:
+        """The sum of x_j * cols[j] over the digits x_j of x."""
+        acc = 0
+        for b in range(w - 2, -1, -1):
+            acc = add(acc, acc)
+            for j, col in enumerate(cols):
+                if x >> w * j + b & 1:
+                    acc = add(acc, col)
+        return acc
 
     def primitive(g: int) -> bool:
         by_g = columns(vector(g))
@@ -804,143 +841,34 @@ def _primitive_powers(field: Field) -> list[int]:
                 x = apply(columns(x), x)
                 if bit == "1":
                     x = apply(by_g, x)
-            # The int form of 1 is 1 in every representation.
+            # The int form of 1 is 1.
             if x == 1:
                 return False
         return True
 
     # The constants, indices below p, have orders dividing p - 1 < q - 1.
     g = next(g for g in range(p, q) if primitive(g))
-    mg = times(columns(vector(g)))
+    table, count = 0, 1
+    for col in columns(vector(g)):
+        step, masks = spread(col, count), (spread(bias, count), spread(tops, count))
+        blocks = [table]
+        for _ in range(p - 1):
+            blocks.append(add(blocks[-1], step, *masks))
+        laid = b"".join(b.to_bytes(size * count, "little") for b in blocks)
+        table = int.from_bytes(laid, "little")
+        count *= p
+    # Digit plane i, moved to the bottom of every lane and weighted by p**i:
+    # the planes sum to each lane's index, below q <= 2**(8 * size).
+    plane = spread((1 << w) - 1, q)
+    indices = sum(p**i * (table >> w * i & plane) for i in range(m))
+    code = {1: "B", 2: "H", 4: "I"}[size]
+    mg = struct.unpack(f"<{q}{code}", indices.to_bytes(size * q, "little"))
     powers = [1]
     for _ in range(q - 2):
         powers.append(mg[powers[-1]])
     return powers
 
 
-def _vector_arithmetic(field: Field):
-    """(vector, shift, apply, times) for GF(p^m), m > 1, on ints.
-
-    vector(x) is the int form of index x and shift(x) that of x*t.
-    apply(cols, x) is the sum of x_j * cols[j] over the digits x_j of x:
-    the product of x and y when cols are the columns of y, y*t**j.
-    times(cols) is the list over all indices x of the index of that
-    product, built by linearity over the digits of x: the entries from
-    c*p**j to (c+1)*p**j - 1 are those below p**j plus c*cols[j].
-
-    For p = 2 the int form is the index, bit i being the coefficient of
-    t**i, and sums are XOR.  For odd p with 2(p-1) < 256 it is one byte
-    per digit, as in Packing's byte slots, sums are reduced by the
-    translate Field.times_digits[1], and times sums and reduces each
-    block of p**j entries at once.  For larger p, where m = 2, the int
-    form is the index, both digits are reduced mod p directly, and times
-    applies the columns to one index at a time.
-    """
-    p, m, modulus = field.p, field.m, field.modulus
-    if p == 2:
-        # Adding the modulus clears the t**m bit of a product by t.
-        wrap = sum(c << i for i, c in enumerate(modulus))
-
-        def shift(x: int) -> int:
-            x <<= 1
-            return x ^ wrap if x >> m else x
-
-        def apply(cols: list[int], x: int) -> int:
-            acc = 0
-            for col in cols:
-                if x & 1:
-                    acc ^= col
-                x >>= 1
-            return acc
-
-        def times(cols: list[int]) -> list[int]:
-            table = [0]
-            for col in cols:
-                table += [x ^ col for x in table]
-            return table
-
-        return int, shift, apply, times
-
-    if 2 * (p - 1) >= 256:
-        # p >= 131 leaves only m = 2 below 2**16: t**2 = -c0 - c1*t.
-        c0, c1 = modulus[0], modulus[1]
-
-        def shift(x: int) -> int:
-            a, b = x % p, x // p
-            return -b * c0 % p + (a - b * c1) % p * p
-
-        def apply(cols: list[int], x: int) -> int:
-            (u1, u0), (v1, v0) = divmod(cols[0], p), divmod(cols[1], p)
-            a, b = x % p, x // p
-            return (a * u0 + b * v0) % p + (a * u1 + b * v1) % p * p
-
-        def times(cols: list[int]) -> list[int]:
-            return [apply(cols, x) for x in range(p * p)]
-
-        return int, shift, apply, times
-
-    scaled = field.times_digits
-    mod_p = scaled[1]
-    top = 8 * (m - 1)
-    low = (1 << top) - 1
-    # c*t**m for each digit c: minus c times the modulus below its top.
-    wrap = [
-        sum((-c * a) % p << 8 * i for i, a in enumerate(modulus[:m])) for c in range(p)
-    ]
-
-    def reduce(s: int) -> int:
-        return int.from_bytes(s.to_bytes(m, "little").translate(mod_p), "little")
-
-    def scale(c: int, x: int) -> bytes:
-        return x.to_bytes(m, "little").translate(scaled[c])
-
-    def vector(x: int) -> int:
-        return sum(x // p**i % p << 8 * i for i in range(m))
-
-    def shift(x: int) -> int:
-        return reduce(((x & low) << 8) + wrap[x >> top])
-
-    def apply(cols: list[int], x: int) -> int:
-        # m terms of digits below p: q <= 2**16 keeps every slot under 256.
-        acc = 0
-        for c, col in zip(x.to_bytes(m, "little"), cols):
-            if c:
-                acc += int.from_bytes(scale(c, col), "little")
-        return reduce(acc)
-
-    def times(cols: list[int]) -> list[int]:
-        table = bytes(m)
-        for col in cols:
-            count = len(table) // m
-            base = int.from_bytes(table, "little")
-            blocks = [table]
-            for c in range(1, p):
-                block = base + int.from_bytes(scale(c, col) * count, "little")
-                blocks.append(block.to_bytes(len(table), "little").translate(mod_p))
-            table = b"".join(blocks)
-        return _indices(table, p, m)
-
-    return vector, shift, apply, times
-
-
 def _scaled_digits(c: int, p: int) -> bytes:
     """The bytes.translate table taking every byte value v to c*v mod p."""
     return (bytes(c * v % p for v in range(p)) * (256 // p + 1))[:256]
-
-
-def _indices(table: bytes, p: int, m: int) -> list[int]:
-    """The indices of the m-byte digit strings that make up table.
-
-    Digit plane i, placed in 16-bit lanes (every index is below 2**16),
-    is weighted by p**i, so one big-int sum gives every index at once.
-    """
-    count = len(table) // m
-    lanes = bytearray(2 * count)
-    acc = 0
-    for i in range(m):
-        lanes[0::2] = table[i::m]
-        acc += p**i * int.from_bytes(lanes, "little")
-    out = array("H", acc.to_bytes(2 * count, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out.tolist()

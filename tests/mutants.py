@@ -230,6 +230,35 @@ MUTANTS = (
         "return [_scaled_digits(c + 1, p) for c in range(p)]",
         (
             "tests/test_packing_oracle.py::test_key_of_a_full_sum_of_widest_vectors",
+            "tests/test_packing_oracle.py::test_scaler_packs_every_vector_times_every_element",
+        ),
+    ),
+    # The extension field table build: its slot reduction, x*t and the
+    # read-back of the lanes' indices.
+    Mutant(
+        "lane-slot-bias-plus-one", GF,
+        "bias, tops = ((1 << w - 1) - p) * ones, ones << w - 1",
+        "bias, tops = ((1 << w - 1) - p + 1) * ones, ones << w - 1",
+        (
+            "tests/test_tables_oracle.py::test_tables_match_reference",
+            "tests/test_gf.py::test_field_axioms_exhaustive",
+        ),
+    ),
+    Mutant(
+        "lane-shift-drops-top-digit", GF,
+        "cols.append(add((x & (1 << top) - 1) << w, wrap[x >> top]))",
+        "cols.append(add((x & (1 << top) - 1) << w, wrap[0]))",
+        (
+            "tests/test_tables_oracle.py::test_tables_match_reference",
+            "tests/test_gf.py::test_frobenius_is_additive_and_multiplicative",
+        ),
+    ),
+    Mutant(
+        "lane-planes-misweighted", GF,
+        "indices = sum(p**i * (table >> w * i & plane) for i in range(m))",
+        "indices = sum((p + 1)**i * (table >> w * i & plane) for i in range(m))",
+        (
+            "tests/test_tables_oracle.py::test_tables_match_reference",
             "tests/test_arith_oracle.py::test_division_matches_the_reference",
         ),
     ),

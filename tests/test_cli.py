@@ -439,6 +439,10 @@ def test_invalid_field_exits_2(capsys):
      "prime fields take no modulus"),
     (["verify", "--field", "9", "--modulus", "1,1", "--points", "[0,0],[1,0]", "--k", "1"],
      "modulus must be monic of degree 2 (got [1, 1])"),
+    (["affine", "--field", "4", "--modulus", "a,b,c", "--points", "[0,0],[1,0]"],
+     "--modulus must be comma-separated ints, got 'a,b,c'"),
+    (["affine", "--field", "4", "--modulus", "", "--points", "[0,0],[1,0]"],
+     "--modulus must be comma-separated ints, got ''"),
 ])
 def test_a_refused_modulus_exits_2_with_its_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -680,10 +684,14 @@ def test_affine_gf65536_seven_points_is_fast():
     assert json.loads(result.stdout)["elements"][0]["poly"] == "x"
 
 
-def test_verify_gf65536_seven_points_is_fast():
-    points = vector_literals(2, 16, random.Random(7).sample(range(1 << 16), 7))
+# The largest table builds, each cold in its own process: the most digit
+# slots to a lane (2^16, 3^10) and the widest slots (p >= 131).
+@pytest.mark.parametrize("p, m", [(2, 16), (3, 10), (251, 2), (131, 2)],
+                         ids=["GF(2^16)", "GF(3^10)", "GF(251^2)", "GF(131^2)"])
+def test_verify_gf65536_seven_points_is_fast(p, m):
+    points = vector_literals(p, m, random.Random(7).sample(range(p**m), 7))
     result, seconds = _timed(
-        ["verify", "--field", "65536", "--points", points, "--k", "3", "--json"]
+        ["verify", "--field", str(p**m), "--points", points, "--k", "3", "--json"]
     )
     assert seconds < LARGE_FIELD_SECONDS
     assert result.returncode == 0, result.stderr

@@ -95,7 +95,10 @@ FIELDS = (
     [pytest.param(q, None, id=f"GF({q})") for q in prime_powers(1024)]
     + [pytest.param(q, mod, id=f"GF({q})-{mod}") for q, mod in MODULI]
     + [
-        # The last field with one-byte digit slots, then two with p >= 131.
+        # The orders up to 1024 take lanes of 8 (GF(16)), 16 (GF(256)) and 32
+        # bits (GF(1024)).  Lanes filled to the top: 127^2 fills 16 bits with two 8-bit digit
+        # slots, and 2^16 fills 32 with sixteen 2-bit slots.  131^2 and 251^2
+        # have the widest slots (9 bits), 3^10 the most 3-bit slots (ten).
         pytest.param(127**2, None, id="GF(127^2)"),
         pytest.param(131**2, None, id="GF(131^2)"),
         pytest.param(251**2, None, id="GF(251^2)"),
