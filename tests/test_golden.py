@@ -82,6 +82,12 @@ CASES = {
         "--points", "[0,0,0,0,0],[1,0,0,0,0],[0,1,0,0,0],[2,2,1,0,1],[1,1,1,1,1]",
         "--k", "1", "--json",
     ],
+    # S_5 over GF(512): indices of nine bits, two bytes each, and members
+    # of degree 4 whose coefficients print as nine-digit literals.
+    "group-gf512-k1": [
+        "group", "--field", "512", "--points", vector_literals(2, 9, [0, 1, 2, 300, 511]),
+        "--k", "1", "--json",
+    ],
     "sweep-42-30": ["sweep", "--seed", "42", "--trials", "30", "--json"],
     # The headline run: every field of the sweep pool, 200 trials.
     "sweep-42-200": ["sweep", "--seed", "42", "--trials", "200", "--json"],
@@ -95,6 +101,7 @@ DIGESTS = {
     "group-gf7-full-k6": "c3cc080e3a8f59253bc1b37c89555593419e73fc4f7136ddcef22e1b9f0e6ddf",
     "group-gf8-units-k1": "b56a7516c97c09b9ac0ac46b3240b6120cdace53da561d9547c37722d0b87df0",
     "group-gf243-k1": "b42db1ab8723dc4f1aabcedfd9e94e9bbecaf88adf6d58f6cc5d443bcb76fd80",
+    "group-gf512-k1": "3f08dbc3ebc730674246c9f87d51574461dc009260271dd6750b78d49102f639",
     "group-gf257-k1": "4e26150d21dc3ec79dbf90050bc6ab7f0ed13eaab79a6205b8134aebe5fbb38d",
     "group-gf9": "672c40b921df854f44afd8a70a1a0d88c29ea54d7bb3e1f0ca6f94b2f1a11712",
     "group-gf9-seven-k1": "699ff9e6bf214994cf64e135c4bf470bac006c5f9003e32f8b8957124f104323",
