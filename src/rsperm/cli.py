@@ -127,9 +127,11 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     The text around each member's images and polynomial is made once for
     this depth, every "perm" list reads one table of the labels 1..n (the
     members of a group all act on the same n points), and the text after
-    "poly" depends on the member's degree alone.  A polynomial's text is
-    digits, x, ^, *, +, commas, brackets and spaces, which JSON writes
-    between quotes unescaped.
+    "poly" depends on the member's degree alone.  A member's degree is
+    below n, so terms_text reads its polynomial from the field's first n
+    term rows in O(degree) C steps.  A polynomial's text is digits, x, ^,
+    *, +, commas, brackets and spaces, which JSON writes between quotes
+    unescaped.
     """
     inner = newline + "  "
     out.append("{")
@@ -151,7 +153,7 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
     texts = []
     if members:
         labels = [str(i) for i in range(1, members[0].perm.n + 1)]
-        terms, q = members[0].poly.field.terms, members[0].poly.field.q
+        rows = members[0].poly.field.term_rows(members[0].perm.n)
     tails: dict[int, str] = {}
     for member in members:
         poly = member.poly
@@ -161,7 +163,7 @@ def _write_group(report: GroupReport, newline: str, out: list[str]) -> None:
         if tail is None:
             affine = "true" if degree == 1 else "false"
             tail = tails[degree] = f',{field}"degree": {degree},{field}"affine": {affine}{line}}}'
-        text = terms_text(terms, q, coeffs) if degree > 1 else affine_str(poly)
+        text = terms_text(rows, coeffs) if degree > 1 else affine_str(poly)
         perm = image_sep.join(map(labels.__getitem__, member.perm.images))
         texts.append(f'{head}{perm}{poly_key}"{text}"{tail}')
     elements = f"[{line}{(',' + line).join(texts)}{inner}]" if texts else "[]"

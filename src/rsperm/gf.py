@@ -5,12 +5,12 @@ monic irreducible polynomial of degree m, is stored as its index
 sum(c_i * p**i) over its ascending coefficients.
 
 - Field: one object per live field, its O(q) tables on indices
-  (Field.tables, built by _primitive_powers) and its element and term
-  strings (_Terms).
+  (Field.tables, built by _primitive_powers) and its element literals
+  and term strings (_Terms).
 - IndexOps: the one kernel for scalars, on indices; FieldElement
   operators wrap it behind _ops, the operand check Polynomial shares.
 - Packing: the one kernel for vectors of indices, packed into ints with
-  one slot per base-p digit (Packing, Packing.scaler, Packing.decode).
+  one slot per base-p digit (Packing: pack, scaler, decode, read).
 - _Frozen and _filled: the one base and the one bulk constructor of
   rsperm's value classes.
 """
@@ -259,38 +259,35 @@ class FieldElement(_Frozen):
         return tuple(self.index // p**i % p for i in range(self.field.m))
 
     def __str__(self) -> str:
-        return self.field.terms[self.index]
+        return self.field.literals[self.index]
 
     def __repr__(self) -> str:
         return f"FieldElement({self.field!r}, {self})"
 
 
 class _Terms(dict):
-    """i * q + index -> the polynomial term c*x^i for c of that index.
+    """Index c -> a string of the element c, stored when first read.
+    Field.literals holds c's literal: decimal for m == 1, [c0,...,c_{m-1}]
+    else.  Row i of Field.term_rows holds the term c*x^i: "" for c = 0,
+    which a writer drops by filter(None, ...), the literal for i == 0, x^i
+    (x for i == 1) for c = 1 and literal*x^i otherwise."""
 
-    Key index (i == 0) holds the literal of c: decimal for m == 1,
-    [c0,...,c_{m-1}] else.  A term reads x^i alone when c is one, x for
-    i == 1 and literal*x^i otherwise.  Each string is stored when first
-    read, so a field holds only what it has printed; the pair (i, index)
-    is keyed as one int, which hashes faster than a tuple.
-    """
+    __slots__ = ("p", "m", "literals", "power")
 
-    __slots__ = ("p", "m", "q")
+    def __init__(self, p: int, m: int, literals: "_Terms | None" = None, i: int = 0):
+        self.p, self.m, self.literals = p, m, literals
+        self.power = "" if not i else "x" if i == 1 else f"x^{i}"
 
-    def __init__(self, p: int, m: int, q: int):
-        self.p, self.m, self.q = p, m, q
-
-    def __missing__(self, key: int) -> str:
-        i, index = divmod(key, self.q)
-        if i:
-            power = "x" if i == 1 else f"x^{i}"
-            term = power if index == 1 else f"{self[index]}*{power}"
-        elif self.m == 1:
-            term = str(index)
+    def __missing__(self, c: int) -> str:
+        p, power, literals = self.p, self.power, self.literals
+        if literals is None:
+            digits = (str(c // p**b % p) for b in range(self.m))
+            term = str(c) if self.m == 1 else "[" + ",".join(digits) + "]"
+        elif c and power:
+            term = power if c == 1 else f"{literals[c]}*{power}"
         else:
-            p = self.p
-            term = "[" + ",".join(str(index // p**b % p) for b in range(self.m)) + "]"
-        self[key] = term
+            term = literals[c] if c else ""
+        self[c] = term
         return term
 
 
@@ -428,9 +425,16 @@ class Field:
         return self.ops.elements[1:]
 
     def parse(self, literal: str) -> FieldElement:
-        """Parse an element literal: decimal for m == 1, [c0,...,c_{m-1}] else."""
+        """Parse an element literal: decimal for m == 1, [c0,...,c_{m-1}] else.
+        m one-digit coefficients below p, as str writes them for p <= 10,
+        are read last first by one int() in base p; others one by one."""
         s = literal.strip()
         if s.startswith("["):
+            # m digits at the odd places leave the even ones to m - 1 commas.
+            digits, m, p = s[-2:0:-2], self.m, self.p
+            if len(s) == 2 * m + 1 and s.count(",") == m - 1 and s[-1] == "]":
+                if not digits.strip("0123456789"[:p]):
+                    return self.ops.elements[int(digits, p)]
             if not s.endswith("]"):
                 raise ValueError(f"unterminated element literal {literal!r}")
             parts = s[1:-1].split(",")
@@ -449,10 +453,17 @@ class Field:
             raise ValueError(f"bad element literal {literal!r}") from None
 
     @cached_property
-    def terms(self) -> "_Terms":
-        """Element literals at key c.index and polynomial term strings
-        c*x^i at key i * q + c.index, each made on its first read."""
-        return _Terms(self.p, self.m, self.q)
+    def literals(self) -> _Terms:
+        """The literal of each element index, made on its first read."""
+        return _Terms(self.p, self.m)
+
+    def term_rows(self, n: int) -> list[_Terms]:
+        """At least n rows of terms (_Terms), made on demand; a list handed out never changes."""
+        rows = self.__dict__.get("_term_rows", [])
+        if len(rows) < n:
+            new = range(len(rows), n)
+            self._term_rows = rows = rows + [_Terms(self.p, self.m, self.literals, i) for i in new]
+        return rows
 
     # -- arithmetic tables -------------------------------------------------
 
@@ -574,52 +585,54 @@ class IndexOps:
 
 
 class Packing:
-    """Vectors of `count` indices packed into ints, one slot per base-p
-    digit, and summed up to `terms` at a time.
+    """Vectors of `count` indices packed into ints, entry r at bit
+    stride * r, and summed up to `terms` at a time.
 
-    Digit b of entry r sits in slot m*r + b.  For p = 2 a slot is one
-    bit, so an entry is its index shifted by m*r and vectors add by XOR.
-    For odd p a slot holds the plain sum of `terms` digits, at most
-    terms * (p - 1), so nothing carries into the next slot; vectors add
-    with + and each slot of the sum is then reduced mod p.  The slot is
-    one byte when terms * (p - 1) < 256, and the whole sum is then
-    reduced by one bytes.translate through Field.times_digits[1];
-    otherwise it is the narrowest width holding terms * (p - 1), reduced
-    slot by slot.
+    An entry holds the m base-p digits of its index, digit b in the w-bit
+    slot at bit w * b.  For p = 2 a slot is one bit, so an entry is its
+    index; it starts on a whole byte, stride = 8 * ceil(m / 8), and
+    vectors add by XOR.  For odd p, stride = w * m and a slot holds the
+    plain sum of `terms` digits, at most terms * (p - 1), so nothing
+    carries into the next slot; vectors add with + and each slot of the
+    sum is then reduced mod p.  The slot is one byte when terms * (p - 1)
+    < 256, the whole sum then reduced by one bytes.translate through
+    Field.times_digits[1]; otherwise it is the narrowest width holding
+    terms * (p - 1), reduced slot by slot.
 
     key(choice, terms) is that reduced sum of packed[choice[i]] over the
     (i, packed) pairs, packed being a list or a memo dict; equal vectors
     have equal keys.  keys(choice, terms, last) is the list of keys of
     that sum plus each packed vector in last, the sum taken once.
     pack(indices) lays indices out as they are; scaler makes packed
-    multiples, and decode reads a key back into indices.
+    multiples, and decode and read read keys and sums back into indices.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
         p, m = field.p, field.m
         self.field, self.count = field, count
-        self._digits = None
         if p == 2:
-            self.width = 1
-            self.key, self.keys = _xor_keys()
+            self.width, self.stride = 1, (m + 7) // 8 * 8
+            self.key, self.keys, read = _xor_keys(count)
         elif terms * (p - 1) < 256:
-            self.width = 8
-            self._digits = field.byte_digits
-            self.key, self.keys = _translated_keys(m * count, field.times_digits[1])
+            self.width, self.stride = 8, 8 * m
+            self.key, self.keys, read = _translated_keys(m * count, field.times_digits[1])
         else:
             self.width = w = (terms * (p - 1)).bit_length()
+            self.stride = w * m
             self.key, self.keys = _slot_keys(p, range(0, w * m * count, w), (1 << w) - 1)
+        if self.stride == 8:
+            self.read = read
 
     def pack(self, indices: Iterable[int]) -> int:
         """The indices packed as they are, however many there are."""
-        p, m, w = self.field.p, self.field.m, self.width
-        if self._digits is not None:
-            digits = self._digits
+        p, m, w, stride = self.field.p, self.field.m, self.width, self.stride
+        if w == 8:
+            digits = self.field.byte_digits
             return int.from_bytes(b"".join([digits[x] for x in indices]), "little")
         if p == 2:
-            return sum(x << (m * r) for r, x in enumerate(indices))
+            return sum(x << stride * r for r, x in enumerate(indices))
         return sum(
-            x // p**b % p << (w * (m * r + b))
+            x // p**b % p << (stride * r + w * b)
             for r, x in enumerate(indices)
             for b in range(m)
         )
@@ -631,24 +644,24 @@ class Packing:
 
         The vectors are laid out end to end as one packed int, scaled by g
         at once and cut back into one int per vector.  For p = 2, bit
-        plane b (bit b of every entry, at the entry's lowest slot) times
-        the index of g * 2**b puts that element's m bits in the entry's m
-        slots: a plane holds 0 or 1 per entry and the index is below 2**m,
-        so nothing carries from one entry into the next, and the XOR of
-        the m products is g times every entry.  A prime field with byte
-        slots lays the entries out once, a byte each, and scales them by
-        one translate through Field.times_digits[g].  Other packings scale
+        plane b (bit b of every entry, at the entry's lowest bit) times
+        the index of g * 2**b puts that element's m bits in the entry: a
+        plane holds 0 or 1 per entry and the index is below 2**m, so
+        nothing carries from one entry into the next, and the XOR of the
+        m products is g times every entry.  A prime field with byte slots
+        lays the entries out once, a byte each, and scales them by one
+        translate through Field.times_digits[g].  Other packings scale
         the entries by one ops.scale and lay them out anew.
         """
-        p, m, ops = self.field.p, self.field.m, self.field.ops
+        p, m, ops, stride = self.field.p, self.field.m, self.field.ops, self.stride
         flat = [x for v in vectors for x in v]
-        span = self.width * m * self.count
+        span = stride * self.count
         mask = (1 << span) - 1
         cuts = range(0, span * len(vectors), span)
         if p == 2:
             laid = self.pack(flat)
-            # One 1 at the lowest slot of every entry: the base-2**m repunit.
-            ones = ((1 << m * len(flat)) - 1) // ((1 << m) - 1)
+            # One 1 at the lowest bit of every entry: the base-2**stride repunit.
+            ones = ((1 << stride * len(flat)) - 1) // ((1 << stride) - 1)
             planes = [(laid >> b & ones, 1 << b) for b in range(m)]
             mul = ops.mul
 
@@ -658,7 +671,7 @@ class Packing:
                     s ^= plane * mul(g, t)
                 return [s >> c & mask for c in cuts]
 
-        elif m == 1 and self.width == 8:
+        elif stride == 8:
             laid, tables = bytes(flat), self.field.times_digits
 
             def scaled(g: int) -> list[int]:
@@ -677,38 +690,40 @@ class Packing:
     @cached_property
     def decode(self) -> Callable[[int], tuple[int, ...]]:
         """key -> its indices up to the last nonzero entry, made on first
-        use: the search's packings never decode.  Entry r fills a field of
-        w * m bits, digit b in slot m*r + b.  For p = 2 the field is the
-        index itself.  For odd p the digit planes, digit b of every entry
-        moved to its field's lowest slot, are read base p at once by
-        Horner's rule: an index is below q <= 2**(w * m), so nothing
-        carries out of its field.  Byte fields of indices below 256 are
-        then every m-th byte (for m = 1 the key's own bytes), and other
-        fields are cut one shift and mask each, up to the highest set bit.
+        use: the search's packings never read their keys back.  The digit
+        planes, digit b of every entry moved to the entry's lowest slot,
+        are read base p at once by Horner's rule (for p = 2 the entry's m
+        bits are one digit): an index is below q <= 2**stride, so nothing
+        carries out of its entry.  Entries of whole bytes holding indices
+        below 256 are then read bytewise, others one shift and mask each.
         """
-        p, m, w, count = self.field.p, self.field.m, self.width, self.count
-        size = w * m
+        p, m, count, size = self.field.p, self.field.m, self.count, self.stride
+        w, digits = (m, 1) if p == 2 else (self.width, m)
         mask = (1 << size) - 1
-        if p == 2:
-            return lambda key: tuple([key >> s & mask for s in range(0, key.bit_length(), size)])
-        # The lowest slot of every field, all ones.
+        # The lowest slot of every entry, all ones.
         low = ((1 << size * count) - 1) // mask * ((1 << w) - 1)
-        top, shifts = w * (m - 1), range(w * (m - 2), -1, -w)
-        bytewise = w == 8 and p**m < 256
+        top, shifts = w * (digits - 1), range(w * (digits - 2), -1, -w)
+        step = size // 8 if size % 8 == 0 and p**m <= 256 else 0
 
         def decode(key: int) -> tuple[int, ...]:
             acc = key >> top & low
             for s in shifts:
                 acc = acc * p + (key >> s & low)
-            if bytewise:
-                return tuple(acc.to_bytes(m * count, "little")[::m].rstrip(b"\0"))
+            if step:
+                return tuple(acc.to_bytes(size // 8 * count, "little")[::step].rstrip(b"\0"))
             return tuple([acc >> s & mask for s in range(0, acc.bit_length(), size)])
 
         return decode
 
+    def read(self, choice: Sequence[int], terms) -> tuple[int, ...]:
+        """decode(key(choice, terms)), a sum's indices up to its last nonzero
+        one.  Where stride is 8 a vector's bytes are its indices, and
+        __init__ sets in its place the read that strips the sum's bytes."""
+        return self.decode(self.key(choice, terms))
 
-def _xor_keys():
-    """key and keys for p = 2: the XOR of the terms."""
+
+def _xor_keys(count: int):
+    """key, keys and, for m <= 8, read for p = 2: the XOR of the terms."""
 
     def key(choice, terms) -> int:
         s = 0
@@ -717,14 +732,16 @@ def _xor_keys():
         return s
 
     def keys(choice, terms, last) -> list[int]:
-        s = key(choice, terms)
-        return [s ^ x for x in last]
+        return list(map(key(choice, terms).__xor__, last))
 
-    return key, keys
+    def read(choice, terms) -> tuple[int, ...]:
+        return tuple(key(choice, terms).to_bytes(count, "little").rstrip(b"\0"))
+
+    return key, keys, read
 
 
 def _translated_keys(length: int, mod_p: bytes):
-    """key and keys for byte slots (Packing), reduced through mod_p."""
+    """key, keys and, for m == 1, read for byte slots, reduced through mod_p."""
     from_bytes, to_bytes = int.from_bytes, int.to_bytes
 
     def key(choice, terms) -> int:
@@ -742,7 +759,13 @@ def _translated_keys(length: int, mod_p: bytes):
             for x in last
         ]
 
-    return key, keys
+    def read(choice, terms) -> tuple[int, ...]:
+        s = 0
+        for i, packed in terms:
+            s += packed[choice[i]]
+        return tuple(to_bytes(s, length, "little").translate(mod_p).rstrip(b"\0"))
+
+    return key, keys, read
 
 
 def _slot_keys(p: int, offsets: range, slot: int):

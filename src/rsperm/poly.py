@@ -11,10 +11,9 @@
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from itertools import compress, count, zip_longest
+from itertools import zip_longest
 
 from .gf import Field, FieldElement, FieldMismatchError, Packing, _Frozen, _ops, _trim
 
@@ -204,22 +203,20 @@ class Polynomial(_Frozen):
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
-        """Nonzero terms in ascending powers, read from Field.terms."""
-        if not self.index_coeffs:
-            return "0"
-        return terms_text(self.field.terms, self.field.q, self.index_coeffs)
+        """Nonzero terms in ascending powers, read from Field.term_rows."""
+        coeffs = self.index_coeffs
+        return terms_text(self.field.term_rows(len(coeffs)), coeffs) if coeffs else "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field!r}, {self})"
 
 
-def terms_text(terms: dict[int, str], q: int, index_coeffs: tuple[int, ...]) -> str:
-    """The nonzero terms of a nonzero polynomial over a field of order q,
-    ascending and joined by " + ": coefficient index c of x^i is read as
-    terms[i * q + c] from the field's Field.terms.  The one term writer:
-    str, affine_str and the CLI's group writer print through it."""
-    keys = compress(map(operator.add, count(0, q), index_coeffs), index_coeffs)
-    return " + ".join(map(terms.__getitem__, keys))
+def terms_text(rows: Sequence[dict[int, str]], index_coeffs: tuple[int, ...]) -> str:
+    """The nonzero terms of a nonzero polynomial, ascending and joined by
+    " + ", in one join, filter and map at C speed: coefficient index c of
+    x^i reads rows[i][c] of Field.term_rows, "" when c is zero.  The one
+    term writer: str, affine_str and the CLI's group writer use it."""
+    return " + ".join(filter(None, map(dict.__getitem__, rows, index_coeffs)))
 
 
 def affine_str(f: Polynomial) -> str:
@@ -227,14 +224,11 @@ def affine_str(f: Polynomial) -> str:
     higher degrees as str(f).  The zero polynomial prints as the literal
     of the zero element."""
     coeffs, field = f.index_coeffs, f.field
-    if len(coeffs) > 2:
-        return terms_text(field.terms, field.q, coeffs)
-    b, a = (coeffs + (0, 0))[:2]
-    terms = field.terms
-    if not a:
-        return terms[b]
-    ax = terms[field.q + a]
-    return f"{ax} + {terms[b]}" if b else ax
+    if len(coeffs) < 2:
+        return field.literals[coeffs[0] if coeffs else 0]
+    rows = field.term_rows(len(coeffs))
+    # A line's terms are written from the highest.
+    return terms_text(rows, coeffs) if len(coeffs) > 2 else terms_text(rows[1::-1], coeffs[::-1])
 
 
 class EvaluationSet:
@@ -253,6 +247,7 @@ class EvaluationSet:
             raise ValueError("evaluation points must be pairwise distinct")
         self.field = field
         self.points = tuple(map(field.ops.elements.__getitem__, self.index_points))
+        self._lines: dict[tuple[int, int], tuple[list[int], Polynomial]] = {}
 
     @classmethod
     def full_field(cls, field: Field) -> "EvaluationSet":
@@ -338,11 +333,6 @@ class EvaluationSet:
         """Per L_i, v -> [packed v * L_i], a one-vector Packing.scaler."""
         return [self._packing.scaler([L.index_coeffs]) for L in self.indicators]
 
-    @cached_property
-    def _lines(self) -> dict[tuple[int, int], tuple[list[int], Polynomial]]:
-        """(v_0, v_1) -> _line(v_0, v_1)."""
-        return {}
-
     def _line(self, v0: int, v1: int) -> tuple[list[int], Polynomial]:
         """The line a*x + b with a_0 -> v0 and a_1 -> v1, on indices: the
         indices of its values on the points, and the line itself."""
@@ -361,17 +351,15 @@ class EvaluationSet:
 
         Any n elements of the field are accepted; another count, or
         anything else, raises ValueError.  The line through (a_0, v_0)
-        and (a_1, v_1) is tried first, memoised per set under the indices
-        of v_0 and v_1 with its values on every point (_line): when those
-        are the given values, it is the interpolant, so an affine member
-        costs O(n).  Otherwise f = sum_i v_i * L_i over the indicators
-        L_i, and each term depends only on i and the index of v_i.  So
-        each indicator memoises its terms packed into one int by a
-        gf.Packing, filled when a sum first misses one by that
-        indicator's own one-vector Packing.scaler (one scaler over all n
-        indicators would fill n entries per new value).  One Packing.key
-        sums the n terms, and Packing.decode reads the sum straight into
-        the stripped coefficient indices.
+        and (a_1, v_1), memoised under the indices of v_0 and v_1 with its
+        values on every point (_line), is the interpolant when those are
+        the values, so an affine member costs O(n).  Otherwise f = sum_i
+        v_i * L_i over the indicators L_i, each term depending only on i
+        and the index of v_i.  Each indicator memoises its terms packed by
+        a gf.Packing, filled on a miss by its own one-vector
+        Packing.scaler (one scaler over all n would fill n entries per new
+        value), and one Packing.read sums the n terms straight into the
+        coefficient indices of f.
         """
         field, n = self.field, self.n
         if len(values) != n:
@@ -383,13 +371,13 @@ class EvaluationSet:
             return line
         packing, terms = self._packing, self._terms
         try:
-            key = packing.key(choice, terms)
+            coeffs = packing.read(choice, terms)
         except KeyError:
             for (_, memo), x, scaled in zip(terms, choice, self._scalers):
                 if x not in memo:
                     memo[x] = scaled(x)[0]
-            key = packing.key(choice, terms)
-        return Polynomial._trusted(field, packing.decode(key))
+            coeffs = packing.read(choice, terms)
+        return Polynomial._trusted(field, coeffs)
 
 
 def compose_mod(p1: Polynomial, p2: Polynomial, points: EvaluationSet) -> Polynomial:

@@ -166,8 +166,8 @@ MUTANTS = (
     # and the one cache of translate tables.
     Mutant(
         "decode-keeps-zero-bytes", GF,
-        '[::m].rstrip(b"\\0"))',
-        "[::m])",
+        '[::step].rstrip(b"\\0"))',
+        "[::step])",
         (
             "tests/test_packing_oracle.py::test_decode_is_the_stripped_vector",
             "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
@@ -175,8 +175,8 @@ MUTANTS = (
     ),
     Mutant(
         "xor-keys-or", GF,
-        "return [s ^ x for x in last]",
-        "return [s | x for x in last]",
+        "return list(map(key(choice, terms).__xor__, last))",
+        "return list(map(key(choice, terms).__or__, last))",
         (
             "tests/test_packing_oracle.py::test_keys_add_each_last_vector_to_one_sum",
             "tests/test_search_oracle.py::test_search_matches_reference",
@@ -189,6 +189,35 @@ MUTANTS = (
         (
             "tests/test_packing_oracle.py::test_keys_add_each_last_vector_to_one_sum",
             "tests/test_search_oracle.py::test_search_matches_reference",
+        ),
+    ),
+    # The byte read-back of sums whose bytes are their indices, and the
+    # whole-byte stride of p = 2 entries.
+    Mutant(
+        "byte-read-untranslated", GF,
+        '.translate(mod_p).rstrip(b"\\0"))',
+        '.rstrip(b"\\0"))',
+        (
+            "tests/test_packing_oracle.py::test_key_of_scaled_sums",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
+        ),
+    ),
+    Mutant(
+        "byte-read-on-wider-entries", GF,
+        "        if self.stride == 8:\n            self.read = read",
+        "        if self.stride % 8 == 0:\n            self.read = read",
+        (
+            "tests/test_packing_oracle.py::test_key_of_scaled_sums",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
+        ),
+    ),
+    Mutant(
+        "p2-pack-stride-undone", GF,
+        "return sum(x << stride * r for r, x in enumerate(indices))",
+        "return sum(x << m * r for r, x in enumerate(indices))",
+        (
+            "tests/test_packing_oracle.py::test_pack_matches_the_reference_layout",
+            "tests/test_interp_oracle.py::test_interpolate_satisfies_the_interpolation_conditions",
         ),
     ),
     Mutant(
@@ -264,12 +293,30 @@ MUTANTS = (
     ),
     # Output: the term writer and the JSON writers.
     Mutant(
-        "terms-text-powers-shifted", POLY,
-        "count(0, q)",
-        "count(q, q)",
+        "terms-text-powers-shifted", GF,
+        "rows + [_Terms(self.p, self.m, self.literals, i) for i in new]",
+        "rows + [_Terms(self.p, self.m, self.literals, i + 1) for i in new]",
         (
             "tests/test_poly.py::test_display_styles",
             "tests/test_render_oracle.py::test_str_and_affine_str_match_the_reference",
+        ),
+    ),
+    Mutant(
+        "writer-keeps-zero-rows", POLY,
+        '" + ".join(filter(None, map(dict.__getitem__, rows, index_coeffs)))',
+        '" + ".join(map(dict.__getitem__, rows, index_coeffs))',
+        (
+            "tests/test_render_oracle.py::test_str_and_affine_str_match_the_reference",
+            "tests/test_golden.py::test_json_output_is_unchanged",
+        ),
+    ),
+    Mutant(
+        "parse-digits-first-first", GF,
+        "return self.ops.elements[int(digits, p)]",
+        "return self.ops.elements[int(digits[::-1], p)]",
+        (
+            "tests/test_gf.py::test_element_parse_round_trip",
+            "tests/test_gf.py::test_parse_agrees_with_element_on_every_literal_form",
         ),
     ),
     Mutant(

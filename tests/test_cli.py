@@ -448,6 +448,23 @@ def test_a_refused_modulus_exits_2_with_its_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("q, points, message", [
+    (9, "[0,0],[1,2]x", "unterminated element literal '[1,2]x'"),
+    (9, "[0,0],[1,x]", "bad element literal '[1,x]'"),
+    (13, "0,zz", "bad element literal 'zz'"),
+    (9, "[0,0],3", "GF(9) mod [1, 0, 1] element literals must be bracketed vectors, got '3'"),
+    (128, "[1,0,1,0,0,0,0],[1,0,1]",
+     "expected 7 coefficients for GF(128) mod [1, 1, 0, 0, 0, 0, 0, 1], got 3"),
+    (128, "[1,0,1,0,0,0,0],[1,0,1,0,0,0,0,1]",
+     "expected 7 coefficients for GF(128) mod [1, 1, 0, 0, 0, 0, 0, 1], got 8"),
+], ids=("unterminated", "bad-part", "bad-decimal", "unbracketed", "short", "long"))
+def test_a_refused_point_literal_exits_2_with_its_message(capsys, q, points, message):
+    """One-digit literals of the wrong length among them, which a
+    field reads by one int() when their length is right."""
+    argv = ["affine", "--field", str(q), "--points", points]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_points_may_start_with_a_negative_literal(capsys):
     split = run(capsys, "affine", "--field", "13", "--points", "-3,1")
     joined = run(capsys, "affine", "--field", "13", "--points=-3,1")

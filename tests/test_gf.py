@@ -435,6 +435,35 @@ def test_vector_literals_reduce_their_digits_mod_p(q):
             field.parse(literal)
 
 
+@pytest.mark.parametrize("q", [4, 9, 121, 128, 243, 512])
+def test_parse_agrees_with_element_on_every_literal_form(q):
+    """parse(literal) is element of its coefficients, whether the literal
+    is read by one int() of its one-digit coefficients or split at its
+    commas: digits of p or more, non-ASCII decimal digits, signs,
+    underscores, spaces and two-digit coefficients included."""
+    field = Field(q)
+    p, m = field.p, field.m
+    rng = random.Random(q * 3)
+    for _ in range(40):
+        coeffs = [rng.randrange(min(p, 10)) for _ in range(m)]
+        canonical = "[" + ",".join(map(str, coeffs)) + "]"
+        assert field.parse(canonical) is field.element(coeffs)
+        assert field.parse(f" {canonical}\t") is field.element(coeffs)
+        i = rng.randrange(m)
+        for part, value in (
+            (str(p), p), ("9", 9), ("\u0663", 3), ("+1", 1), ("-1", -1), ("1_0", 10),
+            (" 1", 1), ("10", 10), ("07", 7),
+        ):
+            parts = list(map(str, coeffs))
+            parts[i] = part
+            literal = "[" + ",".join(parts) + "]"
+            assert field.parse(literal) is field.element(coeffs[:i] + [value] + coeffs[i + 1:])
+    ones = ",".join("1" * m)
+    for bad in (f"[{ones},]", "[" + "1," * (m - 1) + "_]", f"[{ones}", f"[{ones}]]"):
+        with pytest.raises(ValueError):
+            field.parse(bad)
+
+
 def test_index_round_trip(f9):
     for i in range(9):
         assert f9.from_index(i).index == i
@@ -457,20 +486,20 @@ def _reference_literal(p: int, m: int, index: int) -> str:
 )
 def test_element_literals_are_base_p_digits(q, modulus):
     field = fresh_field(q, modulus)
-    assert "terms" not in vars(field)
+    assert "literals" not in vars(field)
     # The second pass reads what the first stored.
     for _ in range(2):
         for x in field.elements():
             assert str(x) == _reference_literal(field.p, field.m, x.index)
-    assert len(field.terms) == q
+    assert len(field.literals) == q
 
 
 def test_element_literals_are_stored_only_when_printed():
     field = fresh_field(1 << 16)
-    assert "terms" not in vars(field)
+    assert "literals" not in vars(field)
     xs = [field.from_index(6553 * i + 1) for i in range(10)]
     assert [str(x) for x in xs] == [_reference_literal(2, 16, x.index) for x in xs]
-    assert len(field.terms) <= 10
+    assert len(field.literals) <= 10
 
 
 ACCESSOR_FIELDS = [2, 4, 9, 13, 243, 256]

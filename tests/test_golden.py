@@ -70,7 +70,7 @@ CASES = {
         "verify", "--field", "9", "--points", vector_literals(3, 2, [0, 1, 2, 4, 5, 7, 8]),
         "--k", "1", "--json",
     ],
-    # S_5 over GF(257): slots wider than a byte, and term keys i*q + c
+    # S_5 over GF(257): slots wider than a byte, and coefficient indices
     # past 256.
     "group-gf257-k1": [
         "group", "--field", "257", "--points", "0,1,2,3,4", "--k", "1", "--json",

@@ -21,9 +21,11 @@ from rsperm import EvaluationSet, Field, affine_group, perm_to_poly
 
 # GF(127) and GF(257) pack the terms of 3 or more points in slots wider
 # than a byte, which no smaller prime field does, and GF(243) has byte
-# slots with m = 5.  Together with the smaller fields, every branch of
-# Packing.scaler fills the memo of the Lagrange kernel.
-FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 127, 243, 257)
+# slots with m = 5.  GF(128) and GF(256) read their sums back a byte per
+# index, and GF(512) two bytes per index.  Together with the smaller
+# fields, every branch of Packing.scaler fills the memo of the Lagrange
+# kernel.
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 127, 128, 243, 256, 257, 512)
 # Above this order a point set has at most 12 points, so that building
 # its indicators stays cheap.
 SMALL_SETS_ABOVE = 64
@@ -196,8 +198,8 @@ def test_units_of_gf251_have_the_scalings_as_members():
 def test_coefficients_are_the_fields_interned_elements(q):
     """coeffs, coefficient, evaluate and interpolate hand out the objects
     of field.ops.elements, on the line path and the Lagrange path.  On 7
-    points the packed sums decode by byte (GF(7)), by bit (GF(8)), by
-    digit planes (GF(9), GF(27)) and by wide slots (GF(257))."""
+    points the packed sums are read back a byte per index (GF(7), GF(8)),
+    by digit planes (GF(9), GF(27)) and by wide slots (GF(257))."""
     field = Field(q)
     els = field.ops.elements
     rng = random.Random(q)

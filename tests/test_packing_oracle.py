@@ -1,13 +1,15 @@
 """gf.Packing against a from-scratch base-p digit reference.
 
 An index is read as its m base-p digits, least significant first, and
-a vector of count indices is laid out with digit b of entry r in slot
-m*r + b.  A slot is one bit for p = 2 (sums are XOR).  For odd p it is
-one byte when terms * (p - 1), the largest plain sum of terms digits,
-is below 256, and otherwise the narrowest width holding that sum.
-Scaling goes through FieldElement multiplication and sums are
-taken digit by digit mod p, so the reference shares no code with the
-exp/log scaling or the slot arithmetic it checks.
+a vector of count indices is laid out with entry r at bit stride * r
+and digit b of an entry in its slot b, w bits wide.  A slot is one bit
+for p = 2 (sums are XOR), and each entry then starts on a whole byte:
+its stride is m rounded up to a multiple of 8.  For odd p the stride is
+w * m, and a slot is one byte when terms * (p - 1), the largest plain
+sum of terms digits, is below 256, and otherwise the narrowest width
+holding that sum.  Scaling goes through FieldElement multiplication
+and sums are taken digit by digit mod p, so the reference shares no
+code with the exp/log scaling or the slot arithmetic it checks.
 """
 
 import random
@@ -19,8 +21,10 @@ from rsperm.gf import Packing
 
 # GF(243) has byte slots for up to 127 terms; GF(257) has none, so every
 # packing of it reduces slot by slot.  GF(127) has byte slots for 2 terms
-# and none for 7, so a prime field is scaled both ways.
-ORDERS = (2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 127, 243, 257)
+# and none for 7, so a prime field is scaled both ways.  GF(128) has the
+# widest p = 2 entries that leave a bit of their byte spare, GF(256) fills
+# its byte, and GF(512) takes two bytes per entry.
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 127, 128, 243, 256, 257, 512)
 
 
 def digits(field, x):
@@ -38,10 +42,16 @@ def ref_width(field, terms):
     return 8 if widest_sum < 256 else len(bin(widest_sum)) - 2
 
 
+def ref_stride(field, terms):
+    if field.p == 2:
+        return 8 * ((field.m + 7) // 8)
+    return ref_width(field, terms) * field.m
+
+
 def ref_pack(field, terms, vector):
-    w, m = ref_width(field, terms), field.m
+    w, stride = ref_width(field, terms), ref_stride(field, terms)
     return sum(
-        d << (w * (m * r + b))
+        d << (stride * r + w * b)
         for r, x in enumerate(vector)
         for b, d in enumerate(digits(field, x))
     )
@@ -165,11 +175,13 @@ def test_key_of_a_full_sum_of_widest_vectors(field, terms):
     want = ref_sum(field, [widest(field, count)] * terms)
     assert key == ref_pack(field, terms, want)
     assert packing.decode(key) == stripped(want)
+    assert packing.read([0] * terms, [(i, packed) for i in range(terms)]) == stripped(want)
 
 
 @pytest.mark.parametrize("terms", (1, 2, 3, 6))
 def test_key_of_scaled_sums(field, terms):
-    """key(choice, terms) over lists and memo dicts of scaled packed vectors."""
+    """key(choice, terms) over lists and memo dicts of scaled packed
+    vectors, and read(choice, terms), its indices read back."""
     rng = random.Random(field.q * 31 + terms)
     count = 4
     packing = Packing(field, count, terms)
@@ -191,6 +203,8 @@ def test_key_of_scaled_sums(field, terms):
         key = packing.key(choice, table)
         assert key == ref_pack(field, terms, want)
         assert packing.decode(key) == stripped(want)
+        assert packing.read(choice, table) == stripped(want)
+        assert type(packing.read(choice, table)) is tuple
 
 
 @pytest.mark.parametrize("terms", (1, 3, 6))
@@ -249,6 +263,7 @@ def test_gf17_on_each_side_of_the_byte_cutover(terms):
     key = packing.key([0] * terms, table)
     assert key == ref_pack(field, terms, want)
     assert packing.decode(key) == stripped(want)
+    assert packing.read([0] * terms, table) == stripped(want)
 
 
 def trailing_zeros(field, count, rng):
