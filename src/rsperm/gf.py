@@ -432,7 +432,7 @@ class Field:
         if s.startswith("["):
             # m digits at the odd places leave the even ones to m - 1 commas.
             digits, m, p = s[-2:0:-2], self.m, self.p
-            if len(s) == 2 * m + 1 and s.count(",") == m - 1 and s[-1] == "]":
+            if p <= 10 and len(s) == 2 * m + 1 and s.count(",") == m - 1 and s[-1] == "]":
                 if not digits.strip("0123456789"[:p]):
                     return self.ops.elements[int(digits, p)]
             if not s.endswith("]"):
@@ -601,10 +601,9 @@ class Packing:
 
     key(choice, terms) is that reduced sum of packed[choice[i]] over the
     (i, packed) pairs, packed being a list or a memo dict; equal vectors
-    have equal keys.  keys(choice, terms, last) is the list of keys of
-    that sum plus each packed vector in last, the sum taken once.
-    pack(indices) lays indices out as they are; scaler makes packed
-    multiples, and decode and read read keys and sums back into indices.
+    have equal keys, and read(choice, terms) is the sum's indices.
+    keys(choice, terms, last) are the keys of that sum plus each packed
+    vector in last, the sum taken once.
     """
 
     def __init__(self, field: Field, count: int, terms: int):
@@ -716,9 +715,8 @@ class Packing:
         return decode
 
     def read(self, choice: Sequence[int], terms) -> tuple[int, ...]:
-        """decode(key(choice, terms)), a sum's indices up to its last nonzero
-        one.  Where stride is 8 a vector's bytes are its indices, and
-        __init__ sets in its place the read that strips the sum's bytes."""
+        """decode(key(choice, terms)).  Where stride is 8 a vector's bytes are
+        its indices, and __init__ puts in its place a read of the sum's bytes."""
         return self.decode(self.key(choice, terms))
 
 
@@ -732,7 +730,8 @@ def _xor_keys(count: int):
         return s
 
     def keys(choice, terms, last) -> list[int]:
-        return list(map(key(choice, terms).__xor__, last))
+        s = key(choice, terms)
+        return [s ^ x for x in last]
 
     def read(choice, terms) -> tuple[int, ...]:
         return tuple(key(choice, terms).to_bytes(count, "little").rstrip(b"\0"))
@@ -740,30 +739,32 @@ def _xor_keys(count: int):
     return key, keys, read
 
 
+def _sum(choice, terms) -> int:
+    """The plain sum of packed[choice[i]] over the (i, packed) pairs (odd p)."""
+    s = 0
+    for i, packed in terms:
+        s += packed[choice[i]]
+    return s
+
+
 def _translated_keys(length: int, mod_p: bytes):
     """key, keys and, for m == 1, read for byte slots, reduced through mod_p."""
     from_bytes, to_bytes = int.from_bytes, int.to_bytes
 
     def key(choice, terms) -> int:
-        s = 0
-        for i, packed in terms:
-            s += packed[choice[i]]
-        return from_bytes(to_bytes(s, length, "little").translate(mod_p), "little")
+        s = to_bytes(_sum(choice, terms), length, "little")
+        return from_bytes(s.translate(mod_p), "little")
 
     def keys(choice, terms, last) -> list[int]:
-        s = 0
-        for i, packed in terms:
-            s += packed[choice[i]]
+        s = _sum(choice, terms)
         return [
             from_bytes(to_bytes(s + x, length, "little").translate(mod_p), "little")
             for x in last
         ]
 
     def read(choice, terms) -> tuple[int, ...]:
-        s = 0
-        for i, packed in terms:
-            s += packed[choice[i]]
-        return tuple(to_bytes(s, length, "little").translate(mod_p).rstrip(b"\0"))
+        s = to_bytes(_sum(choice, terms), length, "little")
+        return tuple(s.translate(mod_p).rstrip(b"\0"))
 
     return key, keys, read
 
@@ -778,15 +779,10 @@ def _slot_keys(p: int, offsets: range, slot: int):
         return out
 
     def key(choice, terms) -> int:
-        s = 0
-        for i, packed in terms:
-            s += packed[choice[i]]
-        return reduced(s)
+        return reduced(_sum(choice, terms))
 
     def keys(choice, terms, last) -> list[int]:
-        s = 0
-        for i, packed in terms:
-            s += packed[choice[i]]
+        s = _sum(choice, terms)
         return [reduced(s + x) for x in last]
 
     return key, keys

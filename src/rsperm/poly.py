@@ -247,7 +247,6 @@ class EvaluationSet:
             raise ValueError("evaluation points must be pairwise distinct")
         self.field = field
         self.points = tuple(map(field.ops.elements.__getitem__, self.index_points))
-        self._lines: dict[tuple[int, int], tuple[list[int], Polynomial]] = {}
 
     @classmethod
     def full_field(cls, field: Field) -> "EvaluationSet":
@@ -332,6 +331,11 @@ class EvaluationSet:
     def _scalers(self) -> list:
         """Per L_i, v -> [packed v * L_i], a one-vector Packing.scaler."""
         return [self._packing.scaler([L.index_coeffs]) for L in self.indicators]
+
+    @cached_property
+    def _lines(self) -> dict[tuple[int, int], tuple[list[int], Polynomial]]:
+        """(v_0, v_1) -> _line(v_0, v_1)."""
+        return {}
 
     def _line(self, v0: int, v1: int) -> tuple[list[int], Polynomial]:
         """The line a*x + b with a_0 -> v0 and a_1 -> v1, on indices: the

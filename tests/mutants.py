@@ -175,8 +175,8 @@ MUTANTS = (
     ),
     Mutant(
         "xor-keys-or", GF,
-        "return list(map(key(choice, terms).__xor__, last))",
-        "return list(map(key(choice, terms).__or__, last))",
+        "return [s ^ x for x in last]",
+        "return [s | x for x in last]",
         (
             "tests/test_packing_oracle.py::test_keys_add_each_last_vector_to_one_sum",
             "tests/test_search_oracle.py::test_search_matches_reference",
@@ -317,6 +317,15 @@ MUTANTS = (
         (
             "tests/test_gf.py::test_element_parse_round_trip",
             "tests/test_gf.py::test_parse_agrees_with_element_on_every_literal_form",
+        ),
+    ),
+    Mutant(
+        "parse-one-int-above-base-10", GF,
+        "if p <= 10 and len(s) == 2 * m + 1",
+        "if len(s) == 2 * m + 1",
+        (
+            "tests/test_gf.py::test_parse_agrees_with_element_on_every_literal_form",
+            "tests/test_cli.py::test_one_digit_literals_over_p_above_36_accepted",
         ),
     ),
     Mutant(

@@ -73,6 +73,15 @@ def test_nested_brackets_in_points_exit_2(capsys):
     assert "unbalanced brackets" in err
 
 
+@pytest.mark.parametrize("field, points", [
+    ("37", "[5],[0],[1]"), ("17161", "[1,2],[0,0],[3,1]"), ("63001", "[1,2],[0,5],[9,9]"),
+])
+def test_one_digit_literals_over_p_above_36_accepted(capsys, field, points):
+    code, out, err = run(capsys, "affine", "--field", field, "--points", points)
+    assert (code, err) == (0, "")
+    assert "affine permutations of the point set" in out
+
+
 def test_affine_lists_paper_maps(capsys):
     code, out, _ = run(capsys, "affine", "--field", "13", "--points", "0,1,4,6")
     assert code == 0

@@ -435,7 +435,7 @@ def test_vector_literals_reduce_their_digits_mod_p(q):
             field.parse(literal)
 
 
-@pytest.mark.parametrize("q", [4, 9, 121, 128, 243, 512])
+@pytest.mark.parametrize("q", [4, 9, 37, 121, 128, 243, 512, 127**2, 131**2, 251**2])
 def test_parse_agrees_with_element_on_every_literal_form(q):
     """parse(literal) is element of its coefficients, whether the literal
     is read by one int() of its one-digit coefficients or split at its
